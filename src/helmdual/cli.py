@@ -236,8 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="runs", help="output directory")
         p.add_argument("--force", action="store_true",
                        help="overwrite an existing run record")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap BLAS/OpenMP thread pools")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config RNG seed")
     return parser
@@ -245,9 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     expected, command = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)

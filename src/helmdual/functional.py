@@ -174,11 +174,16 @@ def _dual_power(values: np.ndarray, p_prime: float) -> np.ndarray:
     return np.sign(values) * np.abs(values) ** (p_prime - 1.0)
 
 
+def _resolve(q_root: Field, v: np.ndarray, cfg: ResolventConfig) -> tuple[Field, float]:
+    """R g and int g R g for g = Q_eps^(1/p) v: the one place R meets the dual variable."""
+    g = Field(q_root.grid, q_root.values * v)
+    rg = apply_R(g, cfg)
+    return rg, inner_product(g, rg)
+
+
 def energy(v: Field, spec: ProblemSpec) -> float:
     """Dual energy J(v)."""
-    qr = spec.q_root(v.grid)
-    g = Field(v.grid, qr.values * v.values)
-    quad = inner_product(g, apply_R(g, spec.resolvent))
+    _, quad = _resolve(spec.q_root(v.grid), v.values, spec.resolvent)
     pp = spec.p_prime
     return lp_norm(v, pp) ** pp / pp - 0.5 * quad
 
@@ -186,16 +191,13 @@ def energy(v: Field, spec: ProblemSpec) -> float:
 def gradient(v: Field, spec: ProblemSpec) -> Field:
     """L^2 representation of J'(v): |v|^(p'-2) v - Q_eps^(1/p) R(Q_eps^(1/p) v)."""
     qr = spec.q_root(v.grid)
-    g = Field(v.grid, qr.values * v.values)
-    rg = apply_R(g, spec.resolvent)
+    rg, _ = _resolve(qr, v.values, spec.resolvent)
     return Field(v.grid, _dual_power(v.values, spec.p_prime) - qr.values * rg.values)
 
 
 def quadratic_term(v: Field, spec: ProblemSpec) -> float:
     """int Q_eps^(1/p) v R(Q_eps^(1/p) v) dx; positive iff v is in the positive cone."""
-    qr = spec.q_root(v.grid)
-    g = Field(v.grid, qr.values * v.values)
-    return inner_product(g, apply_R(g, spec.resolvent))
+    return _resolve(spec.q_root(v.grid), v.values, spec.resolvent)[1]
 
 
 @dataclass(frozen=True)
@@ -213,9 +215,7 @@ class DualState:
     @classmethod
     def from_field(cls, v: Field, spec: ProblemSpec) -> "DualState":
         qr = spec.q_root(v.grid)
-        g = Field(v.grid, qr.values * v.values)
-        u = apply_R(g, spec.resolvent)
-        quad = inner_product(g, u)
+        u, quad = _resolve(qr, v.values, spec.resolvent)
         pp = spec.p_prime
         norm_pp = lp_norm(v, pp) ** pp
         en = norm_pp / pp - 0.5 * quad
@@ -278,8 +278,7 @@ class ScalingMetadata:
 
 def to_solution(v: Field, spec: ProblemSpec) -> tuple[Field, ScalingMetadata]:
     """Rescaled PDE solution u = R(Q_eps^(1/p) v) plus the declared physical scaling."""
-    qr = spec.q_root(v.grid)
-    u = apply_R(Field(v.grid, qr.values * v.values), spec.resolvent)
+    u, _ = _resolve(spec.q_root(v.grid), v.values, spec.resolvent)
     return u, ScalingMetadata(k=spec.k, p=spec.p)
 
 

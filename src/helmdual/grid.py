@@ -1,10 +1,11 @@
 """Periodic-box discretization: grid construction, quadrature norms, shifted DFT.
 
 The box is [-L, L)^N with n uniform nodes per axis, x_j = -L + j*h, h = 2L/n.
-The frequency lattice may be shifted by a fraction of the spacing pi/L per
-axis: xi_m = (pi/L) * (m + shift), m in the centered integer range.  A
-half-spacing shift keeps the lattice away from the unit sphere |xi| = 1,
-which is where the Helmholtz multiplier is singular.
+The frequency lattice may be shifted by half the spacing pi/L per axis:
+xi_m = (pi/L) * (m + shift), shift in {0, 1/2}, m in the centered integer
+range.  Only these two shifts pair every xi with -xi, so that real fields
+have real transforms.  A half-spacing shift keeps the lattice away from the
+unit sphere |xi| = 1, which is where the Helmholtz multiplier is singular.
 
 Transform convention (forward / inverse):
 
@@ -16,6 +17,7 @@ so that Parseval reads  h^N sum |f_j|^2 = (2L)^-N sum |F_m|^2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,19 +78,8 @@ class Grid:
 
     @property
     def xi_squared(self) -> np.ndarray:
-        """|xi_m|^2 on the full lattice, FFT storage order (cached)."""
-        cached = _XI_SQ_CACHE.get(self)
-        if cached is None:
-            axes = [self.freq_axis(d) ** 2 for d in range(self.dim)]
-            cached = np.zeros(self.shape)
-            for d, ax in enumerate(axes):
-                shape = [1] * self.dim
-                shape[d] = self.points_per_axis
-                cached = cached + ax.reshape(shape)
-            if len(_XI_SQ_CACHE) >= 8:
-                _XI_SQ_CACHE.pop(next(iter(_XI_SQ_CACHE)))
-            _XI_SQ_CACHE[self] = cached
-        return cached
+        """|xi_m|^2 on the full lattice, FFT storage order."""
+        return sum(np.ix_(*[self.freq_axis(d) ** 2 for d in range(self.dim)]))
 
     @property
     def min_unit_circle_distance(self) -> float:
@@ -99,10 +90,6 @@ class Grid:
     def singular(self) -> bool:
         """True if some lattice point sits on the unit sphere (delta = 0 forbidden)."""
         return self.min_unit_circle_distance < UNIT_CIRCLE_TOL
-
-
-# xi_squared is dense (n^N floats); keep only a handful of grids alive.
-_XI_SQ_CACHE: dict[Grid, np.ndarray] = {}
 
 
 def make_grid(dim: int, half_length: float, points_per_axis: int,
@@ -119,8 +106,8 @@ def make_grid(dim: int, half_length: float, points_per_axis: int,
     freq_shift = tuple(float(s) for s in freq_shift)
     if len(freq_shift) != dim:
         raise ValueError("freq_shift must have one entry per axis")
-    if any(s < 0 or s >= 1 for s in freq_shift):
-        raise ValueError("freq_shift entries must lie in [0, 1)")
+    if any(s not in (0.0, 0.5) for s in freq_shift):
+        raise ValueError("freq_shift entries must be 0 or 0.5")
     return Grid(dim, float(half_length), int(points_per_axis), freq_shift)
 
 
@@ -179,15 +166,9 @@ def inner_product(f: Field, g: Field) -> float:
 def _shift_modulation(grid: Grid) -> np.ndarray:
     """exp(-2 pi i s_d j_d / n), the node-side phase carrying the lattice shift."""
     n = grid.points_per_axis
-    out = np.ones(grid.shape, dtype=np.complex128)
     j = np.arange(n)
-    for d, s in enumerate(grid.freq_shift):
-        if s == 0.0:
-            continue
-        shape = [1] * grid.dim
-        shape[d] = n
-        out = out * np.exp(-2j * np.pi * s * j / n).reshape(shape)
-    return out
+    return functools.reduce(np.multiply,
+                            np.ix_(*[np.exp(-2j * np.pi * s * j / n) for s in grid.freq_shift]))
 
 
 def _freq_phase(grid: Grid) -> np.ndarray:
@@ -214,9 +195,13 @@ def dft_inverse(spectrum: np.ndarray, grid: Grid) -> Field:
     if spectrum.shape != grid.shape:
         raise ValueError(f"spectrum shape {spectrum.shape} != grid shape {grid.shape}")
     g = np.fft.ifftn(spectrum * np.conj(_freq_phase(grid)))
-    values = g * np.conj(_shift_modulation(grid)) / grid.cell_volume
-    scale = np.max(np.abs(values))
-    if scale > 0 and np.max(np.abs(values.imag)) > 1e-10 * scale:
+    return _real_field(g * np.conj(_shift_modulation(grid)) / grid.cell_volume, grid)
+
+
+def _real_field(values: np.ndarray, grid: Grid) -> Field:
+    """Real part of an inverse transform, raising if the imaginary part is not round-off."""
+    scale = np.max(np.abs(values.real))
+    if np.max(np.abs(values.imag)) > 1e-10 * scale:
         raise ValueError(
             "inverse transform produced a non-real field "
             "(frequency shift must be 0 or 0.5 per axis for real output)"

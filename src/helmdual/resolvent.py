@@ -8,11 +8,12 @@ cells and is O(n^2N), intended for cross-validation on small grids only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, dft_forward, dft_inverse, inner_product, spectral_laplacian
+from .grid import Field, Grid, _real_field, _shift_modulation, inner_product, spectral_laplacian
 from .kernels import KernelSpec
 
 
@@ -57,18 +58,37 @@ def multiplier_value(xi_sq, delta: float):
     return out if out.ndim else float(out)
 
 
+# bounded: an entry holds two complex arrays and one real array of the grid's size
+@functools.lru_cache(maxsize=4)
+def _plan(grid: Grid, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M, conj M, S): the multiplier route's arrays, built once per grid and delta.
+
+    The frequency-side phase and the cell volume of dft_forward/dft_inverse
+    cancel between the two transforms, so R f = conj(M) ifftn(S fftn(M f))
+    with the node-side shift modulation M and the real symbol S.
+    """
+    if delta == 0.0 and grid.singular:
+        raise SingularLatticeError(
+            "frequency lattice contains |xi| = 1; shift the lattice or use delta > 0"
+        )
+    modulation = _shift_modulation(grid)
+    plan = (modulation, np.conj(modulation), multiplier_value(grid.xi_squared, delta))
+    for arr in plan:
+        arr.flags.writeable = False  # shared by every later call on this grid and delta
+    return plan
+
+
 def apply_R(f: Field, cfg: ResolventConfig) -> Field:
     """Resolvent applied to a field; multiplier route unless cfg says otherwise."""
     if cfg.mode == "direct_oracle":
         kernel = cfg.kernel if cfg.kernel is not None else KernelSpec(f.grid.dim)
         return apply_R_direct(f, kernel, max_nodes=cfg.direct_max_nodes)
-    grid = f.grid
-    if cfg.delta == 0.0 and grid.singular:
-        raise SingularLatticeError(
-            "frequency lattice contains |xi| = 1; shift the lattice or use delta > 0"
-        )
-    symbol = multiplier_value(grid.xi_squared, cfg.delta)
-    return dft_inverse(symbol * dft_forward(f), grid)
+    modulation, demodulation, symbol = _plan(f.grid, cfg.delta)
+    spectrum = np.fft.fftn(modulation * f.values)
+    spectrum *= symbol
+    values = np.fft.ifftn(spectrum)
+    values *= demodulation
+    return _real_field(values, f.grid)
 
 
 def apply_R_direct(f: Field, spec: KernelSpec, max_nodes: int | None = None) -> Field:

@@ -14,15 +14,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Field, Grid, inner_product, lp_norm
+from .grid import Field, Grid, lp_norm
 from .functional import (
     DualState,
     NotInPositiveCone,
     ProblemSpec,
     _dual_power,
+    _resolve,
     constant_coefficient,
 )
-from .resolvent import ResolventConfig, apply_R
+from .resolvent import ResolventConfig
 
 
 class NoConvergence(RuntimeError):
@@ -135,14 +136,12 @@ class _Workspace:
 
     grid: Grid
     spec: ProblemSpec
-    q_root: np.ndarray
+    q_root: Field
 
     def measure(self, w: np.ndarray):
         """One resolvent application giving ||w||_p^p, quad term, energy, R g."""
         v = _dual_power(w, self.spec.p)  # |w|^(p-1) sign w, the inverse power map
-        g = Field(self.grid, self.q_root * v)
-        rg = apply_R(g, self.spec.resolvent)
-        quad = inner_product(g, rg)
+        rg, quad = _resolve(self.q_root, v, self.spec.resolvent)
         norm_p = self.grid.cell_volume * float(np.sum(np.abs(w) ** self.spec.p))
         en = norm_p / self.spec.p_prime - 0.5 * quad
         return norm_p, quad, en, rg
@@ -162,7 +161,7 @@ def _project_w(w: np.ndarray, norm_p: float, quad: float, p: float):
 
 def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig) -> tuple[DualState, int]:
     """Projected descent from one seed; raises NotInPositiveCone / NoConvergence."""
-    ws = _Workspace(seed.grid, spec, spec.q_root(seed.grid).values)
+    ws = _Workspace(seed.grid, spec, spec.q_root(seed.grid))
     p, pp = spec.p, spec.p_prime
     w = _dual_power(seed.values, pp)  # seed is given in v; move to w
     norm_p, quad, _, rg = ws.measure(w)
@@ -178,7 +177,7 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig) -> tuple[DualSta
 
     for it in range(cfg.max_iters):
         # Euler-Lagrange residual; equal to the v-space energy gradient
-        grad = w - ws.q_root * rg.values
+        grad = w - ws.q_root.values * rg.values
         rel = np.linalg.norm(grad) / np.linalg.norm(w)
         if rel <= cfg.grad_tol:
             return DualState.from_field(Field(ws.grid, _dual_power(w, p)), spec), it
@@ -225,14 +224,14 @@ def _fixed_point(seed: Field, spec: ProblemSpec, cfg: SolverConfig) -> tuple[Dua
     w <- Q^(1/p) R(Q^(1/p) v(w)), re-projected onto the Nehari manifold every
     step; no energy monotonicity and no convergence guarantee.
     """
-    ws = _Workspace(seed.grid, spec, spec.q_root(seed.grid).values)
+    ws = _Workspace(seed.grid, spec, spec.q_root(seed.grid))
     p = spec.p
     w = _dual_power(seed.values, spec.p_prime)
     for it in range(cfg.max_iters):
         _, quad, _, rg = ws.measure(w)
         if quad <= 0.0:
             raise NotInPositiveCone("iterate left the positive cone")
-        new = ws.q_root * rg.values
+        new = ws.q_root.values * rg.values
         n_norm, n_quad, _, _ = ws.measure(new)
         if n_quad <= 0.0:
             raise NotInPositiveCone("iterate left the positive cone")

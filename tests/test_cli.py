@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, artifacts, reproducibility."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from helmdual.cli import main
 from helmdual.fieldio import read_field, write_field
 from helmdual.grid import Field, make_grid
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -67,6 +70,15 @@ class TestLimitCommand:
         cfg = write_config(tmp_path)
         assert run("solve", cfg, tmp_path / "o") == 2
 
+    def test_quarter_shift_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            grid={"dim": 2, "half_length": 30.0, "points_per_axis": 16,
+                  "freq_shift": [0.25, 0.5]},
+        )
+        assert run("limit", cfg, tmp_path / "o") == 2
+        assert "0 or 0.5" in capsys.readouterr().err
+
     def test_singular_lattice_is_numeric_failure(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -83,6 +95,11 @@ class TestValidateCommand:
         assert run("validate", cfg, tmp_path / "o") == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_shipped_validate_config(self, tmp_path, capsys):
+        # the config named by the README's validate command
+        assert run("validate", str(CONFIGS / "validate.json"), tmp_path / "o") == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_input_field_checked(self, tmp_path, capsys):
         g = make_grid(2, 10.0, 16)

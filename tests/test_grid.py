@@ -46,6 +46,11 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(2, 30.0, 64, (1.5, 0.0))  # out of range
 
+    def test_shift_other_than_zero_or_half_rejected(self):
+        # a quarter shift breaks the xi / -xi pairing, so no inverse transform would be real
+        with pytest.raises(ValueError, match="0 or 0.5"):
+            make_grid(2, 30.0, 64, (0.25, 0.5))
+
     def test_integer_lattice_is_singular(self):
         # L = pi makes the unshifted frequencies integers, so |xi| = 1 occurs
         g = make_grid(2, np.pi, 16, (0.0, 0.0))

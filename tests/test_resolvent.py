@@ -10,6 +10,7 @@ from helmdual.resolvent import (
     GridTooLargeError,
     ResolventConfig,
     SingularLatticeError,
+    _plan,
     apply_R,
     apply_R_direct,
     bilinear_R,
@@ -57,8 +58,9 @@ class TestApplyR:
     def test_singular_lattice_rejected_at_delta_zero(self):
         g = make_grid(2, np.pi, 16, (0.0, 0.0))
         f = gaussian_bump(g, width=1.0)
-        with pytest.raises(SingularLatticeError):
-            apply_R(f, ResolventConfig(delta=0.0))
+        for _ in range(2):  # a failed plan is not cached
+            with pytest.raises(SingularLatticeError):
+                apply_R(f, ResolventConfig(delta=0.0))
 
     def test_lattice_mode_eigenvalue(self):
         # R acts on a lattice mode by 1/(|xi|^2 - 1)
@@ -101,6 +103,37 @@ class TestApplyR:
         v = Field(g, rng.standard_normal(g.shape))
         cfg = ResolventConfig(delta=1e-3)
         assert bilinear_R(u, v, cfg) == pytest.approx(bilinear_R(v, u, cfg), rel=1e-12)
+
+
+class TestPlan:
+    @pytest.mark.parametrize("dim, half_length, n, shift", [
+        (2, 9.0, 32, (0.5, 0.5)),
+        (2, 9.0, 32, (0.0, 0.0)),
+        (3, 8.0, 16, (0.5, 0.5, 0.5)),
+        (3, 8.0, 16, (0.0, 0.5, 0.5)),
+    ])
+    @pytest.mark.parametrize("delta", [0.0, 1e-2])
+    def test_matches_explicit_transform_composition(self, dim, half_length, n, shift, delta):
+        g = make_grid(dim, half_length, n, shift)
+        assert not g.singular
+        f = Field(g, np.random.default_rng(11).standard_normal(g.shape))
+        symbol = multiplier_value(g.xi_squared, delta)
+        expected = dft_inverse(symbol * dft_forward(f), g).values
+        got = apply_R(f, ResolventConfig(delta=delta)).values
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_built_once_per_grid_and_delta(self):
+        f = gaussian_bump(make_grid(2, 9.0, 32))
+        cfg = ResolventConfig(delta=1e-3)
+        _plan.cache_clear()
+        first = apply_R(f, cfg).values
+        np.testing.assert_array_equal(apply_R(f, cfg).values, first)
+        # an equal grid built again and an equal config share the plan
+        again = gaussian_bump(make_grid(2, 9.0, 32))
+        np.testing.assert_array_equal(apply_R(again, ResolventConfig(delta=1e-3)).values, first)
+        info = _plan.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert not any(arr.flags.writeable for arr in _plan(f.grid, cfg.delta))
 
 
 class TestDirectOracle:
