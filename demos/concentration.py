@@ -7,8 +7,6 @@ recentering, its profile converges to the constant-coefficient limit state.
 This script runs a short epsilon sweep and prints both trends.
 """
 
-import numpy as np
-
 from helmdual import (
     BarycenterConfig,
     CoefficientSpec,

@@ -9,8 +9,6 @@ returns two genuinely distinct states whose barycenters sit on different
 peaks.
 """
 
-import numpy as np
-
 from helmdual import (
     BarycenterConfig,
     CoefficientSpec,

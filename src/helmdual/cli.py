@@ -29,8 +29,6 @@ from .runio import ConfigError, RunConfig, RunRecord, load_config, write_record
 from .solver import (
     AllSeedsLeftCone,
     NoConvergence,
-    multistart,
-    default_seeds,
     solve_ground_state,
     solve_limit,
 )

@@ -20,7 +20,7 @@ import numpy as np
 from .grid import Field, Grid, inner_product, lp_norm
 from .kernels import lambda_p
 from .functional import DualState, ProblemSpec, pde_residual, to_solution
-from .resolvent import ResolventConfig, apply_R, bilinear_R
+from .resolvent import ResolventConfig, apply_R
 from .solver import (
     AllSeedsLeftCone,
     CutoffSpec,

@@ -23,6 +23,9 @@ _SERIES_CUTOFF = 13.0
 _SERIES_TERMS = 48
 _ASYMPTOTIC_TERMS = 34
 
+#: width of the Gaussian window of the moment-fitted center weight, in spacings
+_SINGULAR_WINDOW = 3.0
+
 
 def _j0_series(x: np.ndarray) -> np.ndarray:
     """sum_k (-1)^k (x^2/4)^k / (k!)^2."""
@@ -146,34 +149,27 @@ def lambda_p(dim: int, p: float) -> float:
 class KernelSpec:
     """Free-space kernel with a regularized value for the singular cell.
 
-    Below ``regularization_radius`` (which must be smaller than the grid
-    spacing, so in practice only r = 0 is affected) the pointwise kernel is
-    replaced by a finite cell weight.  Two choices are implemented:
+    The singular cell is r == 0; on the difference lattice every other radius
+    is at least the grid spacing.  There the pointwise kernel is replaced by a
+    finite cell weight.  Two choices are implemented:
 
     * ``corrected=True`` (default): a moment-fitted weight.  The center
       weight is chosen so that the punctured lattice sum integrates the
-      kernel exactly against a Gaussian window of width
-      ``singular_window_factor * spacing``.  This cancels the low-frequency
-      bias of sampling a slowly-decaying oscillatory kernel on a lattice and
-      is what makes the direct oracle agree with the spectral route at
-      coarse spacing.
+      kernel exactly against a Gaussian window of width 3 spacings.  This
+      cancels the low-frequency bias of sampling a slowly-decaying
+      oscillatory kernel on a lattice and is what makes the direct oracle
+      agree with the spectral route at coarse spacing.
     * ``corrected=False``: the analytic average of the leading singular term
       over a cell-volume-equivalent ball (1/(4 pi r) for N = 3, the log term
       for N = 2).  Kept as the plain second-order reference.
     """
 
     dim: int
-    regularization_radius: float = 1e-9
     corrected: bool = True
-    singular_window_factor: float = 3.0
 
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        if self.regularization_radius <= 0:
-            raise ValueError("regularization_radius must be positive")
-        if self.singular_window_factor <= 0:
-            raise ValueError("singular_window_factor must be positive")
 
     def singular_cell_value(self, spacing: float) -> float:
         """Analytic cell average of the leading singular term over one grid cell."""
@@ -186,7 +182,7 @@ class KernelSpec:
 
     def corrected_cell_value(self, spacing: float) -> float:
         """Moment-fitted center weight: exact kernel integral against a Gaussian window."""
-        sw = self.singular_window_factor * spacing
+        sw = _SINGULAR_WINDOW * spacing
         rmax = 9.0 * sw
         r = np.linspace(1e-8, rmax, 200_001)
         window = np.exp(-(r * r) / (2.0 * sw * sw))
@@ -214,10 +210,8 @@ class KernelSpec:
 
     def evaluate(self, r: np.ndarray, spacing: float) -> np.ndarray:
         """Kernel on an array of radii, with the singular cell replaced by its weight."""
-        if self.regularization_radius >= spacing:
-            raise ValueError("regularization_radius must be below the grid spacing")
         out = np.empty_like(r)
-        sing = r < self.regularization_radius
+        sing = r == 0.0
         if np.any(sing):
             out[sing] = self.center_weight(spacing)
         out[~sing] = re_phi(r[~sing], self.dim)

@@ -33,8 +33,6 @@ DIRECT_GUARD = {2: 40**2, 3: 16**3}
 class ResolventConfig:
     delta: float = 0.0
     mode: str = "multiplier"
-    kernel: KernelSpec | None = None
-    direct_max_nodes: int | None = None
 
     def __post_init__(self):
         if self.delta < 0:
@@ -81,8 +79,7 @@ def _plan(grid: Grid, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def apply_R(f: Field, cfg: ResolventConfig) -> Field:
     """Resolvent applied to a field; multiplier route unless cfg says otherwise."""
     if cfg.mode == "direct_oracle":
-        kernel = cfg.kernel if cfg.kernel is not None else KernelSpec(f.grid.dim)
-        return apply_R_direct(f, kernel, max_nodes=cfg.direct_max_nodes)
+        return apply_R_direct(f, KernelSpec(f.grid.dim))
     modulation, demodulation, symbol = _plan(f.grid, cfg.delta)
     spectrum = np.fft.fftn(modulation * f.values)
     spectrum *= symbol

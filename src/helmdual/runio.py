@@ -137,7 +137,7 @@ def _parse_problem(obj) -> ProblemSpec:
 _SOLVER_KEYS = ("max_iters", "grad_tol", "initial_step", "shrink_factor",
                 "growth_factor", "sufficient_decrease", "min_step",
                 "distinct_lp_distance", "distinct_energy_gap",
-                "use_fixed_point", "seed_widths", "seed_modulation")
+                "seed_widths", "seed_modulation")
 
 
 def _parse_solver(obj, seed: int) -> SolverConfig:
@@ -150,10 +150,6 @@ def _parse_solver(obj, seed: int) -> SolverConfig:
             kwargs[key] = _number(obj[key], f"solver.{key}")
     if "max_iters" in obj:
         kwargs["max_iters"] = _integer(obj["max_iters"], "solver.max_iters")
-    if "use_fixed_point" in obj:
-        if not isinstance(obj["use_fixed_point"], bool):
-            raise ConfigError("solver.use_fixed_point: expected a boolean")
-        kwargs["use_fixed_point"] = obj["use_fixed_point"]
     widths = obj.get("seed_widths", [0.5, 0.8, 1.2])
     modulation = _number(obj.get("seed_modulation", 1.1), "solver.seed_modulation")
     kwargs["restart_seeds"] = tuple(

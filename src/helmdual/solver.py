@@ -4,13 +4,12 @@ The minimization runs projected descent: a negative-gradient trial step with
 backtracking on the dual energy, followed by re-projection onto the Nehari
 manifold.  Because the resolvent is indefinite, trial iterates can leave the
 positive cone; those trigger step shrinking, and a seed whose step collapses
-is abandoned.  A plain fixed-point iteration of the Euler-Lagrange equation
-is available behind a flag for comparison, without any convergence guarantee.
+is abandoned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +36,14 @@ class NoConvergence(RuntimeError):
 
 class AllSeedsLeftCone(RuntimeError):
     """Every restart seed fell out of the positive cone."""
+
+
+class _StepCollapsed(NotInPositiveCone):
+    """The step fell below min_step with every trial failing the Armijo test.
+
+    The trials may all lie inside the positive cone; the seed loop tells this
+    apart from a true cone exit.
+    """
 
 
 @dataclass(frozen=True)
@@ -87,7 +94,6 @@ class SolverConfig:
     )
     distinct_lp_distance: float = 0.1
     distinct_energy_gap: float = 1e-3
-    use_fixed_point: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.shrink_factor < 1.0):
@@ -123,132 +129,80 @@ def _mollifier(t: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class _Workspace:
-    """Per-solve cache working in the substituted variable w = |v|^(p'-2) v.
+def _measure(w: np.ndarray, q_root: Field, spec: ProblemSpec):
+    """One resolvent application in the substituted variable w = |v|^(p'-2) v.
 
     The substitution removes the non-smoothness of the dual energy: in terms
     of w the first term is (1/p') ||w||_p^p with p > 2, so backtracking sees
     bounded curvature.  The Euler-Lagrange residual w - Q^(1/p) R(Q^(1/p) v)
-    coincides with the v-space gradient of the dual energy, and a full step
-    along it is exactly the fixed-point map.
+    coincides with the v-space gradient of the dual energy.
+
+    Returns ||w||_p^p, the quadratic term and the values of R g.
     """
-
-    grid: Grid
-    spec: ProblemSpec
-    q_root: Field
-
-    def measure(self, w: np.ndarray):
-        """One resolvent application giving ||w||_p^p, quad term, energy, R g."""
-        v = _dual_power(w, self.spec.p)  # |w|^(p-1) sign w, the inverse power map
-        rg, quad = _resolve(self.q_root, v, self.spec.resolvent)
-        norm_p = self.grid.cell_volume * float(np.sum(np.abs(w) ** self.spec.p))
-        en = norm_p / self.spec.p_prime - 0.5 * quad
-        return norm_p, quad, en, rg
+    v = _dual_power(w, spec.p)  # |w|^(p-1) sign w, the inverse power map
+    rg, quad = _resolve(q_root, v, spec.resolvent)
+    norm_p = q_root.grid.cell_volume * float(np.sum(np.abs(w) ** spec.p))
+    return norm_p, quad, rg.values
 
 
-def _project_w(w: np.ndarray, norm_p: float, quad: float, p: float):
+def _project_w(w: np.ndarray, norm_p: float, quad: float, rg: np.ndarray, p: float):
     """Scale w onto the Nehari manifold ||w||_p^p = quad(v(w)).
 
-    Under w -> s w the norm scales as s^p and the quadratic term as
-    s^(2(p-1)), so s = (norm / quad)^(1/(p-2)).
+    Under w -> s w the norm scales as s^p, the quadratic term as s^(2(p-1))
+    and R g as s^(p-1), so s = (norm / quad)^(1/(p-2)); all four are returned
+    rescaled.
     """
     if quad <= 0.0:
         raise NotInPositiveCone(f"quadratic term {quad} <= 0")
     s = (norm_p / quad) ** (1.0 / (p - 2.0))
-    return s * w, s
+    return s * w, norm_p * s**p, quad * s ** (2.0 * (p - 1.0)), s ** (p - 1.0) * rg
 
 
-def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig) -> tuple[DualState, int]:
+def solve_from_seed(seed: Field, spec: ProblemSpec, cfg: SolverConfig) -> tuple[DualState, int]:
     """Projected descent from one seed; raises NotInPositiveCone / NoConvergence."""
-    ws = _Workspace(seed.grid, spec, spec.q_root(seed.grid))
+    grid = seed.grid
+    q_root = spec.q_root(grid)
     p, pp = spec.p, spec.p_prime
     w = _dual_power(seed.values, pp)  # seed is given in v; move to w
-    norm_p, quad, _, rg = ws.measure(w)
+    norm_p, quad, rg = _measure(w, q_root, spec)
     if norm_p == 0.0:
         raise ValueError("zero seed")
-    w, s = _project_w(w, norm_p, quad, p)
-    # all cached quantities are homogeneous in w
-    norm_p *= s**p
-    quad *= s ** (2.0 * (p - 1.0))
-    rg = Field(ws.grid, s ** (p - 1.0) * rg.values)
+    w, norm_p, quad, rg = _project_w(w, norm_p, quad, rg, p)
     en = norm_p / pp - 0.5 * quad
     step = cfg.initial_step
 
     for it in range(cfg.max_iters):
         # Euler-Lagrange residual; equal to the v-space energy gradient
-        grad = w - ws.q_root.values * rg.values
+        grad = w - q_root.values * rg
         rel = np.linalg.norm(grad) / np.linalg.norm(w)
         if rel <= cfg.grad_tol:
-            return DualState.from_field(Field(ws.grid, _dual_power(w, p)), spec), it
+            return DualState.from_field(Field(grid, _dual_power(w, p)), spec), it
         # directional derivative of the energy along -grad in the w variable
-        slope = (p - 1.0) * ws.grid.cell_volume * float(
+        slope = (p - 1.0) * grid.cell_volume * float(
             np.sum(np.abs(w) ** (p - 2.0) * grad * grad)
         )
 
-        accepted = False
         while step >= cfg.min_step:
             trial = w - step * grad
-            t_norm, t_quad, _, t_rg = ws.measure(trial)
-            if t_quad <= 0.0:
-                step *= cfg.shrink_factor
-                continue
-            proj, s = _project_w(trial, t_norm, t_quad, p)
-            proj_norm = t_norm * s**p
-            proj_quad = t_quad * s ** (2.0 * (p - 1.0))
-            proj_en = proj_norm / pp - 0.5 * proj_quad
-            if proj_en <= en - cfg.sufficient_decrease * step * slope:
-                w = proj
-                norm_p, quad = proj_norm, proj_quad
-                rg = Field(ws.grid, s ** (p - 1.0) * t_rg.values)
-                en = proj_en
-                step = min(step * cfg.growth_factor, cfg.initial_step)
-                accepted = True
-                break
+            t_norm, t_quad, t_rg = _measure(trial, q_root, spec)
+            if t_quad > 0.0:
+                trial, t_norm, t_quad, t_rg = _project_w(trial, t_norm, t_quad, t_rg, p)
+                t_en = t_norm / pp - 0.5 * t_quad
+                if t_en <= en - cfg.sufficient_decrease * step * slope:
+                    w, rg, en = trial, t_rg, t_en
+                    step = min(step * cfg.growth_factor, cfg.initial_step)
+                    break
             step *= cfg.shrink_factor
-        if not accepted:
-            raise NotInPositiveCone("step collapsed without an acceptable iterate")
+        else:  # no trial step passed the Armijo test
+            raise _StepCollapsed("step collapsed without an acceptable iterate")
 
-    best = DualState.from_field(Field(ws.grid, _dual_power(w, p)), spec)
+    best = DualState.from_field(Field(grid, _dual_power(w, p)), spec)
     raise NoConvergence(
         f"gradient {best.grad_norm:.3e} above tolerance {cfg.grad_tol:.1e} "
         f"after {cfg.max_iters} iterations",
         best=best,
         iterations=cfg.max_iters,
     )
-
-
-def _fixed_point(seed: Field, spec: ProblemSpec, cfg: SolverConfig) -> tuple[DualState, int]:
-    """Naive Euler-Lagrange fixed-point iteration (comparison mode only).
-
-    w <- Q^(1/p) R(Q^(1/p) v(w)), re-projected onto the Nehari manifold every
-    step; no energy monotonicity and no convergence guarantee.
-    """
-    ws = _Workspace(seed.grid, spec, spec.q_root(seed.grid))
-    p = spec.p
-    w = _dual_power(seed.values, spec.p_prime)
-    for it in range(cfg.max_iters):
-        _, quad, _, rg = ws.measure(w)
-        if quad <= 0.0:
-            raise NotInPositiveCone("iterate left the positive cone")
-        new = ws.q_root.values * rg.values
-        n_norm, n_quad, _, _ = ws.measure(new)
-        if n_quad <= 0.0:
-            raise NotInPositiveCone("iterate left the positive cone")
-        new, _ = _project_w(new, n_norm, n_quad, p)
-        change = np.linalg.norm(new - w) / max(np.linalg.norm(w), 1e-300)
-        w = new
-        if change <= cfg.grad_tol:
-            return DualState.from_field(Field(ws.grid, _dual_power(w, p)), spec), it
-    best = DualState.from_field(Field(ws.grid, _dual_power(w, p)), spec)
-    raise NoConvergence("fixed-point iteration did not settle", best=best,
-                        iterations=cfg.max_iters)
-
-
-def solve_from_seed(seed: Field, spec: ProblemSpec, cfg: SolverConfig) -> tuple[DualState, int]:
-    if cfg.use_fixed_point:
-        return _fixed_point(seed, spec, cfg)
-    return _descend(seed, spec, cfg)
 
 
 def solve_limit(q0: float, p: float, grid: Grid, cfg: SolverConfig,
@@ -267,31 +221,31 @@ def solve_limit(q0: float, p: float, grid: Grid, cfg: SolverConfig,
         resolvent=resolvent if resolvent is not None else ResolventConfig(),
     )
     spec.validate_for_grid(grid)
-    return _best_over_seeds(spec, grid, cfg, [s.build(grid) for s in cfg.restart_seeds])
+    return _best_over_seeds(spec, cfg, [s.build(grid) for s in cfg.restart_seeds])
 
 
-def _best_over_seeds(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
-                     seeds: list[Field]) -> DualState:
-    best: DualState | None = None
-    cone_failures = 0
-    last_error: Exception | None = None
+def _solve_seeds(spec: ProblemSpec, cfg: SolverConfig,
+                 seeds: list[Field]) -> tuple[list[DualState], list[Exception]]:
+    """Solve from every seed in order; returns the converged states and the failures."""
+    states, failures = [], []
     for seed in seeds:
         try:
             state, _ = solve_from_seed(seed, spec, cfg)
-        except NotInPositiveCone as err:
-            cone_failures += 1
-            last_error = err
+        except (NotInPositiveCone, NoConvergence) as err:
+            failures.append(err)
             continue
-        except NoConvergence as err:
-            last_error = err
-            continue
-        if best is None or state.energy < best.energy:
-            best = state
-    if best is None:
-        if cone_failures == len(seeds):
+        states.append(state)
+    return states, failures
+
+
+def _best_over_seeds(spec: ProblemSpec, cfg: SolverConfig, seeds: list[Field]) -> DualState:
+    states, failures = _solve_seeds(spec, cfg, seeds)
+    if not states:
+        if all(isinstance(err, NotInPositiveCone) and not isinstance(err, _StepCollapsed)
+               for err in failures):
             raise AllSeedsLeftCone("every seed left the positive cone")
-        raise NoConvergence(f"no seed converged: {last_error}")
-    return best
+        raise NoConvergence(f"no seed converged: {failures[-1]}")
+    return min(states, key=lambda state: state.energy)
 
 
 def make_test_function(y: tuple[float, ...], epsilon: float, w: Field,
@@ -350,7 +304,7 @@ def solve_ground_state(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
             seeds = default_seeds(spec, grid, cfg, limit_state)
         else:
             seeds = [s.build(grid) for s in cfg.restart_seeds]
-    return _best_over_seeds(spec, grid, cfg, seeds)
+    return _best_over_seeds(spec, cfg, seeds)
 
 
 def multistart(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
@@ -364,14 +318,7 @@ def multistart(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
     """
     if len(seeds) < 2:
         raise ValueError("multistart needs at least 2 seeds")
-    states: list[DualState] = []
-    for seed in seeds:
-        try:
-            state, _ = solve_from_seed(seed, spec, cfg)
-        except (NotInPositiveCone, NoConvergence):
-            continue
-        states.append(state)
-
+    states, _ = _solve_seeds(spec, cfg, seeds)
     pp = spec.p_prime
     distinct: list[DualState] = []
     for state in states:

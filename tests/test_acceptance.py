@@ -26,7 +26,6 @@ from helmdual.functional import (
     quadratic_term,
 )
 from helmdual.solver import (
-    InitialGuess,
     SolverConfig,
     default_seeds,
     multistart,
@@ -36,7 +35,6 @@ from helmdual.experiments import (
     BarycenterConfig,
     barycenter,
     concentration_sweep,
-    energy_comparison,
     homogeneity_ratio,
     interaction_decay,
 )

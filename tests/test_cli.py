@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helmdual.cli import main
+from helmdual.cli import _COMMANDS, main
 from helmdual.fieldio import read_field, write_field
 from helmdual.grid import Field, make_grid
+from helmdual.runio import load_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -87,6 +88,13 @@ class TestLimitCommand:
         )
         assert run("limit", cfg, tmp_path / "o") == 3
         assert "numeric failure" in capsys.readouterr().err
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+    def test_loads_and_maps_to_a_subcommand(self, path):
+        cfg = load_config(path)
+        assert cfg.experiment in {experiment for experiment, _ in _COMMANDS.values()}
 
 
 class TestValidateCommand:

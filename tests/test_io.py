@@ -166,8 +166,8 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="integer"):
             parse_config(json.dumps(obj).encode())
         obj = json.loads(base_config())
-        obj["solver"]["use_fixed_point"] = "yes"
-        with pytest.raises(ConfigError, match="boolean"):
+        obj["solver"]["use_fixed_point"] = True
+        with pytest.raises(ConfigError, match="unknown keys"):
             parse_config(json.dumps(obj).encode())
 
     def test_domain_errors_become_config_errors(self):

@@ -118,15 +118,6 @@ class TestKernelSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             KernelSpec(4)
-        with pytest.raises(ValueError):
-            KernelSpec(2, regularization_radius=0.0)
-        with pytest.raises(ValueError):
-            KernelSpec(2, singular_window_factor=-1.0)
-
-    def test_regularization_radius_must_be_below_spacing(self):
-        spec = KernelSpec(2, regularization_radius=0.5)
-        with pytest.raises(ValueError):
-            spec.evaluate(np.array([1.0]), 0.25)
 
     def test_singular_cell_replaced(self):
         spec = KernelSpec(3)

@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from helmdual.grid import Field, lp_norm, make_grid
+from helmdual.grid import lp_norm, make_grid
 from helmdual.functional import (
     CoefficientSpec,
+    NotInPositiveCone,
     ProblemSpec,
     constant_coefficient,
     gradient,
-    lp_norm as _unused,  # noqa: F401
 )
 from helmdual.resolvent import ResolventConfig
 from helmdual.solver import (
+    AllSeedsLeftCone,
     CutoffSpec,
     InitialGuess,
     NoConvergence,
@@ -101,14 +102,28 @@ class TestLimitSolve:
                                         coefficient=constant_coefficient(1.0)),
                             small)
 
-    def test_fixed_point_mode_refines_near_critical_seed(self, grid, limit_state):
-        # the plain fixed-point iteration carries no convergence guarantee
-        # from arbitrary seeds; started near a critical point it stays there
-        spec = limit_state.spec
-        cfg_fp = SolverConfig(max_iters=500, grad_tol=1e-7, use_fixed_point=True)
-        state, _ = solve_from_seed(limit_state.v, spec, cfg_fp)
-        assert state.energy == pytest.approx(limit_state.energy, rel=1e-6)
-        assert state.grad_norm <= 1e-6
+
+class TestSeedFailures:
+    @pytest.fixture(scope="class")
+    def small(self):
+        return make_grid(2, 30.0, 32)
+
+    def test_collapsed_line_search_is_not_a_cone_exit(self, small):
+        # an unreachable Armijo threshold rejects every trial, in the cone or not
+        strict = SolverConfig(sufficient_decrease=1e6, max_iters=50)
+        with pytest.raises(NoConvergence, match="step collapsed"):
+            solve_limit(1.0, 8.0, small, strict)
+        # one seed alone still raises the cone error callers already catch
+        spec = ProblemSpec(p=8.0, epsilon=1.0, coefficient=constant_coefficient(1.0))
+        with pytest.raises(NotInPositiveCone, match="step collapsed"):
+            solve_from_seed(InitialGuess().build(small), spec, strict)
+
+    def test_every_seed_outside_the_cone(self, small):
+        # a wide unmodulated bump has its spectrum inside |xi| < 1, where R < 0
+        wide = SolverConfig(restart_seeds=(InitialGuess(width=3.0, modulation=0.0),
+                                           InitialGuess(width=4.0, modulation=0.0)))
+        with pytest.raises(AllSeedsLeftCone):
+            solve_limit(1.0, 8.0, small, wide)
 
 
 class TestTestFunction:
