@@ -49,7 +49,6 @@ from .functional import (
     nehari_t,
     pde_residual,
     quadratic_term,
-    to_solution,
 )
 from .solver import (
     AllSeedsLeftCone,

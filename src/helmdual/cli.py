@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 output exists (rerun with --force).
+
+``main`` runs every command the same way.  It refuses an existing run record
+before any work, builds the record, runs the command, then writes the command's
+artifacts and the record.  A ``cmd_*`` function only computes, fills the
+record and prints; it returns its exit code and its artifacts, in order, as
+(file name, field or CSV text) pairs.
 """
 
 from __future__ import annotations
@@ -23,9 +29,17 @@ from .resolvent import (
     apply_R_direct,
     resolvent_identity_residual,
 )
-from .functional import NotInPositiveCone, to_solution, pde_residual
+from .functional import NotInPositiveCone, ScalingMetadata, pde_residual
 from .fieldio import FieldFormatError, read_field, write_field
-from .runio import ConfigError, RunConfig, RunRecord, load_config, write_record
+from .runio import (
+    EXPERIMENTS,
+    ConfigError,
+    RunConfig,
+    RunRecord,
+    load_config,
+    refuse_rerun,
+    write_record,
+)
 from .solver import (
     AllSeedsLeftCone,
     NoConvergence,
@@ -46,13 +60,7 @@ EXIT_NUMERIC = 3
 EXIT_EXISTS = 4
 
 
-def _artifact(out_dir: str, name: str, f: Field, artifacts: list) -> None:
-    path = os.path.join(out_dir, name)
-    write_field(path, f)
-    artifacts.append(name)
-
-
-def cmd_validate(cfg: RunConfig, out_dir: str, force: bool) -> int:
+def cmd_validate(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
     """Self-checks: DFT roundtrip, kernel spot values, resolvent oracle, formats."""
     checks: list[tuple[str, bool, str]] = []
 
@@ -92,134 +100,86 @@ def cmd_validate(cfg: RunConfig, out_dir: str, force: bool) -> int:
     width = max(len(name) for name, _, _ in checks)
     for name, ok, detail in checks:
         print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
-    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_NUMERIC
+    return (EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_NUMERIC), []
 
 
-def cmd_limit(cfg: RunConfig, out_dir: str, force: bool) -> int:
+def cmd_limit(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
     problem = cfg.problem
-    q0 = float(cfg.params.get("q0", problem.coefficient.q_sup))
-    record = RunRecord(cfg.config_hash, "limit", time.time())
+    q0 = cfg.params.get("q0", problem.coefficient.q_sup)
     state = solve_limit(q0, problem.p, cfg.grid, cfg.solver, resolvent=problem.resolvent)
     record.converged = True
     record.energies["c_0"] = state.energy
     record.diagnostics.update(grad_norm=state.grad_norm,
                               nehari_residual=state.nehari_residual, q0=q0)
-    os.makedirs(out_dir, exist_ok=True)
-    _artifact(out_dir, "limit_v.field", state.v, record.artifacts)
-    _artifact(out_dir, "limit_u.field", state.u_rescaled, record.artifacts)
-    write_record(out_dir, record, force)
     print(f"c_0 = {state.energy!r} (grad {state.grad_norm:.2e})")
-    return EXIT_OK
+    return EXIT_OK, [("limit_v.field", state.v), ("limit_u.field", state.u_rescaled)]
 
 
-def cmd_solve(cfg: RunConfig, out_dir: str, force: bool) -> int:
+def cmd_solve(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
     problem = cfg.problem
-    record = RunRecord(cfg.config_hash, "solve", time.time())
     state = solve_ground_state(problem, cfg.grid, cfg.solver)
-    u, scaling = to_solution(state.v, problem)
     record.converged = True
     record.energies["c_eps"] = state.energy
     record.diagnostics.update(
         grad_norm=state.grad_norm, nehari_residual=state.nehari_residual,
-        pde_residual=pde_residual(u, problem), epsilon=problem.epsilon,
-        physical_amplitude=scaling.amplitude,
+        pde_residual=pde_residual(state.u_rescaled, problem), epsilon=problem.epsilon,
+        physical_amplitude=ScalingMetadata(k=problem.k, p=problem.p).amplitude,
     )
-    os.makedirs(out_dir, exist_ok=True)
-    _artifact(out_dir, "ground_v.field", state.v, record.artifacts)
-    _artifact(out_dir, "ground_u.field", u, record.artifacts)
-    write_record(out_dir, record, force)
     print(f"c_eps = {state.energy!r} (grad {state.grad_norm:.2e})")
-    return EXIT_OK
+    return EXIT_OK, [("ground_v.field", state.v), ("ground_u.field", state.u_rescaled)]
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: str, force: bool) -> int:
+def cmd_sweep(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
     problem = cfg.problem
-    params = cfg.params
-    if "epsilon_list" not in params:
-        raise ConfigError("sweep requires params.epsilon_list")
-    bary = BarycenterConfig(rho=float(params.get("rho", 3.0)),
-                            delta_nbhd=float(params.get("delta_nbhd", 0.5)))
-    record = RunRecord(cfg.config_hash, "sweep", time.time())
+    params = dict(cfg.params)
+    epsilon_list = params.pop("epsilon_list")
+    bary = BarycenterConfig(**{key: params.pop(key)
+                               for key in ("rho", "delta_nbhd") if key in params})
     limit_state = solve_limit(problem.coefficient.q_sup, problem.p, cfg.grid,
                               cfg.solver, resolvent=problem.resolvent)
-    records = concentration_sweep(
-        problem, params["epsilon_list"], cfg.grid, cfg.solver, bary,
-        limit_state=limit_state,
-        edge_threshold=float(params.get("edge_threshold", 0.5)),
-    )
+    records = concentration_sweep(problem, epsilon_list, cfg.grid, cfg.solver, bary,
+                                  limit_state=limit_state, **params)
     record.energies["c_0"] = limit_state.energy
     record.energies["c_eps"] = {str(r.epsilon): r.energy for r in records}
     record.converged = all(r.converged for r in records)
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "sweep.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(sweep_to_csv(records))
-    record.artifacts.append("sweep.csv")
-    _artifact(out_dir, "limit_v.field", limit_state.v, record.artifacts)
-    write_record(out_dir, record, force)
     for r in records:
         status = f"c_eps={r.energy!r}" if r.converged else f"FAILED: {r.failure}"
         print(f"eps={r.epsilon}: {status}")
-    return EXIT_OK if record.converged else EXIT_NUMERIC
+    code = EXIT_OK if record.converged else EXIT_NUMERIC
+    return code, [("sweep.csv", sweep_to_csv(records)), ("limit_v.field", limit_state.v)]
 
 
-def cmd_decay(cfg: RunConfig, out_dir: str, force: bool) -> int:
+def cmd_decay(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
     problem = cfg.problem
-    params = cfg.params
-    if "r_list" not in params:
-        raise ConfigError("decay requires params.r_list")
-    record = RunRecord(cfg.config_hash, "decay", time.time())
-    report = interaction_decay(
-        cfg.grid.dim, problem.p, cfg.grid, params["r_list"],
-        resolvent=problem.resolvent,
-        bump_radius=float(params.get("bump_radius", 2.0)),
-        modulation=float(params.get("modulation", 0.0)),
-        boundary_wavelengths=float(params.get("boundary_wavelengths", 5.0)),
-    )
+    params = dict(cfg.params)
+    report = interaction_decay(cfg.grid.dim, problem.p, cfg.grid, params.pop("r_list"),
+                               resolvent=problem.resolvent, **params)
     record.converged = True
     record.diagnostics.update(slope=report.slope, lambda_p=report.lambda_p,
                               satisfies_bound=report.satisfies_bound)
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "decay.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("r,interaction\n")
-        for rec in report.records:
-            fh.write(f"{rec.r!r},{rec.interaction!r}\n")
-    record.artifacts.append("decay.csv")
-    write_record(out_dir, record, force)
+    csv = "r,interaction\n" + "".join(f"{rec.r!r},{rec.interaction!r}\n"
+                                      for rec in report.records)
     print(f"slope = {report.slope:.4f}, -lambda_p = {-report.lambda_p:.4f}, "
           f"bound {'satisfied' if report.satisfies_bound else 'VIOLATED'}")
-    return EXIT_OK if report.satisfies_bound else EXIT_NUMERIC
+    return (EXIT_OK if report.satisfies_bound else EXIT_NUMERIC), [("decay.csv", csv)]
 
 
-def cmd_compare_energy(cfg: RunConfig, out_dir: str, force: bool) -> int:
-    problem = cfg.problem
-    record = RunRecord(cfg.config_hash, "compare_energy", time.time())
-    report = energy_comparison(problem, cfg.grid, cfg.solver,
-                               slack=float(cfg.params.get("slack", 1e-4)))
+def cmd_compare_energy(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
+    report = energy_comparison(cfg.problem, cfg.grid, cfg.solver, **cfg.params)
     record.converged = True
     record.energies.update(c_0=report.c_0, c_eps=report.c_eps)
     if report.c_inf is not None:
         record.energies["c_inf"] = report.c_inf
     record.diagnostics.update(lower_bound_holds=report.lower_bound_holds,
                               upper_bound_holds=report.upper_bound_holds)
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "energies.csv"), "w") as fh:
-        fh.write(report.csv())
-    record.artifacts.append("energies.csv")
-    write_record(out_dir, record, force)
-    print(report.csv(), end="")
-    return EXIT_OK if report.lower_bound_holds and report.upper_bound_holds else EXIT_NUMERIC
+    csv = report.csv()
+    print(csv, end="")
+    holds = report.lower_bound_holds and report.upper_bound_holds
+    return (EXIT_OK if holds else EXIT_NUMERIC), [("energies.csv", csv)]
 
 
-_COMMANDS = {
-    "validate": ("validate", cmd_validate),
-    "solve": ("solve", cmd_solve),
-    "limit": ("limit", cmd_limit),
-    "sweep": ("sweep", cmd_sweep),
-    "decay": ("decay", cmd_decay),
-    "compare-energy": ("compare_energy", cmd_compare_energy),
-}
+#: subcommand -> (experiment, command); the subcommand spells the experiment with "-"
+_COMMANDS = {name.replace("_", "-"): (name, globals()[f"cmd_{name}"]) for name in EXPERIMENTS}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -235,25 +195,46 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true",
                        help="overwrite an existing run record")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the config RNG seed")
+                       help="override the config seed (only validate's random field uses it)")
     return parser
+
+
+def _write_artifacts(out_dir: str, artifacts: list, record: RunRecord) -> None:
+    """Write each (name, field or CSV text) artifact and list it in the record."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, data in artifacts:
+        path = os.path.join(out_dir, name)
+        if isinstance(data, Field):
+            write_field(path, data)
+        else:
+            with open(path, "w") as fh:
+                fh.write(data)
+        record.artifacts.append(name)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    expected, command = _COMMANDS[args.command]
+    experiment, command = _COMMANDS[args.command]
+    writes = experiment != "validate"  # validate only prints its checks
     try:
         cfg = load_config(args.config)
-        if cfg.experiment != expected:
+        if cfg.experiment != experiment:
             raise ConfigError(
                 f"config declares experiment {cfg.experiment!r} but the "
-                f"{args.command!r} subcommand expects {expected!r}"
+                f"{args.command!r} subcommand expects {experiment!r}"
             )
         if args.seed is not None:
             seeds = tuple(replace(s, rng_seed=args.seed) for s in cfg.solver.restart_seeds)
             cfg = replace(cfg, seed=args.seed,
                           solver=replace(cfg.solver, restart_seeds=seeds))
-        return command(cfg, args.out, args.force)
+        if writes:
+            refuse_rerun(args.out, args.force)
+        record = RunRecord(cfg.config_hash, experiment, time.time())
+        code, artifacts = command(cfg, record)
+        if writes:
+            _write_artifacts(args.out, artifacts, record)
+            write_record(args.out, record, args.force)
+        return code
     except (NoConvergence, AllSeedsLeftCone, NotInPositiveCone,
             SingularLatticeError, FieldFormatError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)

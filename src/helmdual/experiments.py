@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import Field, Grid, inner_product, lp_norm
 from .kernels import lambda_p
-from .functional import DualState, ProblemSpec, pde_residual, to_solution
+from .functional import DualState, ProblemSpec, pde_residual
 from .resolvent import ResolventConfig, apply_R
 from .solver import (
     AllSeedsLeftCone,
@@ -42,8 +42,8 @@ class BarycenterConfig:
     radius within which a barycenter counts as localized at a maximum.
     """
 
-    rho: float
-    delta_nbhd: float
+    rho: float = 3.0
+    delta_nbhd: float = 0.5
 
     def __post_init__(self):
         if self.rho <= 0 or self.delta_nbhd <= 0:
@@ -177,7 +177,7 @@ def sweep_point(spec: ProblemSpec, grid: Grid, solver_cfg: SolverConfig,
     beta = barycenter(state.v, spec.epsilon, pp, bary_cfg)
     dist, nearest = _nearest_maximum(beta, spec.coefficient.maximum_set)
     ldist, _ = aligned_distance(state.v, limit_state.v, pp)
-    u, _ = to_solution(state.v, spec)
+    u = state.u_rescaled
     resid = pde_residual(u, spec)
     em = edge_mass(state.v, pp)
     peak = np.unravel_index(np.argmax(np.abs(u.values)), grid.shape)

@@ -276,12 +276,6 @@ class ScalingMetadata:
         return self.k ** (-2.0 / (self.p - 2.0))
 
 
-def to_solution(v: Field, spec: ProblemSpec) -> tuple[Field, ScalingMetadata]:
-    """Rescaled PDE solution u = R(Q_eps^(1/p) v) plus the declared physical scaling."""
-    u, _ = _resolve(spec.q_root(v.grid), v.values, spec.resolvent)
-    return u, ScalingMetadata(k=spec.k, p=spec.p)
-
-
 def pde_residual(u_eps: Field, spec: ProblemSpec) -> float:
     """Relative L^2 residual of -Lap u - u = Q_eps |u|^(p-2) u on the grid.
 

@@ -17,8 +17,6 @@ from .solver import InitialGuess, SolverConfig
 
 CONFIG_VERSION = 1
 
-EXPERIMENTS = ("validate", "solve", "limit", "sweep", "decay", "compare_energy")
-
 
 class ConfigError(ValueError):
     """Schema violation in a run configuration."""
@@ -35,6 +33,12 @@ def _require(mapping, context: str, required=(), optional=()) -> None:
         raise ConfigError(f"{context}: missing keys {sorted(missing)}")
 
 
+def _typed(mapping, context: str, schema: dict, required=()) -> dict:
+    """The keys of mapping, each checked by its schema entry; unknown or missing keys fail."""
+    _require(mapping, context, required=required, optional=schema)
+    return {key: schema[key](value, f"{context}.{key}") for key, value in mapping.items()}
+
+
 def _number(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context}: expected a number, got {value!r}")
@@ -47,19 +51,38 @@ def _integer(value, context: str) -> int:
     return value
 
 
-def _point_list(value, context: str) -> tuple[tuple[float, ...], ...]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{context}: expected a list of points")
-    return tuple(
-        tuple(_number(c, f"{context}[{i}]") for c in pt)
-        for i, pt in enumerate(value)
-    )
+def _string(value, context: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{context}: expected a string, got {value!r}")
+    return value
 
 
 def _number_list(value, context: str) -> tuple[float, ...]:
     if not isinstance(value, list):
-        raise ConfigError(f"{context}: expected a list of numbers")
-    return tuple(_number(x, context) for x in value)
+        raise ConfigError(f"{context}: expected a list of numbers, got {value!r}")
+    return tuple(_number(x, f"{context}[{i}]") for i, x in enumerate(value))
+
+
+def _point_list(value, context: str) -> tuple[tuple[float, ...], ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{context}: expected a list of points, got {value!r}")
+    return tuple(_number_list(pt, f"{context}[{i}]") for i, pt in enumerate(value))
+
+
+#: each experiment's ``params`` keys: key -> (type check, required); the
+#: defaults of the optional keys live in the library signatures they feed
+_PARAMS = {
+    "validate": {"input_field": (_string, False)},
+    "solve": {},
+    "limit": {"q0": (_number, False)},
+    "sweep": {"epsilon_list": (_number_list, True), "rho": (_number, False),
+              "delta_nbhd": (_number, False), "edge_threshold": (_number, False)},
+    "decay": {"r_list": (_number_list, True), "bump_radius": (_number, False),
+              "modulation": (_number, False), "boundary_wavelengths": (_number, False)},
+    "compare_energy": {"slack": (_number, False)},
+}
+
+EXPERIMENTS = tuple(_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -70,7 +93,7 @@ class RunConfig:
     grid: Grid
     problem: ProblemSpec | None
     solver: SolverConfig
-    params: dict
+    params: dict               # typed values of the keys the config sets
     seed: int
     raw_bytes: bytes = field(repr=False, compare=False, default=b"")
 
@@ -79,83 +102,60 @@ class RunConfig:
         return hashlib.sha256(self.raw_bytes).hexdigest()
 
 
-def _parse_coefficient(obj) -> CoefficientSpec:
-    _require(obj, "problem.coefficient", required=("kind",),
-             optional=("floor", "centers", "amplitudes", "widths"))
+_COEFFICIENT = {"kind": _string, "floor": _number, "centers": _point_list,
+                "amplitudes": _number_list, "widths": _number_list}
+
+
+def _parse_coefficient(obj, context: str) -> CoefficientSpec:
+    _require(obj, context, required=("kind",), optional=_COEFFICIENT)
     kind = obj["kind"]
-    if kind == "constant":
-        _require(obj, "problem.coefficient", required=("kind", "floor"))
-        return CoefficientSpec(kind="constant",
-                               floor=_number(obj["floor"], "coefficient.floor"))
-    if kind == "gaussian_bumps":
-        _require(obj, "problem.coefficient",
-                 required=("kind", "floor", "centers", "amplitudes", "widths"))
-        return CoefficientSpec(
-            kind="gaussian_bumps",
-            floor=_number(obj["floor"], "coefficient.floor"),
-            centers=_point_list(obj["centers"], "coefficient.centers"),
-            amplitudes=_number_list(obj["amplitudes"], "coefficient.amplitudes"),
-            widths=_number_list(obj["widths"], "coefficient.widths"),
-        )
-    raise ConfigError(f"coefficient.kind must be 'constant' or 'gaussian_bumps', "
-                      f"got {kind!r} (expression coefficients are library-only)")
+    if kind not in ("constant", "gaussian_bumps"):
+        raise ConfigError(f"{context}.kind must be 'constant' or 'gaussian_bumps', "
+                          f"got {kind!r} (expression coefficients are library-only)")
+    keys = ("kind", "floor") if kind == "constant" else tuple(_COEFFICIENT)
+    kwargs = _typed(obj, context, {key: _COEFFICIENT[key] for key in keys}, required=keys)
+    try:
+        return CoefficientSpec(**kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{context}: {err}") from err
+
+
+_GRID = {"dim": _integer, "half_length": _number, "points_per_axis": _integer,
+         "freq_shift": _number_list}
+
+_PROBLEM = {"p": _number, "epsilon": _number, "coefficient": _parse_coefficient,
+            "delta": _number, "resolvent_mode": _string}
+
+_SOLVER = {"max_iters": _integer, "grad_tol": _number, "initial_step": _number,
+           "shrink_factor": _number, "growth_factor": _number,
+           "sufficient_decrease": _number, "min_step": _number,
+           "seed_widths": _number_list, "seed_modulation": _number}
 
 
 def _parse_grid(obj) -> Grid:
-    _require(obj, "grid", required=("dim", "half_length", "points_per_axis"),
-             optional=("freq_shift",))
-    shift = None
-    if "freq_shift" in obj:
-        shift = _number_list(obj["freq_shift"], "grid.freq_shift")
+    kwargs = _typed(obj, "grid", _GRID, required=("dim", "half_length", "points_per_axis"))
     try:
-        return make_grid(_integer(obj["dim"], "grid.dim"),
-                         _number(obj["half_length"], "grid.half_length"),
-                         _integer(obj["points_per_axis"], "grid.points_per_axis"),
-                         shift)
+        return make_grid(**kwargs)
     except ValueError as err:
         raise ConfigError(f"grid: {err}") from err
 
 
 def _parse_problem(obj) -> ProblemSpec:
-    _require(obj, "problem", required=("p", "epsilon", "coefficient"),
-             optional=("delta", "resolvent_mode"))
-    resolvent = ResolventConfig(
-        delta=_number(obj.get("delta", 0.0), "problem.delta"),
-        mode=obj.get("resolvent_mode", "multiplier"),
-    )
+    kwargs = _typed(obj, "problem", _PROBLEM, required=("p", "epsilon", "coefficient"))
     try:
-        return ProblemSpec(
-            p=_number(obj["p"], "problem.p"),
-            epsilon=_number(obj["epsilon"], "problem.epsilon"),
-            coefficient=_parse_coefficient(obj["coefficient"]),
-            resolvent=resolvent,
-        )
+        resolvent = ResolventConfig(delta=kwargs.pop("delta", ResolventConfig.delta),
+                                    mode=kwargs.pop("resolvent_mode", ResolventConfig.mode))
+        return ProblemSpec(resolvent=resolvent, **kwargs)
     except ValueError as err:
         raise ConfigError(f"problem: {err}") from err
 
 
-_SOLVER_KEYS = ("max_iters", "grad_tol", "initial_step", "shrink_factor",
-                "growth_factor", "sufficient_decrease", "min_step",
-                "distinct_lp_distance", "distinct_energy_gap",
-                "seed_widths", "seed_modulation")
-
-
 def _parse_solver(obj, seed: int) -> SolverConfig:
-    _require(obj, "solver", optional=_SOLVER_KEYS)
-    kwargs = {}
-    for key in ("grad_tol", "initial_step", "shrink_factor", "growth_factor",
-                "sufficient_decrease", "min_step", "distinct_lp_distance",
-                "distinct_energy_gap"):
-        if key in obj:
-            kwargs[key] = _number(obj[key], f"solver.{key}")
-    if "max_iters" in obj:
-        kwargs["max_iters"] = _integer(obj["max_iters"], "solver.max_iters")
-    widths = obj.get("seed_widths", [0.5, 0.8, 1.2])
-    modulation = _number(obj.get("seed_modulation", 1.1), "solver.seed_modulation")
+    kwargs = _typed(obj, "solver", _SOLVER)
+    widths = kwargs.pop("seed_widths", [s.width for s in SolverConfig.restart_seeds])
+    modulation = kwargs.pop("seed_modulation", InitialGuess.modulation)
     kwargs["restart_seeds"] = tuple(
-        InitialGuess(width=_number(w, "solver.seed_widths"),
-                     modulation=modulation, rng_seed=seed)
-        for w in widths
+        InitialGuess(width=w, modulation=modulation, rng_seed=seed) for w in widths
     )
     try:
         return SolverConfig(**kwargs)
@@ -163,25 +163,21 @@ def _parse_solver(obj, seed: int) -> SolverConfig:
         raise ConfigError(f"solver: {err}") from err
 
 
-_PARAM_KEYS = {
-    "validate": ("input_field",),
-    "solve": (),
-    "limit": ("q0",),
-    "sweep": ("epsilon_list", "rho", "delta_nbhd", "edge_threshold"),
-    "decay": ("r_list", "bump_radius", "modulation", "boundary_wavelengths"),
-    "compare_energy": ("slack",),
-}
+def _parse_params(obj, experiment: str) -> dict:
+    schema = _PARAMS[experiment]
+    required = [key for key, (_, needed) in schema.items() if needed]
+    return _typed(obj, "params", {key: check for key, (check, _) in schema.items()}, required)
 
 
 def parse_config(raw: bytes) -> RunConfig:
-    """Parse and validate a config file; any unknown key is an error."""
+    """Parse and validate a config file; any unknown key or mistyped value is an error."""
     try:
         obj = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     _require(obj, "config", required=("version", "experiment", "grid"),
              optional=("problem", "solver", "params", "seed"))
-    if obj["version"] != CONFIG_VERSION:
+    if _integer(obj["version"], "version") != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {obj['version']!r}")
     experiment = obj["experiment"]
     if experiment not in EXPERIMENTS:
@@ -190,12 +186,11 @@ def parse_config(raw: bytes) -> RunConfig:
     problem = None
     if "problem" in obj:
         problem = _parse_problem(obj["problem"])
-    elif experiment in ("solve", "sweep", "decay", "compare_energy", "limit"):
+    elif experiment != "validate":
         raise ConfigError(f"experiment {experiment!r} requires a 'problem' section")
     seed = _integer(obj.get("seed", 0), "seed")
     solver = _parse_solver(obj.get("solver", {}), seed)
-    params = obj.get("params", {})
-    _require(params, "params", optional=_PARAM_KEYS[experiment])
+    params = _parse_params(obj.get("params", {}), experiment)
     return RunConfig(experiment=experiment, grid=grid, problem=problem,
                      solver=solver, params=params, seed=seed, raw_bytes=raw)
 
@@ -238,12 +233,18 @@ def atomic_write(path, data: bytes) -> None:
         raise
 
 
-def write_record(out_dir, record: RunRecord, force: bool) -> str:
-    """Persist the manifest; refuses to overwrite an existing one unless forced."""
-    os.makedirs(out_dir, exist_ok=True)
+def refuse_rerun(out_dir, force: bool) -> str:
+    """Path of the manifest in out_dir; raises FileExistsError if it exists, unless forced."""
     path = os.path.join(out_dir, "run.json")
     if os.path.exists(path) and not force:
         raise FileExistsError(f"{path} exists; pass --force to overwrite")
+    return path
+
+
+def write_record(out_dir, record: RunRecord, force: bool) -> str:
+    """Persist the manifest; refuses to overwrite an existing one unless forced."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = refuse_rerun(out_dir, force)
     record.finished_at = time.time()
     atomic_write(path, record.to_json().encode("utf-8"))
     return path

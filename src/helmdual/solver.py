@@ -25,6 +25,11 @@ from .functional import (
 from .resolvent import ResolventConfig
 
 
+#: thresholds below which multistart counts two converged states as one
+DISTINCT_LP_DISTANCE = 0.1
+DISTINCT_ENERGY_GAP = 1e-3
+
+
 class NoConvergence(RuntimeError):
     """Iteration budget exhausted above the gradient tolerance."""
 
@@ -92,8 +97,6 @@ class SolverConfig:
         InitialGuess(width=0.8),
         InitialGuess(width=1.2),
     )
-    distinct_lp_distance: float = 0.1
-    distinct_energy_gap: float = 1e-3
 
     def __post_init__(self):
         if not (0.0 < self.shrink_factor < 1.0):
@@ -311,10 +314,11 @@ def multistart(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
                seeds: list[Field]) -> list[DualState]:
     """Solve from every seed and deduplicate the converged states.
 
-    Two states are duplicates when both their sign-aligned L^p' distance and
-    their energy gap fall below the configured thresholds (the functional is
-    even, so v and -v are identified).  Results are merged in seed order, so
-    the output is deterministic for a fixed configuration.
+    Two states are duplicates when their sign-aligned relative L^p' distance
+    is at most DISTINCT_LP_DISTANCE and their relative energy gap at most
+    DISTINCT_ENERGY_GAP (the functional is even, so v and -v are identified).
+    Results are merged in seed order, so the output is deterministic for a
+    fixed configuration.
     """
     if len(seeds) < 2:
         raise ValueError("multistart needs at least 2 seeds")
@@ -329,7 +333,7 @@ def multistart(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
                 lp_norm(state.v + kept.v, pp),
             ) / max(lp_norm(state.v, pp), lp_norm(kept.v, pp))
             energy_gap = abs(state.energy - kept.energy) / max(abs(kept.energy), 1e-300)
-            if dist <= cfg.distinct_lp_distance and energy_gap <= cfg.distinct_energy_gap:
+            if dist <= DISTINCT_LP_DISTANCE and energy_gap <= DISTINCT_ENERGY_GAP:
                 is_new = False
                 break
         if is_new:

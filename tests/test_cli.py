@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helmdual import cli
 from helmdual.cli import _COMMANDS, main
 from helmdual.fieldio import read_field, write_field
 from helmdual.grid import Field, make_grid
@@ -59,6 +60,23 @@ class TestLimitCommand:
         assert run("limit", cfg, out) == 4
         assert run("limit", cfg, out, "--force") == 0
 
+    def test_refused_rerun_leaves_first_run_untouched(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        assert run("limit", write_config(tmp_path, "first.json"), out) == 0
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        second = write_config(tmp_path, "second.json", params={"q0": 2.0})
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a refused rerun must not solve")
+
+        monkeypatch.setattr(cli, "solve_limit", no_solve)
+        assert run("limit", second, out) == 4
+        assert "--force" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+        monkeypatch.undo()
+        assert run("limit", second, out, "--force") == 0
+        assert json.loads((out / "run.json").read_text())["diagnostics"]["q0"] == 2.0
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("limit", str(tmp_path / "nope.json"), tmp_path / "o") == 2
 
@@ -66,6 +84,17 @@ class TestLimitCommand:
         cfg = write_config(tmp_path, bogus=1)
         assert run("limit", cfg, tmp_path / "o") == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, params", [
+        ("sweep", {"epsilon_list": 0.1}),
+        ("limit", {"q0": None}),
+    ], ids=["epsilon_list-number", "q0-null"])
+    def test_mistyped_param_is_config_error(self, tmp_path, capsys, experiment, params):
+        cfg = write_config(tmp_path, experiment=experiment, params=params)
+        out = tmp_path / "o"
+        assert run(experiment, cfg, out) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_experiment_subcommand_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

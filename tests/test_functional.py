@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helmdual.grid import Field, dft_forward, dft_inverse, inner_product, lp_norm, make_grid
-from helmdual.resolvent import ResolventConfig
+from helmdual.resolvent import ResolventConfig, apply_R
 from helmdual.functional import (
     CoefficientSpec,
     DualState,
@@ -18,7 +18,6 @@ from helmdual.functional import (
     nehari_t,
     pde_residual,
     quadratic_term,
-    to_solution,
 )
 
 
@@ -198,13 +197,16 @@ class TestSolutionMap:
         assert meta.amplitude == pytest.approx(4.0 ** (1.0 / 3.0))
         assert meta.amplitude * meta.inverse_amplitude == pytest.approx(1.0)
 
-    def test_u_is_resolvent_image(self, grid, spec):
-        rng = np.random.default_rng(19)
-        v = cone_field(grid, rng)
-        u, meta = to_solution(v, spec)
+    def test_u_is_resolvent_image(self, grid):
+        # u_rescaled = R(Q_eps^(1/p) v), with a Q that is not constant on the grid
+        bump = CoefficientSpec(kind="gaussian_bumps", floor=0.25, centers=((0.8, 0.4),),
+                               amplitudes=(0.75,), widths=(1.5,))
+        spec = ProblemSpec(p=8.0, epsilon=0.5, coefficient=bump,
+                           resolvent=ResolventConfig(delta=1e-2))
+        v = cone_field(grid, np.random.default_rng(19))
         state = DualState.from_field(v, spec)
-        np.testing.assert_allclose(u.values, state.u_rescaled.values)
-        assert meta.k == spec.k
+        expected = apply_R(Field(grid, spec.q_root(grid).values * v.values), spec.resolvent)
+        np.testing.assert_allclose(state.u_rescaled.values, expected.values, rtol=1e-12)
 
     def test_pde_residual_zero_rhs_warns(self, grid, spec):
         with pytest.warns(UserWarning):

@@ -1,7 +1,9 @@
 """Field file format, strict config parsing, and atomic run persistence."""
 
+import copy
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from helmdual.runio import (
     parse_config,
     write_record,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def base_config(**overrides):
@@ -187,6 +191,84 @@ class TestParseConfig:
         assert len(cfg.solver.restart_seeds) == 2
         assert cfg.solver.restart_seeds[0].width == 0.7
         assert cfg.solver.restart_seeds[0].rng_seed == 3
+
+
+#: params of a config per experiment that sets every optional key
+FULL_PARAMS = {
+    "validate": {"input_field": "input.field"},
+    "solve": {},
+    "limit": {"q0": 1.0},
+    "sweep": {"epsilon_list": [0.5, 0.25], "rho": 3.0, "delta_nbhd": 0.5,
+              "edge_threshold": 0.5},
+    "decay": {"r_list": [5.0, 11.0, 17.0], "bump_radius": 2.0, "modulation": 0.0,
+              "boundary_wavelengths": 5.0},
+    "compare_energy": {"slack": 1e-4},
+}
+
+
+def full_config(experiment):
+    return {
+        "version": 1,
+        "experiment": experiment,
+        "grid": {"dim": 2, "half_length": 30.0, "points_per_axis": 16,
+                 "freq_shift": [0.5, 0.5]},
+        "problem": {
+            "p": 8.0, "epsilon": 0.5, "delta": 0.01, "resolvent_mode": "multiplier",
+            "coefficient": {"kind": "gaussian_bumps", "floor": 0.25,
+                            "centers": [[0.8, 0.4]], "amplitudes": [0.75],
+                            "widths": [1.5]},
+        },
+        "solver": {"max_iters": 100, "grad_tol": 5e-8, "initial_step": 1.0,
+                   "shrink_factor": 0.5, "growth_factor": 1.3,
+                   "sufficient_decrease": 1e-4, "min_step": 1e-14,
+                   "seed_widths": [0.5, 0.8], "seed_modulation": 1.1},
+        "params": FULL_PARAMS[experiment],
+        "seed": 0,
+    }
+
+
+STRICT_CASES = {
+    **{path.name: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))},
+    **{f"full-{experiment}": full_config(experiment) for experiment in FULL_PARAMS},
+}
+
+#: one value of every JSON type (1.5 is a number but not an integer)
+OTHER_TYPES = (None, True, 1.5, "x", [], {})
+
+
+def value_paths(value, path=()):
+    """The path (keys and list indices) of every value nested in a JSON document."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,)
+        yield from value_paths(item, path + (key,))
+
+
+class TestSchemaStrictness:
+    @pytest.mark.parametrize("name", STRICT_CASES)
+    def test_every_value_of_another_type_is_a_config_error(self, name):
+        obj = STRICT_CASES[name]
+        parse_config(json.dumps(obj).encode())  # valid as given
+        not_refused = []
+        for path in value_paths(obj):
+            for other in OTHER_TYPES:
+                mutated = copy.deepcopy(obj)
+                parent = mutated
+                for key in path[:-1]:
+                    parent = parent[key]
+                if type(parent[path[-1]]) is type(other):
+                    continue
+                parent[path[-1]] = other
+                try:
+                    parse_config(json.dumps(mutated).encode())
+                except ConfigError:
+                    continue
+                except Exception as err:  # noqa: BLE001 - any other outcome is a hole
+                    not_refused.append((path, other, type(err).__name__))
+                else:
+                    not_refused.append((path, other, "accepted"))
+        assert not_refused == []
 
 
 class TestRunRecord:
