@@ -48,6 +48,7 @@ from .solver import (
 )
 from .experiments import (
     BarycenterConfig,
+    check_sweep,
     concentration_sweep,
     energy_comparison,
     interaction_decay,
@@ -135,6 +136,7 @@ def cmd_sweep(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
     epsilon_list = params.pop("epsilon_list")
     bary = BarycenterConfig(**{key: params.pop(key)
                                for key in ("rho", "delta_nbhd") if key in params})
+    check_sweep(problem, epsilon_list, bary)  # a config error costs no limit solve
     limit_state = solve_limit(problem.coefficient.q_sup, problem.p, cfg.grid,
                               cfg.solver, resolvent=problem.resolvent)
     records = concentration_sweep(problem, epsilon_list, cfg.grid, cfg.solver, bary,

@@ -191,23 +191,27 @@ def sweep_point(spec: ProblemSpec, grid: Grid, solver_cfg: SolverConfig,
     )
 
 
+def check_sweep(template: ProblemSpec, epsilon_list, bary_cfg: BarycenterConfig) -> None:
+    """Raise ValueError for inputs no sweep can succeed on; epsilon_list is a sequence."""
+    if any(b >= a for a, b in zip(epsilon_list, epsilon_list[1:])):
+        raise ValueError("epsilon list must be strictly decreasing")
+    if not template.coefficient.maximum_set:
+        raise ValueError("concentration sweep needs a coefficient with a "
+                         "finite maximum set (not constant)")
+    bary_cfg.validate_for(template.coefficient)
+
+
 def concentration_sweep(template: ProblemSpec, epsilon_list, grid: Grid,
                         solver_cfg: SolverConfig, bary_cfg: BarycenterConfig,
                         limit_state: DualState | None = None,
                         edge_threshold: float = 0.5) -> list[SweepRecord]:
     """Ground-state solves over a decreasing epsilon list, one record each.
 
-    Requires a coefficient with a finite maximum set (a constant coefficient
-    has no localization target).  Per-point failures are recorded and the
-    sweep continues.
+    The inputs pass check_sweep first.  Per-point failures are recorded and
+    the sweep continues.
     """
     eps = [float(e) for e in epsilon_list]
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilon list must be strictly decreasing")
-    if not template.coefficient.maximum_set:
-        raise ValueError("concentration sweep needs a coefficient with a "
-                         "finite maximum set (not constant)")
-    bary_cfg.validate_for(template.coefficient)
+    check_sweep(template, eps, bary_cfg)
     if limit_state is None:
         limit_state = solve_limit(template.coefficient.q_sup, template.p, grid,
                                   solver_cfg, resolvent=template.resolvent)

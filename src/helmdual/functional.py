@@ -162,6 +162,8 @@ class ProblemSpec:
 
     def validate_for_grid(self, grid: Grid) -> None:
         check_exponent(grid.dim, self.p)
+        if any(len(c) != grid.dim for c in self.coefficient.centers):
+            raise ValueError("coefficient center dimension does not match the grid")
 
     def q_root(self, grid: Grid) -> Field:
         """Q_eps^(1/p) sampled on the grid."""

@@ -193,12 +193,7 @@ class KernelSpec:
         exact = np.trapezoid(re_phi(r, self.dim) * window * shell, r)
         # punctured lattice sum of kernel * window, truncated where the window dies
         m = int(np.ceil(rmax / spacing))
-        ax = spacing * np.arange(-m, m + 1)
-        r_sq = np.zeros((2 * m + 1,) * self.dim)
-        for d in range(self.dim):
-            shape = [1] * self.dim
-            shape[d] = 2 * m + 1
-            r_sq = r_sq + (ax**2).reshape(shape)
+        r_sq = sum(np.ix_(*((spacing * np.arange(-m, m + 1)) ** 2,) * self.dim))
         rr = np.sqrt(r_sq[r_sq > 1e-20])
         lattice = np.sum(re_phi(rr, self.dim) * np.exp(-(rr * rr) / (2.0 * sw * sw)))
         return (exact - lattice * spacing**self.dim) / spacing**self.dim

@@ -2,8 +2,8 @@
 
 The multiplier is Re 1/(|xi|^2 - 1 - i delta) = (|xi|^2 - 1)/((|xi|^2 - 1)^2 + delta^2).
 With delta = 0 it requires a frequency lattice that avoids |xi| = 1 (grid
-invariant); the direct-space route sums the free-space kernel over all source
-cells and is O(n^2N), intended for cross-validation on small grids only.
+invariant).  The direct route (mode "direct_oracle") convolves with the
+free-space kernel by one zero-padded FFT: no periodic images and no delta.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ class GridTooLargeError(ValueError):
     """Direct-space oracle guard exceeded."""
 
 
-#: default node-count guards for the O(n^2N) oracle
-DIRECT_GUARD = {2: 40**2, 3: 16**3}
+#: default node-count guards for the direct route: the sizes the multiplier route serves
+DIRECT_GUARD = {2: 512**2, 3: 64**3}
 
 
 @dataclass(frozen=True)
@@ -88,44 +88,39 @@ def apply_R(f: Field, cfg: ResolventConfig) -> Field:
     return _real_field(values, f.grid)
 
 
-def apply_R_direct(f: Field, spec: KernelSpec, max_nodes: int | None = None) -> Field:
-    """Free-space convolution with Re Phi, literal sum over all source cells.
+# bounded: an entry holds one complex array of (2n)^(N-1) (n+1) values
+@functools.lru_cache(maxsize=4)
+def _kernel_spectrum(grid: Grid, spec: KernelSpec) -> np.ndarray:
+    """rfftn at size (2n)^N of the kernel, center weight included, on the difference lattice."""
+    n, h = grid.points_per_axis, grid.spacing
+    diff_sq = (h * np.arange(1 - n, n)) ** 2  # (2n-1)^N lattice, index offset n-1 per axis
+    kernel = spec.evaluate(np.sqrt(sum(np.ix_(*(diff_sq,) * grid.dim))), h)
+    spectrum = np.fft.rfftn(kernel, (2 * n,) * grid.dim, tuple(range(grid.dim)))
+    spectrum.flags.writeable = False  # shared by every later call on this grid and kernel
+    return spectrum
 
-    The kernel is tabulated on the (2n-1)^N difference lattice and gathered
-    per target row, so the cost is O(n^2N) multiply-adds.  Non-periodic: no
-    wrap-around images, which is exactly what makes it an independent check
-    of the periodic multiplier route.
+
+def apply_R_direct(f: Field, spec: KernelSpec, max_nodes: int | None = None) -> Field:
+    """Free-space convolution with Re Phi: the sum over all source cells, by FFT.
+
+    The kernel on the difference lattice (index offset n-1 per axis) and the
+    field are zero-padded to (2n)^N; on the window [n-1, 2n-1) per axis their
+    cyclic convolution has no wrap-around and equals the literal sum, at cost
+    O((2n)^N log n).  Non-periodic: no images and no delta, which is exactly
+    what makes it an independent check of the periodic multiplier route.
     """
     grid = f.grid
     if spec.dim != grid.dim:
         raise ValueError("kernel dimension does not match grid")
     guard = max_nodes if max_nodes is not None else DIRECT_GUARD[grid.dim]
     if grid.num_nodes > guard:
-        raise GridTooLargeError(
-            f"{grid.num_nodes} nodes exceeds direct-oracle guard {guard}"
-        )
-    n, h = grid.points_per_axis, grid.spacing
-    # kernel on the difference lattice, index offset n-1 per axis
-    diff = h * np.arange(-(n - 1), n)
-    r_sq = np.zeros((2 * n - 1,) * grid.dim)
-    for d in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[d] = 2 * n - 1
-        r_sq = r_sq + (diff**2).reshape(shape)
-    kernel = spec.evaluate(np.sqrt(r_sq), h).ravel()
-
-    src = f.values.ravel()
-    idx = np.indices(grid.shape).reshape(grid.dim, -1)  # (dim, n^N)
-    strides = np.array([(2 * n - 1) ** (grid.dim - 1 - d) for d in range(grid.dim)])
-    out = np.empty(grid.num_nodes)
-    chunk = max(1, 2**22 // grid.num_nodes)
-    for start in range(0, grid.num_nodes, chunk):
-        stop = min(start + chunk, grid.num_nodes)
-        # flat difference-lattice index for every (target, source) pair
-        offsets = idx[:, start:stop, None] - idx[:, None, :] + (n - 1)
-        flat = (strides[:, None, None] * offsets).sum(axis=0)
-        out[start:stop] = kernel[flat] @ src
-    return Field(grid, (grid.cell_volume * out).reshape(grid.shape))
+        raise GridTooLargeError(f"{grid.num_nodes} nodes exceeds direct-oracle guard {guard}")
+    n = grid.points_per_axis
+    size, axes = (2 * n,) * grid.dim, tuple(range(grid.dim))
+    spectrum = np.fft.rfftn(f.values, size, axes)
+    spectrum *= _kernel_spectrum(grid, spec)
+    window = np.fft.irfftn(spectrum, size, axes)[(slice(n - 1, 2 * n - 1),) * grid.dim]
+    return Field(grid, grid.cell_volume * window)
 
 
 def bilinear_R(u: Field, v: Field, cfg: ResolventConfig) -> float:

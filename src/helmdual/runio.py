@@ -140,12 +140,14 @@ def _parse_grid(obj) -> Grid:
         raise ConfigError(f"grid: {err}") from err
 
 
-def _parse_problem(obj) -> ProblemSpec:
+def _parse_problem(obj, grid: Grid) -> ProblemSpec:
     kwargs = _typed(obj, "problem", _PROBLEM, required=("p", "epsilon", "coefficient"))
     try:
         resolvent = ResolventConfig(delta=kwargs.pop("delta", ResolventConfig.delta),
                                     mode=kwargs.pop("resolvent_mode", ResolventConfig.mode))
-        return ProblemSpec(resolvent=resolvent, **kwargs)
+        problem = ProblemSpec(resolvent=resolvent, **kwargs)
+        problem.validate_for_grid(grid)
+        return problem
     except ValueError as err:
         raise ConfigError(f"problem: {err}") from err
 
@@ -185,7 +187,7 @@ def parse_config(raw: bytes) -> RunConfig:
     grid = _parse_grid(obj["grid"])
     problem = None
     if "problem" in obj:
-        problem = _parse_problem(obj["problem"])
+        problem = _parse_problem(obj["problem"], grid)
     elif experiment != "validate":
         raise ConfigError(f"experiment {experiment!r} requires a 'problem' section")
     seed = _integer(obj.get("seed", 0), "seed")

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, artifacts, reproducibility."""
 
 import json
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,28 @@ class TestSweepCommand:
         assert run("sweep", cfg, out_a) == 0
         assert run("sweep", cfg, out_b) == 0
         assert (out_a / "sweep.csv").read_text() == (out_b / "sweep.csv").read_text()
+
+
+    @pytest.mark.parametrize("keys, value, message", [
+        (("problem", "coefficient", "centers"), [[0.8, 0.4, 0.1]], "center dimension"),
+        (("params", "epsilon_list"), [0.05, 0.1], "strictly decreasing"),
+    ], ids=["3d-center-on-2d-grid", "increasing-epsilon-list"])
+    def test_config_error_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                           keys, value, message):
+        cfg = json.loads((CONFIGS / "sweep.json").read_text())
+        *parents, key = keys
+        reduce(dict.__getitem__, parents, cfg)[key] = value
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a config error must not solve")
+
+        monkeypatch.setattr(cli, "solve_limit", no_solve)
+        out = tmp_path / "o"
+        assert run("sweep", str(path), out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDecayCommand:

@@ -229,3 +229,10 @@ class TestProblemSpec:
         s = ProblemSpec(p=5.0, epsilon=1.0, coefficient=constant_coefficient(1.0))
         with pytest.raises(ValueError):
             s.validate_for_grid(grid)  # p = 5 inadmissible in 2D
+
+    def test_center_dimension_checked_against_grid(self, grid):
+        coef = CoefficientSpec(kind="gaussian_bumps", centers=((0.8, 0.4, 0.1),),
+                               amplitudes=(0.75,), widths=(1.5,))
+        s = ProblemSpec(p=8.0, epsilon=1.0, coefficient=coef)
+        with pytest.raises(ValueError, match="center dimension"):
+            s.validate_for_grid(grid)

@@ -10,6 +10,7 @@ from helmdual.resolvent import (
     GridTooLargeError,
     ResolventConfig,
     SingularLatticeError,
+    _kernel_spectrum,
     _plan,
     apply_R,
     apply_R_direct,
@@ -22,6 +23,33 @@ from helmdual.resolvent import (
 def gaussian_bump(grid, width=6.0):
     r_sq = sum(grid.coords(d) ** 2 for d in range(grid.dim))
     return Field(grid, np.exp(-r_sq / (2.0 * width**2)))
+
+
+def _literal_sum(f, spec):
+    """The free-space convolution as the O(n^2N) sum over all (target, source) pairs."""
+    grid = f.grid
+    n, h = grid.points_per_axis, grid.spacing
+    # kernel on the difference lattice, index offset n-1 per axis
+    diff = h * np.arange(-(n - 1), n)
+    r_sq = np.zeros((2 * n - 1,) * grid.dim)
+    for d in range(grid.dim):
+        shape = [1] * grid.dim
+        shape[d] = 2 * n - 1
+        r_sq = r_sq + (diff**2).reshape(shape)
+    kernel = spec.evaluate(np.sqrt(r_sq), h).ravel()
+
+    src = f.values.ravel()
+    idx = np.indices(grid.shape).reshape(grid.dim, -1)  # (dim, n^N)
+    strides = np.array([(2 * n - 1) ** (grid.dim - 1 - d) for d in range(grid.dim)])
+    out = np.empty(grid.num_nodes)
+    chunk = max(1, 2**22 // grid.num_nodes)
+    for start in range(0, grid.num_nodes, chunk):
+        stop = min(start + chunk, grid.num_nodes)
+        # flat difference-lattice index for every (target, source) pair
+        offsets = idx[:, start:stop, None] - idx[:, None, :] + (n - 1)
+        flat = (strides[:, None, None] * offsets).sum(axis=0)
+        out[start:stop] = kernel[flat] @ src
+    return (grid.cell_volume * out).reshape(grid.shape)
 
 
 class TestMultiplierValue:
@@ -138,11 +166,23 @@ class TestPlan:
 
 class TestDirectOracle:
     def test_guard(self):
-        g = make_grid(2, 30.0, 64)
+        g = make_grid(2, 240.0, 514)
         f = gaussian_bump(g)
         assert g.num_nodes > DIRECT_GUARD[2]
         with pytest.raises(GridTooLargeError):
             apply_R_direct(f, KernelSpec(2))
+
+    @pytest.mark.parametrize("dim, half_length, n", [
+        (2, 15.0, 16), (2, 30.0, 32), (3, 10.0, 8), (3, 20.0, 16),
+    ])
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_matches_literal_sum(self, dim, half_length, n, shift):
+        g = make_grid(dim, half_length, n, (shift,) * dim)
+        f = Field(g, np.random.default_rng(12).standard_normal(g.shape))
+        spec = KernelSpec(dim)
+        expected = _literal_sum(f, spec)
+        got = apply_R_direct(f, spec).values
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_dim_mismatch(self):
         g = make_grid(2, 30.0, 16)
@@ -164,6 +204,24 @@ class TestDirectOracle:
         mult = apply_R(f, ResolventConfig(delta=1e-3))
         err = np.linalg.norm(direct.values - mult.values) / np.linalg.norm(mult.values)
         assert err <= 8e-2
+
+    def test_kernel_spectrum_built_once_per_grid_and_kernel(self):
+        f = gaussian_bump(make_grid(2, 15.0, 16))
+        _kernel_spectrum.cache_clear()
+        first = apply_R_direct(f, KernelSpec(2)).values
+        np.testing.assert_array_equal(apply_R_direct(f, KernelSpec(2)).values, first)
+        # an equal grid built again and an equal kernel share the spectrum
+        again = gaussian_bump(make_grid(2, 15.0, 16))
+        np.testing.assert_array_equal(apply_R_direct(again, KernelSpec(2)).values, first)
+        info = _kernel_spectrum.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        # the uncorrected center weight is a separate entry
+        plain = apply_R_direct(f, KernelSpec(2, corrected=False)).values
+        assert not np.array_equal(plain, first)
+        info = _kernel_spectrum.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+        assert not _kernel_spectrum(f.grid, KernelSpec(2)).flags.writeable
+        assert not _kernel_spectrum(f.grid, KernelSpec(2, corrected=False)).flags.writeable
 
     def test_mode_dispatch(self):
         g = make_grid(2, 30.0, 32)

@@ -103,6 +103,18 @@ class TestLimitSolve:
                             small)
 
 
+class TestFreeSpaceLimit:
+    def test_level_independent_of_box_at_fixed_spacing(self):
+        # the free-space resolvent has no periodic images, so doubling the
+        # box at h = 30/64 leaves the limit level unchanged to 1e-4
+        cfg = SolverConfig(grad_tol=5e-8)
+        free = ResolventConfig(mode="direct_oracle")
+        small, large = (solve_limit(1.0, 8.0, make_grid(2, half_length, n), cfg,
+                                    resolvent=free).energy
+                        for half_length, n in ((15.0, 64), (30.0, 128)))
+        assert small == pytest.approx(large, rel=1e-4)
+
+
 class TestSeedFailures:
     @pytest.fixture(scope="class")
     def small(self):
