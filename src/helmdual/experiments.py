@@ -13,6 +13,7 @@ falsifiable discrete form:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +27,8 @@ from .solver import (
     CutoffSpec,
     NoConvergence,
     SolverConfig,
+    _best_state,
+    _solve_seeds,
     default_seeds,
     solve_ground_state,
     solve_limit,
@@ -163,16 +166,13 @@ def _nearest_maximum(beta: np.ndarray, maxima) -> tuple[float, tuple[float, ...]
     return dists[i], tuple(float(c) for c in maxima[i])
 
 
-def sweep_point(spec: ProblemSpec, grid: Grid, solver_cfg: SolverConfig,
+def sweep_point(spec: ProblemSpec, grid: Grid, state: DualState | Exception,
                 bary_cfg: BarycenterConfig, limit_state: DualState,
                 edge_threshold: float = 0.5) -> SweepRecord:
-    """Solve one epsilon and assemble its record; failures become flagged rows."""
-    try:
-        seeds = default_seeds(spec, grid, solver_cfg, limit_state)
-        state = solve_ground_state(spec, grid, solver_cfg, seeds=seeds)
-    except (NoConvergence, AllSeedsLeftCone, ValueError) as err:
+    """Assemble the record of one solved epsilon; a failure becomes a flagged row."""
+    if isinstance(state, Exception):
         return SweepRecord(spec.epsilon, False, None, None, None, None, None,
-                           None, None, False, None, failure=str(err))
+                           None, None, False, None, failure=str(state))
     pp = spec.p_prime
     beta = barycenter(state.v, spec.epsilon, pp, bary_cfg)
     dist, nearest = _nearest_maximum(beta, spec.coefficient.maximum_set)
@@ -207,19 +207,37 @@ def concentration_sweep(template: ProblemSpec, epsilon_list, grid: Grid,
                         edge_threshold: float = 0.5) -> list[SweepRecord]:
     """Ground-state solves over a decreasing epsilon list, one record each.
 
-    The inputs pass check_sweep first.  Per-point failures are recorded and
-    the sweep continues.
+    The inputs pass check_sweep first.  The seeds of every point are solved
+    together, two at a time; per-point failures are recorded as flagged rows.
     """
     eps = [float(e) for e in epsilon_list]
     check_sweep(template, eps, bary_cfg)
     if limit_state is None:
         limit_state = solve_limit(template.coefficient.q_sup, template.p, grid,
                                   solver_cfg, resolvent=template.resolvent)
-    return [
-        sweep_point(replace(template, epsilon=e), grid, solver_cfg, bary_cfg,
-                    limit_state, edge_threshold)
-        for e in eps
-    ]
+    specs = [replace(template, epsilon=e) for e in eps]
+    points, problems = [], []  # per point: its seed count, or the error that left it none
+    for spec in specs:
+        size = len(problems)
+        try:
+            spec.validate_for_grid(grid)
+            problems += [(seed, spec) for seed in default_seeds(spec, grid, solver_cfg, limit_state)]
+        except ValueError as err:
+            points.append(err)
+        else:
+            points.append(len(problems) - size)
+    # all points' seeds in one lock-stepped solve, each dropped here as its descent starts
+    outcomes = _solve_seeds((problems.pop(0) for _ in range(len(problems))), solver_cfg)
+    solved = []
+    for point in points:
+        try:
+            solved.append(point if isinstance(point, ValueError)
+                          else _best_state(itertools.islice(outcomes, point)))
+        except (NoConvergence, AllSeedsLeftCone, ValueError) as err:
+            solved.append(err)
+    outcomes.close()  # releases the last seed before the records are assembled
+    return [sweep_point(spec, grid, state, bary_cfg, limit_state, edge_threshold)
+            for spec, state in zip(specs, solved)]
 
 
 def sweep_to_csv(records) -> str:

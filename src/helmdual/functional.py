@@ -12,14 +12,15 @@ physical solution is a declared pure rescaling of it (never materialized).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, Grid, inner_product, lp_norm, spectral_laplacian
+from .grid import Field, Grid, lp_norm, spectral_laplacian
 from .kernels import check_exponent
-from .resolvent import ResolventConfig, apply_R
+from .resolvent import ResolventConfig, _apply, apply_R
 
 
 class NotInPositiveCone(ValueError):
@@ -176,30 +177,37 @@ def _dual_power(values: np.ndarray, p_prime: float) -> np.ndarray:
     return np.sign(values) * np.abs(values) ** (p_prime - 1.0)
 
 
-def _resolve(q_root: Field, v: np.ndarray, cfg: ResolventConfig) -> tuple[Field, float]:
-    """R g and int g R g for g = Q_eps^(1/p) v: the one place R meets the dual variable."""
-    g = Field(q_root.grid, q_root.values * v)
-    rg = apply_R(g, cfg)
-    return rg, inner_product(g, rg)
+def _resolve(grid: Grid, cfg: ResolventConfig, *gs: np.ndarray) -> list[tuple[np.ndarray, float]]:
+    """R g and int g R g for one or two g = Q_eps^(1/p) v: the one place R meets the dual variable.
+
+    One g goes through the public apply_R (with its field checks; perfbench's
+    tracer counts those calls); two share one complex transform pair.  A
+    non-finite R g makes its pairing non-finite and raises.
+    """
+    rgs = [apply_R(Field(grid, gs[0]), cfg).values] if len(gs) == 1 else _apply(grid, cfg, *gs)
+    quads = [float(grid.cell_volume * np.sum(g * rg)) for g, rg in zip(gs, rgs)]  # as inner_product
+    if not all(map(math.isfinite, quads)):
+        raise ValueError("field values must be finite")
+    return list(zip(rgs, quads))
 
 
 def energy(v: Field, spec: ProblemSpec) -> float:
     """Dual energy J(v)."""
-    _, quad = _resolve(spec.q_root(v.grid), v.values, spec.resolvent)
+    [(_, quad)] = _resolve(v.grid, spec.resolvent, spec.q_root(v.grid).values * v.values)
     pp = spec.p_prime
     return lp_norm(v, pp) ** pp / pp - 0.5 * quad
 
 
 def gradient(v: Field, spec: ProblemSpec) -> Field:
     """L^2 representation of J'(v): |v|^(p'-2) v - Q_eps^(1/p) R(Q_eps^(1/p) v)."""
-    qr = spec.q_root(v.grid)
-    rg, _ = _resolve(qr, v.values, spec.resolvent)
-    return Field(v.grid, _dual_power(v.values, spec.p_prime) - qr.values * rg.values)
+    qr = spec.q_root(v.grid).values
+    [(rg, _)] = _resolve(v.grid, spec.resolvent, qr * v.values)
+    return Field(v.grid, _dual_power(v.values, spec.p_prime) - qr * rg)
 
 
 def quadratic_term(v: Field, spec: ProblemSpec) -> float:
     """int Q_eps^(1/p) v R(Q_eps^(1/p) v) dx; positive iff v is in the positive cone."""
-    return _resolve(spec.q_root(v.grid), v.values, spec.resolvent)[1]
+    return _resolve(v.grid, spec.resolvent, spec.q_root(v.grid).values * v.values)[0][1]
 
 
 @dataclass(frozen=True)
@@ -216,12 +224,13 @@ class DualState:
 
     @classmethod
     def from_field(cls, v: Field, spec: ProblemSpec) -> "DualState":
-        qr = spec.q_root(v.grid)
-        u, quad = _resolve(qr, v.values, spec.resolvent)
+        qr = spec.q_root(v.grid).values
+        [(rg, quad)] = _resolve(v.grid, spec.resolvent, qr * v.values)
+        u = Field(v.grid, rg)
         pp = spec.p_prime
         norm_pp = lp_norm(v, pp) ** pp
         en = norm_pp / pp - 0.5 * quad
-        grad_vals = _dual_power(v.values, pp) - qr.values * u.values
+        grad_vals = _dual_power(v.values, pp) - qr * rg
         scale = np.linalg.norm(np.abs(v.values) ** (pp - 1.0))
         grad_norm = float(np.linalg.norm(grad_vals) / scale) if scale > 0 else 0.0
         residual = abs(norm_pp - quad)

@@ -195,17 +195,10 @@ def dft_inverse(spectrum: np.ndarray, grid: Grid) -> Field:
     if spectrum.shape != grid.shape:
         raise ValueError(f"spectrum shape {spectrum.shape} != grid shape {grid.shape}")
     g = np.fft.ifftn(spectrum * np.conj(_freq_phase(grid)))
-    return _real_field(g * np.conj(_shift_modulation(grid)) / grid.cell_volume, grid)
-
-
-def _real_field(values: np.ndarray, grid: Grid) -> Field:
-    """Real part of an inverse transform, raising if the imaginary part is not round-off."""
-    scale = np.max(np.abs(values.real))
-    if np.max(np.abs(values.imag)) > 1e-10 * scale:
-        raise ValueError(
-            "inverse transform produced a non-real field "
-            "(frequency shift must be 0 or 0.5 per axis for real output)"
-        )
+    values = g * np.conj(_shift_modulation(grid)) / grid.cell_volume
+    if np.max(np.abs(values.imag)) > 1e-10 * np.max(np.abs(values.real)):
+        raise ValueError("inverse transform produced a non-real field "
+                         "(frequency shift must be 0 or 0.5 per axis for real output)")
     return Field(grid, values.real)
 
 

@@ -4,6 +4,9 @@ The multiplier is Re 1/(|xi|^2 - 1 - i delta) = (|xi|^2 - 1)/((|xi|^2 - 1)^2 + d
 With delta = 0 it requires a frequency lattice that avoids |xi| = 1 (grid
 invariant).  The direct route (mode "direct_oracle") convolves with the
 free-space kernel by one zero-padded FFT: no periodic images and no delta.
+
+R is complex-linear and maps real fields to real fields, so one complex
+transform pair applies it to two real fields at once (``_apply``).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, _real_field, _shift_modulation, inner_product, spectral_laplacian
+from .grid import Field, Grid, _shift_modulation, inner_product, spectral_laplacian
 from .kernels import KernelSpec
 
 
@@ -56,21 +59,23 @@ def multiplier_value(xi_sq, delta: float):
     return out if out.ndim else float(out)
 
 
-# bounded: an entry holds two complex arrays and one real array of the grid's size
+# bounded: an entry holds one complex and one real array of the grid's size
 @functools.lru_cache(maxsize=4)
-def _plan(grid: Grid, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(M, conj M, S): the multiplier route's arrays, built once per grid and delta.
+def _plan(grid: Grid, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(M, S): the multiplier route's arrays, built once per grid and delta.
 
     The frequency-side phase and the cell volume of dft_forward/dft_inverse
     cancel between the two transforms, so R f = conj(M) ifftn(S fftn(M f))
-    with the node-side shift modulation M and the real symbol S.
+    with the node-side shift modulation M and the real symbol S.  Only the
+    shifts 0 and 1/2 pair every xi with -xi, so only they give a real R f.
     """
+    if any(s not in (0.0, 0.5) for s in grid.freq_shift):
+        raise ValueError("frequency shift must be 0 or 0.5 per axis for real output")
     if delta == 0.0 and grid.singular:
         raise SingularLatticeError(
             "frequency lattice contains |xi| = 1; shift the lattice or use delta > 0"
         )
-    modulation = _shift_modulation(grid)
-    plan = (modulation, np.conj(modulation), multiplier_value(grid.xi_squared, delta))
+    plan = (_shift_modulation(grid), multiplier_value(grid.xi_squared, delta))
     for arr in plan:
         arr.flags.writeable = False  # shared by every later call on this grid and delta
     return plan
@@ -78,24 +83,43 @@ def _plan(grid: Grid, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def apply_R(f: Field, cfg: ResolventConfig) -> Field:
     """Resolvent applied to a field; multiplier route unless cfg says otherwise."""
+    return Field(f.grid, _apply(f.grid, cfg, f.values)[0])
+
+
+def _apply(grid: Grid, cfg: ResolventConfig, *fields: np.ndarray) -> list[np.ndarray]:
+    """R of one or two real arrays; on the multiplier route two share one transform pair.
+
+    R(a/alpha + i b/beta) = R a/alpha + i R b/beta with alpha, beta the max-norms,
+    so the round-off of a large field stays out of a small one.
+    """
     if cfg.mode == "direct_oracle":
-        return apply_R_direct(f, KernelSpec(f.grid.dim))
-    modulation, demodulation, symbol = _plan(f.grid, cfg.delta)
-    spectrum = np.fft.fftn(modulation * f.values)
-    spectrum *= symbol
-    values = np.fft.ifftn(spectrum)
-    values *= demodulation
-    return _real_field(values, f.grid)
+        return [apply_R_direct(Field(grid, x), KernelSpec(grid.dim)).values for x in fields]
+    modulation, symbol = _plan(grid, cfg.delta)
+    packed = np.zeros(grid.shape, np.complex128)
+    scales = [float(np.max(np.abs(x))) or 1.0 for x in fields]
+    for part, x, scale in zip((packed.real, packed.imag), fields, scales):
+        np.multiply(x, 1.0 / scale, out=part)
+    packed *= modulation
+    np.fft.fftn(packed, out=packed)
+    packed *= symbol
+    np.fft.ifftn(packed, out=packed)
+    # conj(M) z as conj(conj(z) M), bit for bit; the outer conj is the sign -1 below
+    np.conjugate(packed, out=packed)
+    packed *= modulation
+    return [part * (sign * scale)
+            for part, sign, scale in zip((packed.real, packed.imag), (1.0, -1.0), scales)]
 
 
 # bounded: an entry holds one complex array of (2n)^(N-1) (n+1) values
 @functools.lru_cache(maxsize=4)
-def _kernel_spectrum(grid: Grid, spec: KernelSpec) -> np.ndarray:
-    """rfftn at size (2n)^N of the kernel, center weight included, on the difference lattice."""
-    n, h = grid.points_per_axis, grid.spacing
+def _kernel_spectrum(dim: int, n: int, h: float, spec: KernelSpec) -> np.ndarray:
+    """rfftn at size (2n)^N of the kernel, center weight included, on the difference lattice.
+
+    Keyed on what the kernel depends on, so grids differing in their shift share it.
+    """
     diff_sq = (h * np.arange(1 - n, n)) ** 2  # (2n-1)^N lattice, index offset n-1 per axis
-    kernel = spec.evaluate(np.sqrt(sum(np.ix_(*(diff_sq,) * grid.dim))), h)
-    spectrum = np.fft.rfftn(kernel, (2 * n,) * grid.dim, tuple(range(grid.dim)))
+    kernel = spec.evaluate(np.sqrt(sum(np.ix_(*(diff_sq,) * dim))), h)
+    spectrum = np.fft.rfftn(kernel, (2 * n,) * dim, tuple(range(dim)))
     spectrum.flags.writeable = False  # shared by every later call on this grid and kernel
     return spectrum
 
@@ -118,7 +142,7 @@ def apply_R_direct(f: Field, spec: KernelSpec, max_nodes: int | None = None) -> 
     n = grid.points_per_axis
     size, axes = (2 * n,) * grid.dim, tuple(range(grid.dim))
     spectrum = np.fft.rfftn(f.values, size, axes)
-    spectrum *= _kernel_spectrum(grid, spec)
+    spectrum *= _kernel_spectrum(grid.dim, n, grid.spacing, spec)
     window = np.fft.irfftn(spectrum, size, axes)[(slice(n - 1, 2 * n - 1),) * grid.dim]
     return Field(grid, grid.cell_volume * window)
 

@@ -5,10 +5,16 @@ backtracking on the dual energy, followed by re-projection onto the Nehari
 manifold.  Because the resolvent is indefinite, trial iterates can leave the
 positive cone; those trigger step shrinking, and a seed whose step collapses
 is abandoned.
+
+Each descent is a coroutine that yields g = Q^(1/p) v for every resolvent
+application.  Seeds are solved two at a time in lock-step, so one complex FFT
+pair serves both descents' applications (R maps real fields to real fields).
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,67 +138,73 @@ def _mollifier(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _measure(w: np.ndarray, q_root: Field, spec: ProblemSpec):
-    """One resolvent application in the substituted variable w = |v|^(p'-2) v.
+def _power(w: np.ndarray, q_root: np.ndarray, p: float, cell: float):
+    """|w|^(p-2), g = Q^(1/p) v and ||w||_p^p = int v w, from one full-grid power.
 
-    The substitution removes the non-smoothness of the dual energy: in terms
-    of w the first term is (1/p') ||w||_p^p with p > 2, so backtracking sees
-    bounded curvature.  The Euler-Lagrange residual w - Q^(1/p) R(Q^(1/p) v)
-    coincides with the v-space gradient of the dual energy.
-
-    Returns ||w||_p^p, the quadratic term and the values of R g.
+    In w = |v|^(p'-2) v the energy's first term is (1/p') ||w||_p^p with p > 2,
+    so backtracking sees bounded curvature; v = |w|^(p-2) w.
     """
-    v = _dual_power(w, spec.p)  # |w|^(p-1) sign w, the inverse power map
-    rg, quad = _resolve(q_root, v, spec.resolvent)
-    norm_p = q_root.grid.cell_volume * float(np.sum(np.abs(w) ** spec.p))
-    return norm_p, quad, rg.values
+    w_pow = np.abs(w) ** (p - 2.0)
+    g = w_pow * w
+    norm_p = cell * float(np.sum(g * w))
+    g *= q_root
+    return w_pow, g, norm_p
 
 
-def _project_w(w: np.ndarray, norm_p: float, quad: float, rg: np.ndarray, p: float):
-    """Scale w onto the Nehari manifold ||w||_p^p = quad(v(w)).
-
-    Under w -> s w the norm scales as s^p, the quadratic term as s^(2(p-1))
-    and R g as s^(p-1), so s = (norm / quad)^(1/(p-2)); all four are returned
-    rescaled.
-    """
+def _nehari(norm_p: float, quad: float, p: float) -> tuple[float, float, float]:
+    """Scale s onto the Nehari manifold ||w||_p^p = quad(v(w)); both terms rescaled by it."""
     if quad <= 0.0:
         raise NotInPositiveCone(f"quadratic term {quad} <= 0")
     s = (norm_p / quad) ** (1.0 / (p - 2.0))
-    return s * w, norm_p * s**p, quad * s ** (2.0 * (p - 1.0)), s ** (p - 1.0) * rg
+    return s, norm_p * s**p, quad * s ** (2.0 * (p - 1.0))
 
 
-def solve_from_seed(seed: Field, spec: ProblemSpec, cfg: SolverConfig) -> tuple[DualState, int]:
-    """Projected descent from one seed; raises NotInPositiveCone / NoConvergence."""
-    grid = seed.grid
-    q_root = spec.q_root(grid)
-    p, pp = spec.p, spec.p_prime
+def _move_to(w, w_pow, rg, s, q_root, p, cell) -> tuple[np.ndarray, float]:
+    """Scale an accepted trial by s in place; its gradient (in rg's storage) and slope.
+
+    The gradient is the Euler-Lagrange residual w - Q^(1/p) R g (equal to the
+    v-space energy gradient); the slope is the energy's derivative along -grad.
+    """
+    w *= s
+    rg *= s ** (p - 1.0)
+    rg *= q_root
+    grad = np.subtract(w, rg, out=rg)
+    return grad, (p - 1.0) * cell * s ** (p - 2.0) * float(np.sum(w_pow * grad * grad))
+
+
+def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
+    """Projected descent from one seed, as a coroutine.
+
+    Each resolvent application is a ``yield g`` (g = Q^(1/p) v), answered by
+    ``send((R g, int g R g))``.  Returns (v, iterations) at convergence;
+    raises NotInPositiveCone, _StepCollapsed or NoConvergence.
+    """
+    grid, p, pp = seed.grid, spec.p, spec.p_prime
+    cell, q_root = grid.cell_volume, spec.q_root(grid).values
     w = _dual_power(seed.values, pp)  # seed is given in v; move to w
-    norm_p, quad, rg = _measure(w, q_root, spec)
+    del seed  # the descent's own arrays are all it keeps
+    w_pow, g, norm_p = _power(w, q_root, p, cell)
     if norm_p == 0.0:
         raise ValueError("zero seed")
-    w, norm_p, quad, rg = _project_w(w, norm_p, quad, rg, p)
+    rg, quad = yield g
+    s, norm_p, quad = _nehari(norm_p, quad, p)
+    grad, slope = _move_to(w, w_pow, rg, s, q_root, p, cell)
     en = norm_p / pp - 0.5 * quad
     step = cfg.initial_step
 
     for it in range(cfg.max_iters):
-        # Euler-Lagrange residual; equal to the v-space energy gradient
-        grad = w - q_root.values * rg
-        rel = np.linalg.norm(grad) / np.linalg.norm(w)
-        if rel <= cfg.grad_tol:
-            return DualState.from_field(Field(grid, _dual_power(w, p)), spec), it
-        # directional derivative of the energy along -grad in the w variable
-        slope = (p - 1.0) * grid.cell_volume * float(
-            np.sum(np.abs(w) ** (p - 2.0) * grad * grad)
-        )
-
+        if np.linalg.norm(grad) / np.linalg.norm(w) <= cfg.grad_tol:
+            return _dual_power(w, p), it
         while step >= cfg.min_step:
             trial = w - step * grad
-            t_norm, t_quad, t_rg = _measure(trial, q_root, spec)
+            t_pow, g, t_norm = _power(trial, q_root, p, cell)
+            t_rg, t_quad = yield g
             if t_quad > 0.0:
-                trial, t_norm, t_quad, t_rg = _project_w(trial, t_norm, t_quad, t_rg, p)
+                s, t_norm, t_quad = _nehari(t_norm, t_quad, p)
                 t_en = t_norm / pp - 0.5 * t_quad
                 if t_en <= en - cfg.sufficient_decrease * step * slope:
-                    w, rg, en = trial, t_rg, t_en
+                    w, en = trial, t_en
+                    grad, slope = _move_to(w, t_pow, t_rg, s, q_root, p, cell)
                     step = min(step * cfg.growth_factor, cfg.initial_step)
                     break
             step *= cfg.shrink_factor
@@ -206,6 +218,14 @@ def solve_from_seed(seed: Field, spec: ProblemSpec, cfg: SolverConfig) -> tuple[
         best=best,
         iterations=cfg.max_iters,
     )
+
+
+def solve_from_seed(seed: Field, spec: ProblemSpec, cfg: SolverConfig) -> tuple[DualState, int]:
+    """Projected descent from one seed; raises NotInPositiveCone / NoConvergence."""
+    [outcome] = _solve_seeds([(seed, spec)], cfg)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def solve_limit(q0: float, p: float, grid: Grid, cfg: SolverConfig,
@@ -224,31 +244,70 @@ def solve_limit(q0: float, p: float, grid: Grid, cfg: SolverConfig,
         resolvent=resolvent if resolvent is not None else ResolventConfig(),
     )
     spec.validate_for_grid(grid)
-    return _best_over_seeds(spec, cfg, [s.build(grid) for s in cfg.restart_seeds])
+    return _best_state(_solve_seeds(((s.build(grid), spec) for s in cfg.restart_seeds), cfg))
 
 
-def _solve_seeds(spec: ProblemSpec, cfg: SolverConfig,
-                 seeds: list[Field]) -> tuple[list[DualState], list[Exception]]:
-    """Solve from every seed in order; returns the converged states and the failures."""
-    states, failures = [], []
-    for seed in seeds:
+def _solve_seeds(problems: Iterable[tuple[Field, ProblemSpec]], cfg: SolverConfig):
+    """Descend from every (seed, spec) two at a time; yields the outcomes in seed order.
+
+    An outcome is (DualState, iterations) or the seed's exception.  Two
+    descents on one grid and resolvent share one complex transform pair per
+    step; a finished descent's slot goes to the next seed, which is only then
+    taken from ``problems``.
+    """
+    pending = enumerate(problems)
+    running: dict[int, list] = {}  # seed index -> [descent, spec, (grid, resolvent), next g]
+    finished: dict[int, object] = {}
+
+    def advance(index: int, answer) -> None:
+        descent, spec, (grid, _), _ = running[index]
         try:
-            state, _ = solve_from_seed(seed, spec, cfg)
-        except (NotInPositiveCone, NoConvergence) as err:
-            failures.append(err)
-            continue
-        states.append(state)
-    return states, failures
+            running[index][3] = descent.send(answer)
+            return
+        except StopIteration as stop:
+            del running[index]  # drops its last g before the state is built
+            v, iterations = stop.value
+            finished[index] = (DualState.from_field(Field(grid, v), spec), iterations)
+        except (ValueError, NoConvergence) as err:
+            del running[index]
+            finished[index] = err
+
+    for index in itertools.count():
+        while index not in finished:
+            for i, (seed, spec) in itertools.islice(pending, 2 - len(running)):
+                running[i] = [_descend(seed, spec, cfg), spec, (seed.grid, spec.resolvent), None]
+                del seed  # the descent holds the only reference
+                advance(i, None)
+            if not running:
+                return
+            key = next(iter(running.values()))[2]
+            batch = [i for i, slot in running.items() if slot[2] == key]
+            for i, answer in zip(batch, _resolve(*key, *(running[i][3] for i in batch))):
+                advance(i, answer)
+        yield finished.pop(index)
 
 
-def _best_over_seeds(spec: ProblemSpec, cfg: SolverConfig, seeds: list[Field]) -> DualState:
-    states, failures = _solve_seeds(spec, cfg, seeds)
-    if not states:
+def _converged(outcomes, failures: list):
+    """Converged states of a seed set's outcomes in order; failures collected, other errors raised."""
+    for outcome in outcomes:
+        if not isinstance(outcome, Exception):
+            yield outcome[0]
+        elif isinstance(outcome, (NotInPositiveCone, NoConvergence)):
+            failures.append(outcome)
+        else:
+            raise outcome
+
+
+def _best_state(outcomes) -> DualState:
+    """Lowest-energy converged state (the first on ties), keeping only the running best."""
+    failures: list = []
+    best = min(_converged(outcomes, failures), key=lambda state: state.energy, default=None)
+    if best is None:
         if all(isinstance(err, NotInPositiveCone) and not isinstance(err, _StepCollapsed)
                for err in failures):
             raise AllSeedsLeftCone("every seed left the positive cone")
         raise NoConvergence(f"no seed converged: {failures[-1]}")
-    return min(states, key=lambda state: state.energy)
+    return best
 
 
 def make_test_function(y: tuple[float, ...], epsilon: float, w: Field,
@@ -307,7 +366,7 @@ def solve_ground_state(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
             seeds = default_seeds(spec, grid, cfg, limit_state)
         else:
             seeds = [s.build(grid) for s in cfg.restart_seeds]
-    return _best_over_seeds(spec, cfg, seeds)
+    return _best_state(_solve_seeds(((seed, spec) for seed in seeds), cfg))
 
 
 def multistart(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
@@ -322,10 +381,9 @@ def multistart(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
     """
     if len(seeds) < 2:
         raise ValueError("multistart needs at least 2 seeds")
-    states, _ = _solve_seeds(spec, cfg, seeds)
     pp = spec.p_prime
     distinct: list[DualState] = []
-    for state in states:
+    for state in _converged(_solve_seeds(((seed, spec) for seed in seeds), cfg), []):
         is_new = True
         for kept in distinct:
             dist = min(

@@ -6,7 +6,7 @@ import pytest
 from helmdual.grid import Field, make_grid
 from helmdual.functional import CoefficientSpec, ProblemSpec, constant_coefficient
 from helmdual.resolvent import ResolventConfig
-from helmdual.solver import SolverConfig
+from helmdual.solver import SolverConfig, solve_limit
 from helmdual.experiments import (
     BarycenterConfig,
     aligned_distance,
@@ -156,6 +156,27 @@ class TestConcentrationSweep:
         csv = sweep_to_csv(recs)
         assert csv.count("\n") == 3  # header + one row per epsilon
         assert csv.splitlines()[0].startswith("epsilon,converged")
+
+    def test_points_solved_together_match_points_solved_alone(self, grid):
+        # all points' seeds run in one lock-stepped solve; at eps = 0.05 the
+        # cutoff support exceeds the box, and that point alone is flagged
+        coef = CoefficientSpec(kind="gaussian_bumps", floor=0.25,
+                               centers=((0.8, 0.4),), amplitudes=(0.75,),
+                               widths=(1.5,))
+        res = ResolventConfig(delta=1e-2)
+        template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef, resolvent=res)
+        cfg = SolverConfig(max_iters=8000, grad_tol=5e-8)
+        bary = BarycenterConfig(rho=3.0, delta_nbhd=0.5)
+        limit = solve_limit(1.0, 8.0, grid, cfg, resolvent=res)
+        together = concentration_sweep(template, [0.5, 0.25, 0.05], grid, cfg, bary,
+                                       limit_state=limit)
+        alone = [concentration_sweep(template, [e], grid, cfg, bary, limit_state=limit)[0]
+                 for e in (0.5, 0.25, 0.05)]
+        assert [r.converged for r in together] == [r.converged for r in alone] == [True, True, False]
+        for a, b in zip(together[:2], alone[:2]):
+            assert a.energy == pytest.approx(b.energy, rel=1e-12)
+        assert together[2].failure == alone[2].failure
+        assert "cutoff support exceeds the box" in together[2].failure
 
 
 class TestInteractionDecay:

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from helmdual.grid import Field, dft_forward, dft_inverse, make_grid
+from helmdual.grid import Field, Grid, dft_forward, dft_inverse, make_grid
 from helmdual.kernels import KernelSpec
 from helmdual.resolvent import (
     DIRECT_GUARD,
     GridTooLargeError,
     ResolventConfig,
     SingularLatticeError,
+    _apply,
     _kernel_spectrum,
     _plan,
     apply_R,
@@ -161,7 +162,58 @@ class TestPlan:
         np.testing.assert_array_equal(apply_R(again, ResolventConfig(delta=1e-3)).values, first)
         info = _plan.cache_info()
         assert (info.misses, info.hits) == (1, 2)
-        assert not any(arr.flags.writeable for arr in _plan(f.grid, cfg.delta))
+        # the plan holds the shift modulation M and the real symbol S, not conj M
+        modulation, symbol = _plan(f.grid, cfg.delta)
+        assert modulation.dtype == np.complex128 and symbol.dtype == np.float64
+        np.testing.assert_array_equal(symbol, multiplier_value(f.grid.xi_squared, cfg.delta))
+        assert not modulation.flags.writeable and not symbol.flags.writeable
+
+    def test_shift_other_than_0_or_half_refused_before_any_transform(self, monkeypatch):
+        # a directly built Grid skips make_grid's shift check; the plan refuses it
+        g = Grid(2, 30.0, 32, (0.25, 0.5))
+        f = gaussian_bump(g)
+        cfg = ResolventConfig(delta=1e-2)
+        _plan.cache_clear()
+        calls = []
+        monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="0 or 0.5 per axis"):
+            apply_R(f, cfg)
+        with pytest.raises(ValueError, match="0 or 0.5 per axis"):
+            _apply(g, cfg, f.values, 2.0 * f.values)
+        assert not calls
+        info = _plan.cache_info()
+        assert (info.currsize, info.hits) == (0, 0)
+
+
+class TestPairApplication:
+    @pytest.mark.parametrize("dim, half_length, n, shift", [
+        (2, 9.0, 32, (0.5, 0.5)),
+        (2, 9.0, 32, (0.0, 0.0)),
+        (3, 8.0, 16, (0.5, 0.5, 0.5)),
+        (3, 8.0, 16, (0.0, 0.0, 0.0)),
+    ])
+    @pytest.mark.parametrize("delta", [0.0, 1e-2])
+    @pytest.mark.parametrize("ratio", [1.0, 1e8])
+    def test_real_and_imaginary_parts_are_the_two_applications(self, dim, half_length, n,
+                                                                shift, delta, ratio):
+        # R(a/alpha + i b/beta) = R a/alpha + i R b/beta; the scaling keeps a
+        # field 1e8 times larger from swamping the smaller one in round-off
+        g = make_grid(dim, half_length, n, shift)
+        assert not g.singular
+        rng = np.random.default_rng(12)
+        a = gaussian_bump(g, width=2.0).values
+        b = ratio * rng.standard_normal(g.shape)
+        cfg = ResolventConfig(delta=delta)
+        for got, field in zip(_apply(g, cfg, a, b), (a, b)):
+            alone = apply_R(Field(g, field), cfg).values
+            assert np.max(np.abs(got - alone)) <= 1e-13 * np.max(np.abs(alone))
+
+    def test_direct_route_applies_each_field(self):
+        g = make_grid(2, 15.0, 16)
+        a, b = gaussian_bump(g).values, gaussian_bump(g, width=2.0).values
+        cfg = ResolventConfig(mode="direct_oracle")
+        for got, field in zip(_apply(g, cfg, a, b), (a, b)):
+            np.testing.assert_array_equal(got, apply_R_direct(Field(g, field), KernelSpec(2)).values)
 
 
 class TestDirectOracle:
@@ -220,8 +272,19 @@ class TestDirectOracle:
         assert not np.array_equal(plain, first)
         info = _kernel_spectrum.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
-        assert not _kernel_spectrum(f.grid, KernelSpec(2)).flags.writeable
-        assert not _kernel_spectrum(f.grid, KernelSpec(2, corrected=False)).flags.writeable
+        key = (f.grid.dim, f.grid.points_per_axis, f.grid.spacing)
+        assert not _kernel_spectrum(*key, KernelSpec(2)).flags.writeable
+        assert not _kernel_spectrum(*key, KernelSpec(2, corrected=False)).flags.writeable
+
+    def test_kernel_spectrum_shared_across_frequency_shifts(self):
+        # the free-space kernel does not depend on the lattice shift
+        _kernel_spectrum.cache_clear()
+        outs = [apply_R_direct(gaussian_bump(make_grid(2, 15.0, 16, shift)), KernelSpec(2))
+                for shift in ((0.0, 0.0), (0.5, 0.5), (0.0, 0.5))]
+        info = _kernel_spectrum.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        for out in outs[1:]:
+            np.testing.assert_array_equal(out.values, outs[0].values)
 
     def test_mode_dispatch(self):
         g = make_grid(2, 30.0, 32)

@@ -1,5 +1,7 @@
 """Ground-state solver: convergence contracts, seeds, cutoffs, multistart."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,15 @@ from helmdual.functional import (
     gradient,
 )
 from helmdual.resolvent import ResolventConfig
+from helmdual.runio import load_config
 from helmdual.solver import (
     AllSeedsLeftCone,
     CutoffSpec,
     InitialGuess,
     NoConvergence,
     SolverConfig,
+    _best_state,
+    _solve_seeds,
     default_seeds,
     make_test_function,
     multistart,
@@ -136,6 +141,84 @@ class TestSeedFailures:
                                            InitialGuess(width=4.0, modulation=0.0)))
         with pytest.raises(AllSeedsLeftCone):
             solve_limit(1.0, 8.0, small, wide)
+
+
+class TestLockStep:
+    """Two descents in flight share one complex transform pair per step."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return make_grid(2, 30.0, 32)
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return ProblemSpec(p=8.0, epsilon=1.0, coefficient=constant_coefficient(1.0),
+                           resolvent=ResolventConfig(delta=1e-2))
+
+    @pytest.fixture(scope="class")
+    def loose(self):
+        return SolverConfig(grad_tol=5e-8)
+
+    def test_identical_pair_costs_one_seed_and_agrees_with_it(self, small, spec, loose,
+                                                              monkeypatch):
+        calls = []
+        fftn = np.fft.fftn
+        monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: calls.append(1) or fftn(*a, **k))
+        seed = InitialGuess(width=0.8).build(small)
+        [(alone, _)] = _solve_seeds([(seed, spec)], loose)
+        one = len(calls)
+        pair = list(_solve_seeds([(seed, spec), (seed, spec)], loose))
+        assert len(calls) - one <= one + 2
+        for state, _ in pair:
+            assert state.energy == pytest.approx(alone.energy, rel=1e-12)
+
+    def test_cone_exits_batched_with_a_converging_seed(self, small, spec, loose):
+        good = InitialGuess(width=0.8).build(small)
+        wide = [InitialGuess(width=w, modulation=0.0).build(small) for w in (3.0, 4.0)]
+        [(alone, _)] = _solve_seeds([(good, spec)], loose)
+        outcomes = list(_solve_seeds([(wide[0], spec), (good, spec), (wide[1], spec)], loose))
+        assert [type(o) for o in (outcomes[0], outcomes[2])] == [NotInPositiveCone] * 2
+        state, _ = outcomes[1]
+        assert state.energy == pytest.approx(alone.energy, rel=1e-12)
+        assert _best_state(iter(outcomes)) is state
+
+    def test_seeds_on_different_grids_are_not_paired(self, small, spec, loose):
+        # a pair shares one transform, so it needs one grid and one resolvent
+        other = make_grid(2, 30.0, 48)
+        seeds = [InitialGuess(width=0.8).build(g) for g in (small, other)]
+        outcomes = list(_solve_seeds([(seed, spec) for seed in seeds], loose))
+        for seed, (state, _) in zip(seeds, outcomes):
+            [(alone, _)] = _solve_seeds([(seed, spec)], loose)
+            assert state.v.grid == seed.grid
+            assert state.energy == alone.energy
+
+    def test_collapsing_batch_raises_no_convergence(self, small, spec):
+        strict = SolverConfig(sufficient_decrease=1e6, max_iters=50)
+        seeds = [InitialGuess(width=w).build(small) for w in (0.5, 0.8)]
+        seeds.append(InitialGuess(width=3.0, modulation=0.0).build(small))
+        # two collapses and one cone exit: not every seed left the cone
+        with pytest.raises(NoConvergence, match="no seed converged"):
+            solve_ground_state(spec, small, strict, seeds=seeds)
+
+    def test_sweep_config_converges_well_inside_the_budget(self):
+        # every seed of configs/sweep.json converges in at most 60 iterations;
+        # a summation order that lets the Armijo test run below round-off
+        # stalls them instead
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "sweep.json")
+        problem, grid = cfg.problem, cfg.grid
+        limit = ProblemSpec(p=problem.p, epsilon=1.0,
+                            coefficient=constant_coefficient(problem.coefficient.q_sup),
+                            resolvent=problem.resolvent)
+        outcomes = list(_solve_seeds([(s.build(grid), limit) for s in cfg.solver.restart_seeds],
+                                     cfg.solver))
+        limit_state = _best_state(iter(outcomes))
+        for eps in cfg.params["epsilon_list"]:
+            spec = ProblemSpec(p=problem.p, epsilon=eps, coefficient=problem.coefficient,
+                               resolvent=problem.resolvent)
+            seeds = default_seeds(spec, grid, cfg.solver, limit_state)
+            outcomes += _solve_seeds([(seed, spec) for seed in seeds], cfg.solver)
+        assert len(outcomes) == 6
+        assert all(not isinstance(o, Exception) and o[1] <= 60 for o in outcomes), outcomes
 
 
 class TestTestFunction:
