@@ -13,7 +13,6 @@ falsifiable discrete form:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -166,13 +165,14 @@ def _nearest_maximum(beta: np.ndarray, maxima) -> tuple[float, tuple[float, ...]
     return dists[i], tuple(float(c) for c in maxima[i])
 
 
-def sweep_point(spec: ProblemSpec, grid: Grid, state: DualState | Exception,
-                bary_cfg: BarycenterConfig, limit_state: DualState,
-                edge_threshold: float = 0.5) -> SweepRecord:
-    """Assemble the record of one solved epsilon; a failure becomes a flagged row."""
-    if isinstance(state, Exception):
+def sweep_point(spec: ProblemSpec, grid: Grid, outcomes, bary_cfg: BarycenterConfig,
+                limit_state: DualState, edge_threshold: float = 0.5) -> SweepRecord:
+    """Record of one epsilon from its seeds' outcomes; a failure becomes a flagged row."""
+    try:
+        state = _best_state(outcomes)
+    except (NoConvergence, AllSeedsLeftCone, ValueError) as err:
         return SweepRecord(spec.epsilon, False, None, None, None, None, None,
-                           None, None, False, None, failure=str(state))
+                           None, None, False, None, failure=str(err))
     pp = spec.p_prime
     beta = barycenter(state.v, spec.epsilon, pp, bary_cfg)
     dist, nearest = _nearest_maximum(beta, spec.coefficient.maximum_set)
@@ -216,28 +216,19 @@ def concentration_sweep(template: ProblemSpec, epsilon_list, grid: Grid,
         limit_state = solve_limit(template.coefficient.q_sup, template.p, grid,
                                   solver_cfg, resolvent=template.resolvent)
     specs = [replace(template, epsilon=e) for e in eps]
-    points, problems = [], []  # per point: its seed count, or the error that left it none
+    seeds = []  # per point: its seeds, or the error that left it none
     for spec in specs:
-        size = len(problems)
         try:
             spec.validate_for_grid(grid)
-            problems += [(seed, spec) for seed in default_seeds(spec, grid, solver_cfg, limit_state)]
+            seeds.append(default_seeds(spec, grid, solver_cfg, limit_state))
         except ValueError as err:
-            points.append(err)
-        else:
-            points.append(len(problems) - size)
-    # all points' seeds in one lock-stepped solve, each dropped here as its descent starts
-    outcomes = _solve_seeds((problems.pop(0) for _ in range(len(problems))), solver_cfg)
-    solved = []
-    for point in points:
-        try:
-            solved.append(point if isinstance(point, ValueError)
-                          else _best_state(itertools.islice(outcomes, point)))
-        except (NoConvergence, AllSeedsLeftCone, ValueError) as err:
-            solved.append(err)
-    outcomes.close()  # releases the last seed before the records are assembled
-    return [sweep_point(spec, grid, state, bary_cfg, limit_state, edge_threshold)
-            for spec, state in zip(specs, solved)]
+            seeds.append(err)
+    problems = [(seed, spec) for spec, point in zip(specs, seeds) if isinstance(point, list)
+                for seed in point]
+    outcomes = iter(list(_solve_seeds(problems, solver_cfg)))  # every point's seeds in one solve
+    return [sweep_point(spec, grid, [next(outcomes) for _ in point] if isinstance(point, list)
+                        else [point], bary_cfg, limit_state, edge_threshold)
+            for spec, point in zip(specs, seeds)]
 
 
 def sweep_to_csv(records) -> str:

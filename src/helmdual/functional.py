@@ -12,7 +12,6 @@ physical solution is a declared pure rescaling of it (never materialized).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -178,15 +177,10 @@ def _dual_power(values: np.ndarray, p_prime: float) -> np.ndarray:
 
 
 def _resolve(grid: Grid, cfg: ResolventConfig, *gs: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """R g and int g R g for one or two g = Q_eps^(1/p) v: the one place R meets the dual variable.
-
-    One g goes through the public apply_R (with its field checks; perfbench's
-    tracer counts those calls); two share one complex transform pair.  A
-    non-finite R g makes its pairing non-finite and raises.
-    """
+    """R g and int g R g for one or two g = Q_eps^(1/p) v: where R meets the dual variable."""
     rgs = [apply_R(Field(grid, gs[0]), cfg).values] if len(gs) == 1 else _apply(grid, cfg, *gs)
-    quads = [float(grid.cell_volume * np.sum(g * rg)) for g, rg in zip(gs, rgs)]  # as inner_product
-    if not all(map(math.isfinite, quads)):
+    quads = [float(grid.cell_volume * np.sum(g * rg)) for g, rg in zip(gs, rgs)]  # inner_product
+    if not np.isfinite(quads).all():
         raise ValueError("field values must be finite")
     return list(zip(rgs, quads))
 
@@ -226,7 +220,6 @@ class DualState:
     def from_field(cls, v: Field, spec: ProblemSpec) -> "DualState":
         qr = spec.q_root(v.grid).values
         [(rg, quad)] = _resolve(v.grid, spec.resolvent, qr * v.values)
-        u = Field(v.grid, rg)
         pp = spec.p_prime
         norm_pp = lp_norm(v, pp) ** pp
         en = norm_pp / pp - 0.5 * quad
@@ -234,7 +227,7 @@ class DualState:
         scale = np.linalg.norm(np.abs(v.values) ** (pp - 1.0))
         grad_norm = float(np.linalg.norm(grad_vals) / scale) if scale > 0 else 0.0
         residual = abs(norm_pp - quad)
-        return cls(v, spec, u, float(en), grad_norm, float(residual), float(quad))
+        return cls(v, spec, Field(v.grid, rg), float(en), grad_norm, float(residual), float(quad))
 
 
 def nehari_t(v: Field, spec: ProblemSpec) -> float:

@@ -4,9 +4,7 @@ The multiplier is Re 1/(|xi|^2 - 1 - i delta) = (|xi|^2 - 1)/((|xi|^2 - 1)^2 + d
 With delta = 0 it requires a frequency lattice that avoids |xi| = 1 (grid
 invariant).  The direct route (mode "direct_oracle") convolves with the
 free-space kernel by one zero-padded FFT: no periodic images and no delta.
-
-R is complex-linear and maps real fields to real fields, so one complex
-transform pair applies it to two real fields at once (``_apply``).
+R maps real fields to real fields, so one complex FFT pair serves two (``_apply``).
 """
 
 from __future__ import annotations
@@ -87,36 +85,35 @@ def apply_R(f: Field, cfg: ResolventConfig) -> Field:
 
 
 def _apply(grid: Grid, cfg: ResolventConfig, *fields: np.ndarray) -> list[np.ndarray]:
-    """R of one or two real arrays; on the multiplier route two share one transform pair.
+    """R of one or two real arrays: R(a/alpha + i b/beta) = R a/alpha + i R b/beta.
 
-    R(a/alpha + i b/beta) = R a/alpha + i R b/beta with alpha, beta the max-norms,
-    so the round-off of a large field stays out of a small one.
+    alpha, beta are the max-norms, so a large field's round-off stays out of a small one.  Of
+    the equivalent roundings, x / alpha then / (1/alpha) keeps every 64^2, delta = 0 limit
+    seed converging: there the Armijo test runs below round-off (ROADMAP item 4).
     """
     if cfg.mode == "direct_oracle":
         return [apply_R_direct(Field(grid, x), KernelSpec(grid.dim)).values for x in fields]
     modulation, symbol = _plan(grid, cfg.delta)
     packed = np.zeros(grid.shape, np.complex128)
-    scales = [float(np.max(np.abs(x))) or 1.0 for x in fields]
-    for part, x, scale in zip((packed.real, packed.imag), fields, scales):
-        np.multiply(x, 1.0 / scale, out=part)
+    norms = [float(np.max(np.abs(x))) or 1.0 for x in fields]
+    for part, x, norm in zip((packed.real, packed.imag), fields, norms):
+        np.divide(x, norm, out=part)
     packed *= modulation
-    np.fft.fftn(packed, out=packed)
+    np.fft.fftn(packed, out=packed)  # in place: out= needs numpy >= 2.0
     packed *= symbol
     np.fft.ifftn(packed, out=packed)
     # conj(M) z as conj(conj(z) M), bit for bit; the outer conj is the sign -1 below
     np.conjugate(packed, out=packed)
     packed *= modulation
-    return [part * (sign * scale)
-            for part, sign, scale in zip((packed.real, packed.imag), (1.0, -1.0), scales)]
+    return [part / (sign / norm)
+            for part, sign, norm in zip((packed.real, packed.imag), (1.0, -1.0), norms)]
 
 
 # bounded: an entry holds one complex array of (2n)^(N-1) (n+1) values
+# keyed on what the kernel depends on: grids differing only in their shift share it
 @functools.lru_cache(maxsize=4)
 def _kernel_spectrum(dim: int, n: int, h: float, spec: KernelSpec) -> np.ndarray:
-    """rfftn at size (2n)^N of the kernel, center weight included, on the difference lattice.
-
-    Keyed on what the kernel depends on, so grids differing in their shift share it.
-    """
+    """rfftn at size (2n)^N of the kernel, center weight included, on the difference lattice."""
     diff_sq = (h * np.arange(1 - n, n)) ** 2  # (2n-1)^N lattice, index offset n-1 per axis
     kernel = spec.evaluate(np.sqrt(sum(np.ix_(*(diff_sq,) * dim))), h)
     spectrum = np.fft.rfftn(kernel, (2 * n,) * dim, tuple(range(dim)))

@@ -4,17 +4,13 @@ The minimization runs projected descent: a negative-gradient trial step with
 backtracking on the dual energy, followed by re-projection onto the Nehari
 manifold.  Because the resolvent is indefinite, trial iterates can leave the
 positive cone; those trigger step shrinking, and a seed whose step collapses
-is abandoned.
-
-Each descent is a coroutine that yields g = Q^(1/p) v for every resolvent
-application.  Seeds are solved two at a time in lock-step, so one complex FFT
-pair serves both descents' applications (R maps real fields to real fields).
+is abandoned.  Seeds descend two at a time, so one complex FFT pair serves
+both descents' resolvent applications (R maps real fields to real fields).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,11 +135,7 @@ def _mollifier(t: np.ndarray) -> np.ndarray:
 
 
 def _power(w: np.ndarray, q_root: np.ndarray, p: float, cell: float):
-    """|w|^(p-2), g = Q^(1/p) v and ||w||_p^p = int v w, from one full-grid power.
-
-    In w = |v|^(p'-2) v the energy's first term is (1/p') ||w||_p^p with p > 2,
-    so backtracking sees bounded curvature; v = |w|^(p-2) w.
-    """
+    """|w|^(p-2), g = Q^(1/p) v and ||w||_p^p = int v w from one power (v = |w|^(p-2) w)."""
     w_pow = np.abs(w) ** (p - 2.0)
     g = w_pow * w
     norm_p = cell * float(np.sum(g * w))
@@ -159,25 +151,11 @@ def _nehari(norm_p: float, quad: float, p: float) -> tuple[float, float, float]:
     return s, norm_p * s**p, quad * s ** (2.0 * (p - 1.0))
 
 
-def _move_to(w, w_pow, rg, s, q_root, p, cell) -> tuple[np.ndarray, float]:
-    """Scale an accepted trial by s in place; its gradient (in rg's storage) and slope.
-
-    The gradient is the Euler-Lagrange residual w - Q^(1/p) R g (equal to the
-    v-space energy gradient); the slope is the energy's derivative along -grad.
-    """
-    w *= s
-    rg *= s ** (p - 1.0)
-    rg *= q_root
-    grad = np.subtract(w, rg, out=rg)
-    return grad, (p - 1.0) * cell * s ** (p - 2.0) * float(np.sum(w_pow * grad * grad))
-
-
 def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
-    """Projected descent from one seed, as a coroutine.
+    """Projected descent from one seed: a coroutine sent (R g, int g R g) for each g it yields.
 
-    Each resolvent application is a ``yield g`` (g = Q^(1/p) v), answered by
-    ``send((R g, int g R g))``.  Returns (v, iterations) at convergence;
-    raises NotInPositiveCone, _StepCollapsed or NoConvergence.
+    In w = |v|^(p'-2) v the energy's first term is (1/p') ||w||_p^p with p > 2,
+    so backtracking sees bounded curvature.  Returns (DualState, iterations).
     """
     grid, p, pp = seed.grid, spec.p, spec.p_prime
     cell, q_root = grid.cell_volume, spec.q_root(grid).values
@@ -188,30 +166,34 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
         raise ValueError("zero seed")
     rg, quad = yield g
     s, norm_p, quad = _nehari(norm_p, quad, p)
-    grad, slope = _move_to(w, w_pow, rg, s, q_root, p, cell)
     en = norm_p / pp - 0.5 * quad
     step = cfg.initial_step
 
     for it in range(cfg.max_iters):
+        # onto the manifold; grad = w - Q^(1/p) R g (= the v-space gradient) in rg's storage
+        w *= s
+        rg *= s ** (p - 1.0)
+        rg *= q_root
+        grad = np.subtract(w, rg, out=rg)
         if np.linalg.norm(grad) / np.linalg.norm(w) <= cfg.grad_tol:
-            return _dual_power(w, p), it
+            return DualState.from_field(Field(grid, _dual_power(w, p)), spec), it
+        slope = (p - 1.0) * cell * s ** (p - 2.0) * float(np.sum(w_pow * grad * grad))
         while step >= cfg.min_step:
             trial = w - step * grad
             t_pow, g, t_norm = _power(trial, q_root, p, cell)
             t_rg, t_quad = yield g
             if t_quad > 0.0:
-                s, t_norm, t_quad = _nehari(t_norm, t_quad, p)
+                t_s, t_norm, t_quad = _nehari(t_norm, t_quad, p)
                 t_en = t_norm / pp - 0.5 * t_quad
                 if t_en <= en - cfg.sufficient_decrease * step * slope:
-                    w, en = trial, t_en
-                    grad, slope = _move_to(w, t_pow, t_rg, s, q_root, p, cell)
+                    w, w_pow, rg, s, en = trial, t_pow, t_rg, t_s, t_en
                     step = min(step * cfg.growth_factor, cfg.initial_step)
                     break
             step *= cfg.shrink_factor
         else:  # no trial step passed the Armijo test
             raise _StepCollapsed("step collapsed without an acceptable iterate")
 
-    best = DualState.from_field(Field(grid, _dual_power(w, p)), spec)
+    best = DualState.from_field(Field(grid, _dual_power(s * w, p)), spec)
     raise NoConvergence(
         f"gradient {best.grad_norm:.3e} above tolerance {cfg.grad_tol:.1e} "
         f"after {cfg.max_iters} iterations",
@@ -247,61 +229,52 @@ def solve_limit(q0: float, p: float, grid: Grid, cfg: SolverConfig,
     return _best_state(_solve_seeds(((s.build(grid), spec) for s in cfg.restart_seeds), cfg))
 
 
-def _solve_seeds(problems: Iterable[tuple[Field, ProblemSpec]], cfg: SolverConfig):
-    """Descend from every (seed, spec) two at a time; yields the outcomes in seed order.
-
-    An outcome is (DualState, iterations) or the seed's exception.  Two
-    descents on one grid and resolvent share one complex transform pair per
-    step; a finished descent's slot goes to the next seed, which is only then
-    taken from ``problems``.
-    """
+def _solve_seeds(problems, cfg: SolverConfig):
+    """Descend from every (seed, spec), two at a time; yields the outcomes in seed order."""
     pending = enumerate(problems)
-    running: dict[int, list] = {}  # seed index -> [descent, spec, (grid, resolvent), next g]
-    finished: dict[int, object] = {}
+    running: dict[int, list] = {}  # seed index -> [descent, (grid, resolvent), next g]
+    finished: dict[int, object] = {}  # seed index -> (DualState, iterations) or its exception
 
-    def advance(index: int, answer) -> None:
-        descent, spec, (grid, _), _ = running[index]
+    def advance(i: int, answer) -> None:
+        send = running[i][0].throw if isinstance(answer, Exception) else running[i][0].send
         try:
-            running[index][3] = descent.send(answer)
+            running[i][2] = send(answer)
             return
         except StopIteration as stop:
-            del running[index]  # drops its last g before the state is built
-            v, iterations = stop.value
-            finished[index] = (DualState.from_field(Field(grid, v), spec), iterations)
+            finished[i] = stop.value
         except (ValueError, NoConvergence) as err:
-            del running[index]
-            finished[index] = err
+            finished[i] = err
+        del running[i]
 
     for index in itertools.count():
         while index not in finished:
-            for i, (seed, spec) in itertools.islice(pending, 2 - len(running)):
-                running[i] = [_descend(seed, spec, cfg), spec, (seed.grid, spec.resolvent), None]
-                del seed  # the descent holds the only reference
+            for i, (seed, spec) in itertools.islice(pending, 2 - len(running)):  # as slots open
+                running[i] = [_descend(seed, spec, cfg), (seed.grid, spec.resolvent), None]
+                del seed
                 advance(i, None)
             if not running:
                 return
-            key = next(iter(running.values()))[2]
-            batch = [i for i, slot in running.items() if slot[2] == key]
-            for i, answer in zip(batch, _resolve(*key, *(running[i][3] for i in batch))):
+            key = next(iter(running.values()))[1]
+            batch = [i for i, slot in running.items() if slot[1] == key]
+            try:
+                answers = _resolve(*key, *(running[i][2] for i in batch))
+            except ValueError as err:  # a non-finite pairing ends every seed in it
+                answers = [err] * len(batch)
+            for i, answer in zip(batch, answers):
                 advance(i, answer)
         yield finished.pop(index)
 
 
-def _converged(outcomes, failures: list):
-    """Converged states of a seed set's outcomes in order; failures collected, other errors raised."""
-    for outcome in outcomes:
-        if not isinstance(outcome, Exception):
-            yield outcome[0]
-        elif isinstance(outcome, (NotInPositiveCone, NoConvergence)):
-            failures.append(outcome)
-        else:
-            raise outcome
-
-
 def _best_state(outcomes) -> DualState:
-    """Lowest-energy converged state (the first on ties), keeping only the running best."""
-    failures: list = []
-    best = min(_converged(outcomes, failures), key=lambda state: state.energy, default=None)
+    """Lowest-energy converged state (the first on ties); raises a seed's other errors."""
+    best, failures = None, []
+    for outcome in outcomes:
+        if isinstance(outcome, (NotInPositiveCone, NoConvergence)):
+            failures.append(outcome)
+        elif isinstance(outcome, Exception):
+            raise outcome
+        elif best is None or outcome[0].energy < best.energy:
+            best = outcome[0]
     if best is None:
         if all(isinstance(err, NotInPositiveCone) and not isinstance(err, _StepCollapsed)
                for err in failures):
@@ -383,8 +356,12 @@ def multistart(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
         raise ValueError("multistart needs at least 2 seeds")
     pp = spec.p_prime
     distinct: list[DualState] = []
-    for state in _converged(_solve_seeds(((seed, spec) for seed in seeds), cfg), []):
-        is_new = True
+    for outcome in _solve_seeds(((seed, spec) for seed in seeds), cfg):
+        if isinstance(outcome, (NotInPositiveCone, NoConvergence)):
+            continue
+        if isinstance(outcome, Exception):
+            raise outcome
+        state, is_new = outcome[0], True
         for kept in distinct:
             dist = min(
                 lp_norm(state.v - kept.v, pp),

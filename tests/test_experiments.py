@@ -178,6 +178,27 @@ class TestConcentrationSweep:
         assert together[2].failure == alone[2].failure
         assert "cutoff support exceeds the box" in together[2].failure
 
+    def test_non_finite_pairing_flags_each_point_that_shared_it(self, grid, monkeypatch):
+        # the two points' seeds share every transform pair; a pair whose
+        # result is not finite ends both seeds with their own error
+        coef = CoefficientSpec(kind="gaussian_bumps", floor=0.25,
+                               centers=((0.8, 0.4),), amplitudes=(0.75,),
+                               widths=(1.5,))
+        res = ResolventConfig(delta=1e-2)
+        template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef, resolvent=res)
+        cfg = SolverConfig(max_iters=8000, grad_tol=5e-8)
+        limit = solve_limit(1.0, 8.0, grid, cfg, resolvent=res)
+
+        def non_finite_pair(g, resolvent_cfg, *fields):
+            return [np.full(g.shape, np.nan) for _ in fields]
+
+        monkeypatch.setattr("helmdual.functional._apply", non_finite_pair)
+        records = concentration_sweep(template, [0.5, 0.25], grid, cfg,
+                                      BarycenterConfig(rho=3.0, delta_nbhd=0.5),
+                                      limit_state=limit)
+        assert [r.converged for r in records] == [False, False]
+        assert [r.failure for r in records] == ["field values must be finite"] * 2
+
 
 class TestInteractionDecay:
     def test_input_validation(self):

@@ -182,6 +182,17 @@ class TestLockStep:
         assert state.energy == pytest.approx(alone.energy, rel=1e-12)
         assert _best_state(iter(outcomes)) is state
 
+    def test_seed_error_is_its_outcome_and_raised_by_the_solve(self, small, spec, loose):
+        # a zero seed ends with ValueError; its partner still converges
+        good = InitialGuess(width=0.8).build(small)
+        zero = InitialGuess(width=0.8, amplitude=0.0).build(small)
+        [(alone, _)] = _solve_seeds([(good, spec)], loose)
+        outcomes = list(_solve_seeds([(zero, spec), (good, spec)], loose))
+        assert type(outcomes[0]) is ValueError and "zero seed" in str(outcomes[0])
+        assert outcomes[1][0].energy == pytest.approx(alone.energy, rel=1e-12)
+        with pytest.raises(ValueError, match="zero seed"):
+            _best_state(iter(outcomes))
+
     def test_seeds_on_different_grids_are_not_paired(self, small, spec, loose):
         # a pair shares one transform, so it needs one grid and one resolvent
         other = make_grid(2, 30.0, 48)
