@@ -226,9 +226,7 @@ def main(argv=None) -> int:
                 f"{args.command!r} subcommand expects {experiment!r}"
             )
         if args.seed is not None:
-            seeds = tuple(replace(s, rng_seed=args.seed) for s in cfg.solver.restart_seeds)
-            cfg = replace(cfg, seed=args.seed,
-                          solver=replace(cfg.solver, restart_seeds=seeds))
+            cfg = replace(cfg, seed=args.seed)
         if writes:
             refuse_rerun(args.out, args.force)
         record = RunRecord(cfg.config_hash, experiment, time.time())

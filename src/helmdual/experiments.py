@@ -80,10 +80,10 @@ def barycenter(v: Field, epsilon: float, p_prime: float,
     return np.tensordot(weight, xi, axes=grid.dim) / total
 
 
-def edge_mass(v: Field, p_prime: float, shell_fraction: float = 0.1) -> float:
-    """Fraction of ||v||_p'^p' sitting in the outer shell of the box."""
+def edge_mass(v: Field, p_prime: float) -> float:
+    """Fraction of ||v||_p'^p' in the box's outer shell (|x_d| > 0.9 L on some axis)."""
     grid = v.grid
-    cut = (1.0 - shell_fraction) * grid.half_length
+    cut = 0.9 * grid.half_length
     outer = np.zeros(grid.shape, dtype=bool)
     for d in range(grid.dim):
         outer |= np.abs(grid.coords(d)) > cut
@@ -350,13 +350,11 @@ class EnergyComparison:
 
 
 def energy_comparison(spec: ProblemSpec, grid: Grid, solver_cfg: SolverConfig,
-                      slack: float = 1e-4,
-                      limit_state: DualState | None = None) -> EnergyComparison:
+                      slack: float = 1e-4) -> EnergyComparison:
     """Compute c_0 (at sup Q), c_inf (at the tail level of Q, if positive), c_eps."""
     coef = spec.coefficient
-    if limit_state is None:
-        limit_state = solve_limit(coef.q_sup, spec.p, grid, solver_cfg,
-                                  resolvent=spec.resolvent)
+    limit_state = solve_limit(coef.q_sup, spec.p, grid, solver_cfg,
+                              resolvent=spec.resolvent)
     c0 = limit_state.energy
     if coef.q_infinity > 0.0:
         c_inf = solve_limit(coef.q_infinity, spec.p, grid, solver_cfg,

@@ -126,9 +126,7 @@ _GRID = {"dim": _integer, "half_length": _number, "points_per_axis": _integer,
 _PROBLEM = {"p": _number, "epsilon": _number, "coefficient": _parse_coefficient,
             "delta": _number, "resolvent_mode": _string}
 
-_SOLVER = {"max_iters": _integer, "grad_tol": _number, "initial_step": _number,
-           "shrink_factor": _number, "growth_factor": _number,
-           "sufficient_decrease": _number, "min_step": _number,
+_SOLVER = {"max_iters": _integer, "grad_tol": _number,
            "seed_widths": _number_list, "seed_modulation": _number}
 
 
@@ -152,15 +150,13 @@ def _parse_problem(obj, grid: Grid) -> ProblemSpec:
         raise ConfigError(f"problem: {err}") from err
 
 
-def _parse_solver(obj, seed: int) -> SolverConfig:
+def _parse_solver(obj) -> SolverConfig:
     kwargs = _typed(obj, "solver", _SOLVER)
     widths = kwargs.pop("seed_widths", [s.width for s in SolverConfig.restart_seeds])
     modulation = kwargs.pop("seed_modulation", InitialGuess.modulation)
-    kwargs["restart_seeds"] = tuple(
-        InitialGuess(width=w, modulation=modulation, rng_seed=seed) for w in widths
-    )
     try:
-        return SolverConfig(**kwargs)
+        seeds = tuple(InitialGuess(width=w, modulation=modulation) for w in widths)
+        return SolverConfig(restart_seeds=seeds, **kwargs)
     except ValueError as err:
         raise ConfigError(f"solver: {err}") from err
 
@@ -191,7 +187,7 @@ def parse_config(raw: bytes) -> RunConfig:
     elif experiment != "validate":
         raise ConfigError(f"experiment {experiment!r} requires a 'problem' section")
     seed = _integer(obj.get("seed", 0), "seed")
-    solver = _parse_solver(obj.get("solver", {}), seed)
+    solver = _parse_solver(obj.get("solver", {}))
     params = _parse_params(obj.get("params", {}), experiment)
     return RunConfig(experiment=experiment, grid=grid, problem=problem,
                      solver=solver, params=params, seed=seed, raw_bytes=raw)

@@ -6,6 +6,7 @@ manifold.  Because the resolvent is indefinite, trial iterates can leave the
 positive cone; those trigger step shrinking, and a seed whose step collapses
 is abandoned.  Seeds descend two at a time, so one complex FFT pair serves
 both descents' resolvent applications (R maps real fields to real fields).
+The line search constants (INITIAL_STEP ... MIN_STEP) are the same for every run.
 """
 
 from __future__ import annotations
@@ -31,6 +32,13 @@ from .resolvent import ResolventConfig
 DISTINCT_LP_DISTANCE = 0.1
 DISTINCT_ENERGY_GAP = 1e-3
 
+#: backtracking line search of every descent
+INITIAL_STEP = 1.0
+SHRINK_FACTOR = 0.5
+GROWTH_FACTOR = 1.3
+SUFFICIENT_DECREASE = 1e-4
+MIN_STEP = 1e-14
+
 
 class NoConvergence(RuntimeError):
     """Iteration budget exhausted above the gradient tolerance."""
@@ -46,7 +54,7 @@ class AllSeedsLeftCone(RuntimeError):
 
 
 class _StepCollapsed(NotInPositiveCone):
-    """The step fell below min_step with every trial failing the Armijo test.
+    """The step fell below MIN_STEP with every trial failing the Armijo test.
 
     The trials may all lie inside the positive cone; the seed loop tells this
     apart from a true cone exit.
@@ -70,6 +78,10 @@ class InitialGuess:
     perturbation: float = 0.0
     rng_seed: int = 0
 
+    def __post_init__(self):
+        if not self.width > 0:
+            raise ValueError(f"seed width must be positive, got {self.width}")
+
     def build(self, grid: Grid) -> Field:
         center = self.center if self.center else (0.0,) * grid.dim
         r_sq = np.zeros(grid.shape)
@@ -89,11 +101,6 @@ class InitialGuess:
 class SolverConfig:
     max_iters: int = 20000
     grad_tol: float = 1e-8
-    initial_step: float = 1.0
-    shrink_factor: float = 0.5
-    growth_factor: float = 1.3
-    sufficient_decrease: float = 1e-4
-    min_step: float = 1e-14
     restart_seeds: tuple[InitialGuess, ...] = (
         InitialGuess(width=0.5),
         InitialGuess(width=0.8),
@@ -101,10 +108,10 @@ class SolverConfig:
     )
 
     def __post_init__(self):
-        if not (0.0 < self.shrink_factor < 1.0):
-            raise ValueError("shrink_factor must lie in (0, 1)")
-        if self.grad_tol <= 0 or self.initial_step <= 0 or self.sufficient_decrease <= 0:
-            raise ValueError("tolerances and steps must be positive")
+        if self.max_iters < 1 or not self.grad_tol > 0:
+            raise ValueError("max_iters must be at least 1 and grad_tol positive")
+        if not self.restart_seeds:
+            raise ValueError("restart_seeds must not be empty")
 
 
 @dataclass(frozen=True)
@@ -167,7 +174,7 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
     rg, quad = yield g
     s, norm_p, quad = _nehari(norm_p, quad, p)
     en = norm_p / pp - 0.5 * quad
-    step = cfg.initial_step
+    step = INITIAL_STEP
 
     for it in range(cfg.max_iters):
         # onto the manifold; grad = w - Q^(1/p) R g (= the v-space gradient) in rg's storage
@@ -178,18 +185,18 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
         if np.linalg.norm(grad) / np.linalg.norm(w) <= cfg.grad_tol:
             return DualState.from_field(Field(grid, _dual_power(w, p)), spec), it
         slope = (p - 1.0) * cell * s ** (p - 2.0) * float(np.sum(w_pow * grad * grad))
-        while step >= cfg.min_step:
+        while step >= MIN_STEP:
             trial = w - step * grad
             t_pow, g, t_norm = _power(trial, q_root, p, cell)
             t_rg, t_quad = yield g
             if t_quad > 0.0:
                 t_s, t_norm, t_quad = _nehari(t_norm, t_quad, p)
                 t_en = t_norm / pp - 0.5 * t_quad
-                if t_en <= en - cfg.sufficient_decrease * step * slope:
+                if t_en <= en - SUFFICIENT_DECREASE * step * slope:
                     w, w_pow, rg, s, en = trial, t_pow, t_rg, t_s, t_en
-                    step = min(step * cfg.growth_factor, cfg.initial_step)
+                    step = min(step * GROWTH_FACTOR, INITIAL_STEP)
                     break
-            step *= cfg.shrink_factor
+            step *= SHRINK_FACTOR
         else:  # no trial step passed the Armijo test
             raise _StepCollapsed("step collapsed without an acceptable iterate")
 
@@ -211,22 +218,16 @@ def solve_from_seed(seed: Field, spec: ProblemSpec, cfg: SolverConfig) -> tuple[
 
 
 def solve_limit(q0: float, p: float, grid: Grid, cfg: SolverConfig,
-                epsilon: float = 1.0,
                 resolvent: ResolventConfig | None = None) -> DualState:
-    """Ground state of the constant-coefficient limit problem.
+    """Ground state of the constant-coefficient limit problem (Q_eps = q0 for every eps).
 
     Returns the lowest-energy converged state over the restart seeds.
     """
     if q0 <= 0:
         raise ValueError("q0 must be positive")
-    spec = ProblemSpec(
-        p=p,
-        epsilon=epsilon,
-        coefficient=constant_coefficient(q0),
-        resolvent=resolvent if resolvent is not None else ResolventConfig(),
-    )
-    spec.validate_for_grid(grid)
-    return _best_state(_solve_seeds(((s.build(grid), spec) for s in cfg.restart_seeds), cfg))
+    spec = ProblemSpec(p, 1.0, constant_coefficient(q0),
+                       resolvent if resolvent is not None else ResolventConfig())
+    return solve_ground_state(spec, grid, cfg)
 
 
 def _solve_seeds(problems, cfg: SolverConfig):
@@ -276,6 +277,8 @@ def _best_state(outcomes) -> DualState:
         elif best is None or outcome[0].energy < best.energy:
             best = outcome[0]
     if best is None:
+        if not failures:
+            raise ValueError("no seeds")
         if all(isinstance(err, NotInPositiveCone) and not isinstance(err, _StepCollapsed)
                for err in failures):
             raise AllSeedsLeftCone("every seed left the positive cone")
@@ -283,8 +286,8 @@ def _best_state(outcomes) -> DualState:
     return best
 
 
-def make_test_function(y: tuple[float, ...], epsilon: float, w: Field,
-                       cutoff: CutoffSpec = CutoffSpec()) -> tuple[Field, float]:
+def make_test_function(y: tuple[float, ...], epsilon: float,
+                       w: Field) -> tuple[Field, float]:
     """Cutoff-localized translate of the limit state: eta(eps x - y) w(x - y/eps).
 
     The translation y/eps is snapped to the nearest lattice vector; the snap
@@ -306,7 +309,7 @@ def make_test_function(y: tuple[float, ...], epsilon: float, w: Field,
     r = np.zeros(grid.shape)
     for d in range(grid.dim):
         r = r + (epsilon * grid.coords(d) - y[d]) ** 2
-    eta = cutoff.profile(np.sqrt(r))
+    eta = CutoffSpec().profile(np.sqrt(r))
     return Field(grid, eta * translated), snap_distance
 
 
@@ -332,13 +335,13 @@ def solve_ground_state(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
     """
     spec.validate_for_grid(grid)
     if seeds is None:
-        if limit_state is None and spec.coefficient.maximum_set:
-            limit_state = solve_limit(spec.coefficient.q_sup, spec.p, grid, cfg,
-                                      resolvent=spec.resolvent)
-        if limit_state is not None:
-            seeds = default_seeds(spec, grid, cfg, limit_state)
+        if not spec.coefficient.maximum_set:  # restart seeds, each built as a slot opens
+            seeds = (s.build(grid) for s in cfg.restart_seeds)
         else:
-            seeds = [s.build(grid) for s in cfg.restart_seeds]
+            if limit_state is None:
+                limit_state = solve_limit(spec.coefficient.q_sup, spec.p, grid, cfg,
+                                          resolvent=spec.resolvent)
+            seeds = default_seeds(spec, grid, cfg, limit_state)
     return _best_state(_solve_seeds(((seed, spec) for seed in seeds), cfg))
 
 

@@ -97,6 +97,20 @@ class TestLimitCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("solver", [
+        {"seed_widths": []}, {"max_iters": 0}, {"seed_widths": [0.0]},
+    ], ids=["no-seeds", "no-iterations", "zero-width"])
+    def test_degenerate_solver_is_config_error_before_any_solve(self, tmp_path, capsys,
+                                                                 monkeypatch, solver):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a config error must not solve")
+
+        monkeypatch.setattr(cli, "solve_limit", no_solve)
+        out = tmp_path / "o"
+        assert run("limit", write_config(tmp_path, solver=solver), out) == 2
+        assert "config error: solver: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_experiment_subcommand_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert run("solve", cfg, tmp_path / "o") == 2

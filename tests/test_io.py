@@ -1,6 +1,7 @@
 """Field file format, strict config parsing, and atomic run persistence."""
 
 import copy
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -11,12 +12,14 @@ import pytest
 from helmdual.grid import Field, make_grid
 from helmdual.fieldio import FieldFormatError, MAGIC, read_field, write_field
 from helmdual.runio import (
+    _SOLVER,
     ConfigError,
     RunRecord,
     atomic_write,
     parse_config,
     write_record,
 )
+from helmdual.solver import SolverConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -137,6 +140,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="solver"):
             parse_config(json.dumps(obj).encode())
 
+    @pytest.mark.parametrize("key", ["initial_step", "shrink_factor", "growth_factor",
+                                     "sufficient_decrease", "min_step"])
+    def test_removed_line_search_key(self, key):
+        obj = json.loads(base_config())
+        obj["solver"][key] = 0.5
+        with pytest.raises(ConfigError, match="unknown keys"):
+            parse_config(json.dumps(obj).encode())
+
+    def test_solver_keys_match_solver_config(self):
+        # a knob added to one side only would be unreachable or unparsed
+        fields = {f.name for f in dataclasses.fields(SolverConfig)} - {"restart_seeds"}
+        assert set(_SOLVER) == fields | {"seed_widths", "seed_modulation"}
+
     def test_unknown_params_key(self):
         obj = json.loads(base_config())
         obj["params"]["rho"] = 3.0  # belongs to sweep, not limit
@@ -190,7 +206,6 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(obj).encode())
         assert len(cfg.solver.restart_seeds) == 2
         assert cfg.solver.restart_seeds[0].width == 0.7
-        assert cfg.solver.restart_seeds[0].rng_seed == 3
 
 
 #: params of a config per experiment that sets every optional key
@@ -218,9 +233,7 @@ def full_config(experiment):
                             "centers": [[0.8, 0.4]], "amplitudes": [0.75],
                             "widths": [1.5]},
         },
-        "solver": {"max_iters": 100, "grad_tol": 5e-8, "initial_step": 1.0,
-                   "shrink_factor": 0.5, "growth_factor": 1.3,
-                   "sufficient_decrease": 1e-4, "min_step": 1e-14,
+        "solver": {"max_iters": 100, "grad_tol": 5e-8,
                    "seed_widths": [0.5, 0.8], "seed_modulation": 1.1},
         "params": FULL_PARAMS[experiment],
         "seed": 0,

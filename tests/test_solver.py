@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helmdual import solver
 from helmdual.grid import lp_norm, make_grid
 from helmdual.functional import (
     CoefficientSpec,
@@ -50,9 +51,13 @@ def limit_state(grid, cfg):
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SolverConfig(shrink_factor=1.5)
-        with pytest.raises(ValueError):
             SolverConfig(grad_tol=0.0)
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(max_iters=0)
+        with pytest.raises(ValueError, match="width"):
+            InitialGuess(width=0.0)
+        with pytest.raises(ValueError, match="restart_seeds"):
+            SolverConfig(restart_seeds=())
 
 
 class TestCutoff:
@@ -125,15 +130,23 @@ class TestSeedFailures:
     def small(self):
         return make_grid(2, 30.0, 32)
 
-    def test_collapsed_line_search_is_not_a_cone_exit(self, small):
+    def test_collapsed_line_search_is_not_a_cone_exit(self, small, monkeypatch):
         # an unreachable Armijo threshold rejects every trial, in the cone or not
-        strict = SolverConfig(sufficient_decrease=1e6, max_iters=50)
+        monkeypatch.setattr(solver, "SUFFICIENT_DECREASE", 1e6)
+        strict = SolverConfig(max_iters=50)
         with pytest.raises(NoConvergence, match="step collapsed"):
             solve_limit(1.0, 8.0, small, strict)
         # one seed alone still raises the cone error callers already catch
         spec = ProblemSpec(p=8.0, epsilon=1.0, coefficient=constant_coefficient(1.0))
         with pytest.raises(NotInPositiveCone, match="step collapsed"):
             solve_from_seed(InitialGuess().build(small), spec, strict)
+
+    def test_no_seeds_is_not_a_cone_exit(self, small):
+        with pytest.raises(ValueError, match="no seeds"):
+            _best_state(iter([]))
+        spec = ProblemSpec(p=8.0, epsilon=1.0, coefficient=constant_coefficient(1.0))
+        with pytest.raises(ValueError, match="no seeds"):
+            solve_ground_state(spec, small, SolverConfig(), seeds=[])
 
     def test_every_seed_outside_the_cone(self, small):
         # a wide unmodulated bump has its spectrum inside |xi| < 1, where R < 0
@@ -203,8 +216,9 @@ class TestLockStep:
             assert state.v.grid == seed.grid
             assert state.energy == alone.energy
 
-    def test_collapsing_batch_raises_no_convergence(self, small, spec):
-        strict = SolverConfig(sufficient_decrease=1e6, max_iters=50)
+    def test_collapsing_batch_raises_no_convergence(self, small, spec, monkeypatch):
+        monkeypatch.setattr(solver, "SUFFICIENT_DECREASE", 1e6)
+        strict = SolverConfig(max_iters=50)
         seeds = [InitialGuess(width=w).build(small) for w in (0.5, 0.8)]
         seeds.append(InitialGuess(width=3.0, modulation=0.0).build(small))
         # two collapses and one cone exit: not every seed left the cone
