@@ -13,11 +13,10 @@ import numpy as np
 from helmdual import ResolventConfig, interaction_decay, make_grid
 
 
-def run(dim, p, grid):
+def run(p, grid):
     r_list = [5 + 2 * np.pi * j for j in range(6)]
-    report = interaction_decay(dim, p, grid, r_list,
-                               resolvent=ResolventConfig(delta=1e-2))
-    print(f"--- dim = {dim}, p = {p}, lambda_p = {report.lambda_p} ---")
+    report = interaction_decay(p, grid, r_list, resolvent=ResolventConfig(delta=1e-2))
+    print(f"--- dim = {grid.dim}, p = {p}, lambda_p = {report.lambda_p} ---")
     for rec in report.records:
         print(f"  r = {rec.r:6.2f}   |<u, Rv>| / (|u||v|) = {rec.interaction:.4e}")
     print(f"fitted log-log slope {report.slope:.3f} "
@@ -28,8 +27,8 @@ def run(dim, p, grid):
 def main():
     # separations step by one kernel wavelength (2 pi) so the oscillatory
     # factor is sampled in phase and the envelope decay is visible
-    run(2, 8.0, make_grid(2, 80.0, 256))
-    run(3, 5.0, make_grid(3, 80.0, 160))
+    run(8.0, make_grid(2, 80.0, 256))
+    run(5.0, make_grid(3, 80.0, 160))
 
 
 if __name__ == "__main__":

@@ -36,11 +36,11 @@ def main():
     cfg = SolverConfig(max_iters=20000, grad_tol=5e-8)
 
     limit_state = solve_limit(1.0, 8.0, grid, cfg, resolvent=resolvent)
-    seeds = default_seeds(spec, grid, cfg, limit_state)
+    seeds = default_seeds(spec, limit_state)
     print(f"maxima of Q: {coefficient.maximum_set}")
     print(f"seeding {len(seeds)} cutoff translates of the limit profile\n")
 
-    states = multistart(spec, grid, cfg, seeds)
+    states = multistart(spec, cfg, seeds)
     print(f"multistart found {len(states)} distinct state(s):")
     bary_cfg = BarycenterConfig(rho=8.0, delta_nbhd=0.5)
     for i, s in enumerate(states):

@@ -52,10 +52,10 @@ from .functional import (
 )
 from .solver import (
     AllSeedsLeftCone,
-    CutoffSpec,
     InitialGuess,
     NoConvergence,
     SolverConfig,
+    cutoff,
     default_seeds,
     make_test_function,
     multistart,

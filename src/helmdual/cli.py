@@ -131,16 +131,14 @@ def cmd_solve(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
 
 
 def cmd_sweep(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
-    problem = cfg.problem
-    params = dict(cfg.params)
-    epsilon_list = params.pop("epsilon_list")
-    bary = BarycenterConfig(**{key: params.pop(key)
-                               for key in ("rho", "delta_nbhd") if key in params})
+    problem, params = cfg.problem, cfg.params
+    epsilon_list = params["epsilon_list"]
+    bary = BarycenterConfig(**{key: params[key] for key in ("rho", "delta_nbhd") if key in params})
     check_sweep(problem, epsilon_list, bary)  # a config error costs no limit solve
     limit_state = solve_limit(problem.coefficient.q_sup, problem.p, cfg.grid,
                               cfg.solver, resolvent=problem.resolvent)
     records = concentration_sweep(problem, epsilon_list, cfg.grid, cfg.solver, bary,
-                                  limit_state=limit_state, **params)
+                                  limit_state=limit_state)
     record.energies["c_0"] = limit_state.energy
     record.energies["c_eps"] = {str(r.epsilon): r.energy for r in records}
     record.converged = all(r.converged for r in records)
@@ -154,7 +152,7 @@ def cmd_sweep(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
 def cmd_decay(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
     problem = cfg.problem
     params = dict(cfg.params)
-    report = interaction_decay(cfg.grid.dim, problem.p, cfg.grid, params.pop("r_list"),
+    report = interaction_decay(problem.p, cfg.grid, params.pop("r_list"),
                                resolvent=problem.resolvent, **params)
     record.converged = True
     record.diagnostics.update(slope=report.slope, lambda_p=report.lambda_p,
@@ -167,7 +165,7 @@ def cmd_decay(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
 
 
 def cmd_compare_energy(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
-    report = energy_comparison(cfg.problem, cfg.grid, cfg.solver, **cfg.params)
+    report = energy_comparison(cfg.problem, cfg.grid, cfg.solver)
     record.converged = True
     record.energies.update(c_0=report.c_0, c_eps=report.c_eps)
     if report.c_inf is not None:

@@ -23,15 +23,22 @@ from .functional import DualState, ProblemSpec, pde_residual
 from .resolvent import ResolventConfig, apply_R
 from .solver import (
     AllSeedsLeftCone,
-    CutoffSpec,
     NoConvergence,
     SolverConfig,
     _best_state,
     _solve_seeds,
+    cutoff,
     default_seeds,
     solve_ground_state,
     solve_limit,
 )
+
+#: a sweep point is trusted when at most this share of ||v||_p'^p' lies in the box's outer shell
+EDGE_TRUST = 0.5
+#: wavelengths (2 pi each) between the decay bumps' supports and the box boundary
+BOUNDARY_WAVELENGTHS = 5.0
+#: relative quadrature slack of the lower bound c_eps >= c_0
+LEVEL_SLACK = 1e-4
 
 
 @dataclass(frozen=True)
@@ -166,7 +173,7 @@ def _nearest_maximum(beta: np.ndarray, maxima) -> tuple[float, tuple[float, ...]
 
 
 def sweep_point(spec: ProblemSpec, grid: Grid, outcomes, bary_cfg: BarycenterConfig,
-                limit_state: DualState, edge_threshold: float = 0.5) -> SweepRecord:
+                limit_state: DualState) -> SweepRecord:
     """Record of one epsilon from its seeds' outcomes; a failure becomes a flagged row."""
     try:
         state = _best_state(outcomes)
@@ -186,7 +193,7 @@ def sweep_point(spec: ProblemSpec, grid: Grid, outcomes, bary_cfg: BarycenterCon
         epsilon=spec.epsilon, converged=True, energy=state.energy,
         barycenter=tuple(float(c) for c in beta), distance_to_maxima=dist,
         nearest_maximum=nearest, limit_distance=ldist, pde_residual=resid,
-        edge_mass=em, edge_trusted=em <= edge_threshold,
+        edge_mass=em, edge_trusted=em <= EDGE_TRUST,
         solution_maximum=sol_max,
     )
 
@@ -203,15 +210,17 @@ def check_sweep(template: ProblemSpec, epsilon_list, bary_cfg: BarycenterConfig)
 
 def concentration_sweep(template: ProblemSpec, epsilon_list, grid: Grid,
                         solver_cfg: SolverConfig, bary_cfg: BarycenterConfig,
-                        limit_state: DualState | None = None,
-                        edge_threshold: float = 0.5) -> list[SweepRecord]:
+                        limit_state: DualState | None = None) -> list[SweepRecord]:
     """Ground-state solves over a decreasing epsilon list, one record each.
 
-    The inputs pass check_sweep first.  The seeds of every point are solved
-    together, two at a time; per-point failures are recorded as flagged rows.
+    The inputs pass check_sweep and fit the grid first.  The seeds of every
+    point are solved together, two at a time; per-point failures (a cutoff
+    outgrowing the box at small epsilon, a seed that fails) are recorded as
+    flagged rows.
     """
     eps = [float(e) for e in epsilon_list]
     check_sweep(template, eps, bary_cfg)
+    template.validate_for_grid(grid)
     if limit_state is None:
         limit_state = solve_limit(template.coefficient.q_sup, template.p, grid,
                                   solver_cfg, resolvent=template.resolvent)
@@ -219,15 +228,14 @@ def concentration_sweep(template: ProblemSpec, epsilon_list, grid: Grid,
     seeds = []  # per point: its seeds, or the error that left it none
     for spec in specs:
         try:
-            spec.validate_for_grid(grid)
-            seeds.append(default_seeds(spec, grid, solver_cfg, limit_state))
+            seeds.append(default_seeds(spec, limit_state))
         except ValueError as err:
             seeds.append(err)
     problems = [(seed, spec) for spec, point in zip(specs, seeds) if isinstance(point, list)
                 for seed in point]
     outcomes = iter(list(_solve_seeds(problems, solver_cfg)))  # every point's seeds in one solve
     return [sweep_point(spec, grid, [next(outcomes) for _ in point] if isinstance(point, list)
-                        else [point], bary_cfg, limit_state, edge_threshold)
+                        else [point], bary_cfg, limit_state)
             for spec, point in zip(specs, seeds)]
 
 
@@ -235,22 +243,17 @@ def sweep_to_csv(records) -> str:
     return "\n".join([SweepRecord.CSV_HEADER] + [r.csv_row() for r in records]) + "\n"
 
 
-def compact_bump(grid: Grid, center, radius: float,
-                 modulation: float = 1.1) -> Field:
+def compact_bump(grid: Grid, center, radius: float) -> Field:
     """Smooth bump supported in the ball of given radius around ``center``.
 
     Radial profile eta(2 r / radius) with the standard smooth cutoff eta
-    (identically 1 up to half the radius, 0 beyond), modulated by
-    cos(modulation * r) like the solver seeds.
+    (identically 1 up to half the radius, 0 beyond); it is not modulated.
     """
     r_sq = np.zeros(grid.shape)
     for d in range(grid.dim):
         r_sq = r_sq + (grid.coords(d) - center[d]) ** 2
     r = np.sqrt(r_sq)
-    vals = CutoffSpec().profile(2.0 * r / radius)
-    if modulation > 0.0:
-        vals = vals * np.cos(modulation * r)
-    return Field(grid, vals)
+    return Field(grid, cutoff(2.0 * r / radius))
 
 
 @dataclass(frozen=True)
@@ -273,42 +276,39 @@ class DecayReport:
         return self.slope <= -self.lambda_p + 0.5
 
 
-def interaction_decay(dim: int, p: float, grid: Grid, r_list,
+def interaction_decay(p: float, grid: Grid, r_list,
                       resolvent: ResolventConfig | None = None,
-                      bump_radius: float = 2.0,
-                      modulation: float = 0.0,
-                      boundary_wavelengths: float = 5.0) -> DecayReport:
+                      bump_radius: float = 2.0) -> DecayReport:
     """Normalized interaction |int u R v| of disjointly supported bumps vs distance.
 
-    u is a fixed bump at the origin (support radius ``bump_radius``); for each
-    r the second bump is centered at distance r + 2 * bump_radius along the
-    first axis, so the supports are separated by exactly r.  Both supports
-    must stay ``boundary_wavelengths`` wavelengths (2 pi each) away from the
-    box boundary.
+    The dimension is the grid's.  u is a fixed unmodulated compact_bump at the
+    origin (support radius ``bump_radius``); for each r the second bump is
+    centered at distance r + 2 * bump_radius along the first axis, so the
+    supports are separated by exactly r.  Both supports must stay
+    BOUNDARY_WAVELENGTHS wavelengths (2 pi each) away from the box boundary.
     """
-    if dim != grid.dim:
-        raise ValueError("dim does not match the grid")
+    dim = grid.dim
     lam = lambda_p(dim, p)
     rl = [float(r) for r in r_list]
     if len(rl) < 3 or any(b <= a for a, b in zip(rl, rl[1:])) or rl[0] < 1.0:
         raise ValueError("r_list must be increasing with at least 3 entries, r >= 1")
-    margin = 2.0 * np.pi * boundary_wavelengths
+    margin = 2.0 * np.pi * BOUNDARY_WAVELENGTHS
     farthest = rl[-1] + 3.0 * bump_radius
     if farthest + margin > grid.half_length:
         raise ValueError(
             f"box too small: need half_length >= {farthest + margin:.1f} "
-            f"to keep supports {boundary_wavelengths} wavelengths off the boundary"
+            f"to keep supports {BOUNDARY_WAVELENGTHS} wavelengths off the boundary"
         )
     cfg = resolvent if resolvent is not None else ResolventConfig()
     pp = p / (p - 1.0)
-    u = compact_bump(grid, (0.0,) * dim, bump_radius, modulation)
+    u = compact_bump(grid, (0.0,) * dim, bump_radius)
     u_norm = lp_norm(u, pp)
     # int u R v = int (R u) v by symmetry of the real multiplier: one FFT total
     ru = apply_R(u, cfg)
     records = []
     for r in rl:
         center = (r + 2.0 * bump_radius,) + (0.0,) * (dim - 1)
-        v = compact_bump(grid, center, bump_radius, modulation)
+        v = compact_bump(grid, center, bump_radius)
         overlap = np.abs(u.values * v.values).max()
         if overlap > 0.0:
             raise ValueError(f"supports overlap at r = {r}")
@@ -330,12 +330,11 @@ class EnergyComparison:
     c_0: float
     c_inf: float | None     # omitted when Q vanishes at infinity
     epsilon: float
-    slack: float = 1e-4
 
     @property
     def lower_bound_holds(self) -> bool:
-        """c_eps >= c_0 up to relative quadrature slack (needs Q <= Q_0)."""
-        return self.c_eps >= self.c_0 * (1.0 - self.slack)
+        """c_eps >= c_0 up to the relative quadrature slack LEVEL_SLACK (needs Q <= Q_0)."""
+        return self.c_eps >= self.c_0 * (1.0 - LEVEL_SLACK)
 
     @property
     def upper_bound_holds(self) -> bool:
@@ -349,8 +348,7 @@ class EnergyComparison:
         return "\n".join(rows) + "\n"
 
 
-def energy_comparison(spec: ProblemSpec, grid: Grid, solver_cfg: SolverConfig,
-                      slack: float = 1e-4) -> EnergyComparison:
+def energy_comparison(spec: ProblemSpec, grid: Grid, solver_cfg: SolverConfig) -> EnergyComparison:
     """Compute c_0 (at sup Q), c_inf (at the tail level of Q, if positive), c_eps."""
     coef = spec.coefficient
     limit_state = solve_limit(coef.q_sup, spec.p, grid, solver_cfg,
@@ -363,7 +361,7 @@ def energy_comparison(spec: ProblemSpec, grid: Grid, solver_cfg: SolverConfig,
         c_inf = None
     state = solve_ground_state(spec, grid, solver_cfg, limit_state=limit_state)
     return EnergyComparison(c_eps=state.energy, c_0=c0, c_inf=c_inf,
-                            epsilon=spec.epsilon, slack=slack)
+                            epsilon=spec.epsilon)
 
 
 def homogeneity_ratio(p: float, q_ratio: float) -> float:

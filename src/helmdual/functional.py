@@ -245,13 +245,12 @@ def nehari_t(v: Field, spec: ProblemSpec) -> float:
     return float((num / den) ** (1.0 / (2.0 - pp)))
 
 
-def nehari_energy_identity(v: Field, spec: ProblemSpec,
-                           residual_tol: float = 1e-6) -> float:
+def nehari_energy_identity(v: Field, spec: ProblemSpec) -> float:
     """(1/p' - 1/2) ||v||_p'^p' for v on the Nehari manifold; checked against J(v)."""
     pp = spec.p_prime
     norm_pp = lp_norm(v, pp) ** pp
     quad = quadratic_term(v, spec)
-    if abs(norm_pp - quad) > residual_tol * norm_pp:
+    if abs(norm_pp - quad) > 1e-6 * norm_pp:
         raise ValueError("input is not on the Nehari manifold")
     value = (1.0 / pp - 0.5) * norm_pp
     direct = norm_pp / pp - 0.5 * quad

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -42,7 +43,13 @@ def _typed(mapping, context: str, schema: dict, required=()) -> dict:
 def _number(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # json.loads also reads NaN, Infinity and -Infinity
+        raise ConfigError(f"{context}: expected a finite number, got {value!r}")
+    return number
 
 
 def _integer(value, context: str) -> int:
@@ -76,10 +83,9 @@ _PARAMS = {
     "solve": {},
     "limit": {"q0": (_number, False)},
     "sweep": {"epsilon_list": (_number_list, True), "rho": (_number, False),
-              "delta_nbhd": (_number, False), "edge_threshold": (_number, False)},
-    "decay": {"r_list": (_number_list, True), "bump_radius": (_number, False),
-              "modulation": (_number, False), "boundary_wavelengths": (_number, False)},
-    "compare_energy": {"slack": (_number, False)},
+              "delta_nbhd": (_number, False)},
+    "decay": {"r_list": (_number_list, True), "bump_radius": (_number, False)},
+    "compare_energy": {},
 }
 
 EXPERIMENTS = tuple(_PARAMS)

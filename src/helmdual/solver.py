@@ -71,9 +71,7 @@ class InitialGuess:
     below it and falls outside the positive cone.
     """
 
-    center: tuple[float, ...] = ()
     width: float = 0.8
-    amplitude: float = 1.0
     modulation: float = 1.1
     perturbation: float = 0.0
     rng_seed: int = 0
@@ -83,11 +81,11 @@ class InitialGuess:
             raise ValueError(f"seed width must be positive, got {self.width}")
 
     def build(self, grid: Grid) -> Field:
-        center = self.center if self.center else (0.0,) * grid.dim
+        """The seed centered at the origin of the grid, with peak value 1."""
         r_sq = np.zeros(grid.shape)
         for d in range(grid.dim):
-            r_sq = r_sq + (grid.coords(d) - center[d]) ** 2
-        vals = self.amplitude * np.exp(-r_sq / (2.0 * self.width**2))
+            r_sq = r_sq + grid.coords(d) ** 2
+        vals = np.exp(-r_sq / (2.0 * self.width**2))
         if self.modulation > 0.0:
             vals = vals * np.cos(self.modulation * np.sqrt(r_sq))
         if self.perturbation > 0.0:
@@ -114,24 +112,21 @@ class SolverConfig:
             raise ValueError("restart_seeds must not be empty")
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Smooth radial cutoff: 1 on the unit ball, 0 outside radius 2.
+def cutoff(r: np.ndarray) -> np.ndarray:
+    """Smooth radial cutoff eta(r): 1 on the unit ball, 0 outside radius 2.
 
-    eta(x) = s(2 - |x|) / (s(2 - |x|) + s(|x| - 1)) with s(t) = exp(-1/t)
+    eta(r) = s(2 - r) / (s(2 - r) + s(r - 1)) with s(t) = exp(-1/t)
     for t > 0 and s(t) = 0 otherwise.
     """
-
-    def profile(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        upper = _mollifier(2.0 - r)
-        lower = _mollifier(r - 1.0)
-        denom = upper + lower
-        out = np.zeros_like(r)
-        inside = denom > 0.0
-        out[inside] = upper[inside] / denom[inside]
-        out[r <= 1.0] = 1.0
-        return out
+    r = np.asarray(r, dtype=float)
+    upper = _mollifier(2.0 - r)
+    lower = _mollifier(r - 1.0)
+    denom = upper + lower
+    out = np.zeros_like(r)
+    inside = denom > 0.0
+    out[inside] = upper[inside] / denom[inside]
+    out[r <= 1.0] = 1.0
+    return out
 
 
 def _mollifier(t: np.ndarray) -> np.ndarray:
@@ -254,6 +249,8 @@ def _solve_seeds(problems, cfg: SolverConfig):
                 del seed
                 advance(i, None)
             if not running:
+                if index in finished:  # the seeds just opened ended before any application
+                    break
                 return
             key = next(iter(running.values()))[1]
             batch = [i for i, slot in running.items() if slot[1] == key]
@@ -309,20 +306,18 @@ def make_test_function(y: tuple[float, ...], epsilon: float,
     r = np.zeros(grid.shape)
     for d in range(grid.dim):
         r = r + (epsilon * grid.coords(d) - y[d]) ** 2
-    eta = CutoffSpec().profile(np.sqrt(r))
+    eta = cutoff(np.sqrt(r))
     return Field(grid, eta * translated), snap_distance
 
 
-def default_seeds(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
-                  limit_state: DualState) -> list[Field]:
-    """Cutoff translates of the limit state at every maximum of Q, plus restarts."""
-    seeds = []
-    for y in spec.coefficient.maximum_set:
-        phi, _ = make_test_function(y, spec.epsilon, limit_state.v)
-        seeds.append(phi)
-    if not seeds:
-        seeds = [s.build(grid) for s in cfg.restart_seeds]
-    return seeds
+def default_seeds(spec: ProblemSpec, limit_state: DualState) -> list[Field]:
+    """Cutoff translates of the limit state at every maximum of Q, on the limit state's grid.
+
+    A constant Q has no maximum set, so it gets no seeds here; its solves start
+    from ``SolverConfig.restart_seeds``.
+    """
+    return [make_test_function(y, spec.epsilon, limit_state.v)[0]
+            for y in spec.coefficient.maximum_set]
 
 
 def solve_ground_state(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
@@ -341,12 +336,11 @@ def solve_ground_state(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
             if limit_state is None:
                 limit_state = solve_limit(spec.coefficient.q_sup, spec.p, grid, cfg,
                                           resolvent=spec.resolvent)
-            seeds = default_seeds(spec, grid, cfg, limit_state)
+            seeds = default_seeds(spec, limit_state)
     return _best_state(_solve_seeds(((seed, spec) for seed in seeds), cfg))
 
 
-def multistart(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
-               seeds: list[Field]) -> list[DualState]:
+def multistart(spec: ProblemSpec, cfg: SolverConfig, seeds: list[Field]) -> list[DualState]:
     """Solve from every seed and deduplicate the converged states.
 
     Two states are duplicates when their sign-aligned relative L^p' distance

@@ -190,8 +190,8 @@ def test_6_concentration(sweep):
 def test_7_interaction_decay():
     res = ResolventConfig(delta=1e-2)
     r_list = [5 + 2 * np.pi * j for j in range(6)]
-    rep2 = interaction_decay(2, 8.0, make_grid(2, 80.0, 256), r_list, resolvent=res)
-    rep3 = interaction_decay(3, 5.0, make_grid(3, 80.0, 160), r_list, resolvent=res)
+    rep2 = interaction_decay(8.0, make_grid(2, 80.0, 256), r_list, resolvent=res)
+    rep3 = interaction_decay(5.0, make_grid(3, 80.0, 160), r_list, resolvent=res)
     assert rep2.lambda_p == pytest.approx(lambda_p(2, 8.0)) == pytest.approx(0.125)
     assert rep3.lambda_p == pytest.approx(lambda_p(3, 5.0)) == pytest.approx(0.2)
     ok = rep2.satisfies_bound and rep3.satisfies_bound
@@ -209,7 +209,7 @@ def test_8_multiplicity_two_maxima():
     spec = ProblemSpec(p=8.0, epsilon=0.2, coefficient=coef, resolvent=res)
     cfg = SolverConfig(max_iters=20000, grad_tol=5e-8)
     lim = solve_limit(1.0, 8.0, grid, cfg, resolvent=res)
-    states = multistart(spec, grid, cfg, default_seeds(spec, grid, cfg, lim))
+    states = multistart(spec, cfg, default_seeds(spec, lim))
     bary_cfg = BarycenterConfig(rho=8.0, delta_nbhd=0.5)
     matched = set()
     for s in states:

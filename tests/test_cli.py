@@ -111,6 +111,28 @@ class TestLimitCommand:
         assert "config error: solver: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400],
+                             ids=["NaN", "Infinity", "integer-beyond-float"])
+    @pytest.mark.parametrize("keys", [
+        ("grid", "half_length"), ("problem", "delta"), ("problem", "coefficient", "floor"),
+        ("solver", "seed_modulation"), ("params", "q0"),
+    ], ids=".".join)
+    def test_non_finite_number_is_config_error_before_any_solve(self, tmp_path, capsys,
+                                                                monkeypatch, keys, value):
+        # json.loads reads the literals NaN and Infinity as floats, and integers of any size
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a config error must not solve")
+
+        monkeypatch.setattr(cli, "solve_limit", no_solve)
+        path = Path(write_config(tmp_path))
+        obj = json.loads(path.read_text())
+        reduce(lambda section, key: section[key], keys[:-1], obj)[keys[-1]] = value
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "o"
+        assert run("limit", str(path), out) == 2
+        assert f"{'.'.join(keys)}: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_experiment_subcommand_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert run("solve", cfg, tmp_path / "o") == 2

@@ -141,6 +141,18 @@ class TestConcentrationSweep:
             concentration_sweep(template, [0.25, 0.5], grid, SolverConfig(),
                                 BarycenterConfig(rho=3.0, delta_nbhd=0.5))
 
+    def test_center_dimension_mismatch_raises_before_the_limit_solve(self, grid, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an input error must not solve")
+
+        monkeypatch.setattr("helmdual.experiments.solve_limit", no_solve)
+        coef = CoefficientSpec(kind="gaussian_bumps", floor=0.25, centers=((0.8, 0.4, 0.1),),
+                               amplitudes=(0.75,), widths=(1.5,))
+        template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
+        with pytest.raises(ValueError, match="dimension"):
+            concentration_sweep(template, [0.5, 0.25], grid, SolverConfig(),
+                                BarycenterConfig(rho=3.0, delta_nbhd=0.5))
+
     def test_small_sweep_runs_and_serializes(self, grid):
         coef = CoefficientSpec(kind="gaussian_bumps", floor=0.25,
                                centers=((0.8, 0.4),), amplitudes=(0.75,),
@@ -204,11 +216,9 @@ class TestInteractionDecay:
     def test_input_validation(self):
         g = make_grid(2, 80.0, 128)
         with pytest.raises(ValueError):
-            interaction_decay(3, 5.0, g, [5.0, 10.0, 15.0])  # dim mismatch
+            interaction_decay(8.0, g, [5.0, 4.0, 10.0])  # not increasing
         with pytest.raises(ValueError):
-            interaction_decay(2, 8.0, g, [5.0, 4.0, 10.0])  # not increasing
-        with pytest.raises(ValueError):
-            interaction_decay(2, 8.0, g, [5.0, 10.0, 200.0])  # box too small
+            interaction_decay(8.0, g, [5.0, 10.0, 200.0])  # box too small
 
     def test_symmetry_under_swap(self):
         # interaction of two bumps is symmetric in the pair
@@ -226,7 +236,7 @@ class TestInteractionDecay:
     def test_2d_slope_within_bound(self):
         g = make_grid(2, 80.0, 256)
         r_list = [5 + 2 * np.pi * j for j in range(6)]
-        rep = interaction_decay(2, 8.0, g, r_list,
+        rep = interaction_decay(8.0, g, r_list,
                                 resolvent=ResolventConfig(delta=1e-2))
         assert rep.lambda_p == pytest.approx(0.125)
         assert rep.satisfies_bound

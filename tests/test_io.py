@@ -213,11 +213,9 @@ FULL_PARAMS = {
     "validate": {"input_field": "input.field"},
     "solve": {},
     "limit": {"q0": 1.0},
-    "sweep": {"epsilon_list": [0.5, 0.25], "rho": 3.0, "delta_nbhd": 0.5,
-              "edge_threshold": 0.5},
-    "decay": {"r_list": [5.0, 11.0, 17.0], "bump_radius": 2.0, "modulation": 0.0,
-              "boundary_wavelengths": 5.0},
-    "compare_energy": {"slack": 1e-4},
+    "sweep": {"epsilon_list": [0.5, 0.25], "rho": 3.0, "delta_nbhd": 0.5},
+    "decay": {"r_list": [5.0, 11.0, 17.0], "bump_radius": 2.0},
+    "compare_energy": {},
 }
 
 

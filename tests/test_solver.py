@@ -18,12 +18,12 @@ from helmdual.resolvent import ResolventConfig
 from helmdual.runio import load_config
 from helmdual.solver import (
     AllSeedsLeftCone,
-    CutoffSpec,
     InitialGuess,
     NoConvergence,
     SolverConfig,
     _best_state,
     _solve_seeds,
+    cutoff,
     default_seeds,
     make_test_function,
     multistart,
@@ -62,9 +62,8 @@ class TestSolverConfig:
 
 class TestCutoff:
     def test_plateau_support_and_smoothness(self):
-        eta = CutoffSpec()
         r = np.linspace(0.0, 3.0, 301)
-        vals = eta.profile(r)
+        vals = cutoff(r)
         np.testing.assert_allclose(vals[r <= 1.0], 1.0)
         np.testing.assert_allclose(vals[r >= 2.0], 0.0)
         mid = vals[(r > 1.0) & (r < 2.0)]
@@ -198,13 +197,32 @@ class TestLockStep:
     def test_seed_error_is_its_outcome_and_raised_by_the_solve(self, small, spec, loose):
         # a zero seed ends with ValueError; its partner still converges
         good = InitialGuess(width=0.8).build(small)
-        zero = InitialGuess(width=0.8, amplitude=0.0).build(small)
+        zero = 0.0 * good
         [(alone, _)] = _solve_seeds([(good, spec)], loose)
         outcomes = list(_solve_seeds([(zero, spec), (good, spec)], loose))
         assert type(outcomes[0]) is ValueError and "zero seed" in str(outcomes[0])
         assert outcomes[1][0].energy == pytest.approx(alone.energy, rel=1e-12)
         with pytest.raises(ValueError, match="zero seed"):
             _best_state(iter(outcomes))
+
+    # zero seeds end as they open, before their first resolvent application
+    def test_zero_seed_alone_raises_its_error(self, small, spec, loose):
+        zero = 0.0 * InitialGuess(width=0.8).build(small)
+        with pytest.raises(ValueError, match="zero seed"):
+            solve_from_seed(zero, spec, loose)
+
+    def test_seed_after_two_zero_seeds_still_runs(self, small, spec, loose):
+        good = InitialGuess(width=0.8).build(small)
+        zero = 0.0 * good
+        [(alone, _)] = _solve_seeds([(good, spec)], loose)
+        outcomes = list(_solve_seeds([(zero, spec), (zero, spec), (good, spec)], loose))
+        assert [type(o) for o in outcomes[:2]] == [ValueError] * 2
+        assert outcomes[2][0].energy == alone.energy
+
+    def test_solve_after_two_zero_seeds_raises_their_error(self, small, spec, loose):
+        good = InitialGuess(width=0.8).build(small)
+        with pytest.raises(ValueError, match="zero seed"):
+            solve_ground_state(spec, small, loose, seeds=[0.0 * good, 0.0 * good, good])
 
     def test_seeds_on_different_grids_are_not_paired(self, small, spec, loose):
         # a pair shares one transform, so it needs one grid and one resolvent
@@ -240,7 +258,7 @@ class TestLockStep:
         for eps in cfg.params["epsilon_list"]:
             spec = ProblemSpec(p=problem.p, epsilon=eps, coefficient=problem.coefficient,
                                resolvent=problem.resolvent)
-            seeds = default_seeds(spec, grid, cfg.solver, limit_state)
+            seeds = default_seeds(spec, limit_state)
             outcomes += _solve_seeds([(seed, spec) for seed in seeds], cfg.solver)
         assert len(outcomes) == 6
         assert all(not isinstance(o, Exception) and o[1] <= 60 for o in outcomes), outcomes
@@ -287,12 +305,12 @@ class TestMultistart:
     def test_needs_two_seeds(self, grid, cfg):
         spec = ProblemSpec(p=8.0, epsilon=1.0, coefficient=constant_coefficient(1.0))
         with pytest.raises(ValueError):
-            multistart(spec, grid, cfg, [InitialGuess().build(grid)])
+            multistart(spec, cfg, [InitialGuess().build(grid)])
 
     def test_identical_seeds_deduplicate(self, grid, cfg):
         spec = ProblemSpec(p=8.0, epsilon=1.0, coefficient=constant_coefficient(1.0))
         seed = InitialGuess(width=0.8).build(grid)
-        states = multistart(spec, grid, cfg, [seed, seed, -1.0 * seed])
+        states = multistart(spec, cfg, [seed, seed, -1.0 * seed])
         assert len(states) == 1  # sign flips identified
 
     def test_two_maxima_give_two_states(self, grid, cfg):
@@ -303,7 +321,7 @@ class TestMultistart:
         spec = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef, resolvent=res)
         loose = SolverConfig(max_iters=8000, grad_tol=5e-8)
         lim = solve_limit(1.0, 8.0, grid, loose, resolvent=res)
-        seeds = default_seeds(spec, grid, loose, lim)
+        seeds = default_seeds(spec, lim)
         assert len(seeds) == 2
-        states = multistart(spec, grid, loose, seeds)
+        states = multistart(spec, loose, seeds)
         assert len(states) == 2

@@ -1,4 +1,4 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name or takes a parameter it never uses."""
 
 import ast
 from pathlib import Path
@@ -33,3 +33,35 @@ def test_detector_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """'function(name)' for every parameter that its function's body never reads.
+
+    self and cls are exempt, and so are the cmd_* commands: cli.main calls
+    each of them with the same arguments.
+    """
+    unused = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("cmd_"):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{node.name}({name})" for name in params
+                   if name not in read and name not in ("self", "cls")]
+    return unused
+
+
+def test_detector_flags_unused_parameters():
+    source = ("class A:\n    def m(self, a, b=1, *rest, c, **kw):\n        return b + c\n"
+              "def f(x, y):\n    def g():\n        return y\n    return g\n"
+              "def cmd_run(cfg, record):\n    return cfg\n")
+    assert sorted(unused_parameters(source)) == ["f(x)", "m(a)", "m(kw)", "m(rest)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
