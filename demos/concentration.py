@@ -22,7 +22,7 @@ from helmdual import (
 def main():
     grid = make_grid(2, 60.0, 256)
     coefficient = CoefficientSpec(
-        kind="gaussian_bumps", floor=0.25,
+        floor=0.25,
         centers=((0.8, 0.4),), amplitudes=(0.75,), widths=(1.5,),
     )
     resolvent = ResolventConfig(delta=1e-2)  # small absorption: keeps the

@@ -26,7 +26,7 @@ from helmdual import (
 def main():
     grid = make_grid(2, 60.0, 256)
     coefficient = CoefficientSpec(
-        kind="gaussian_bumps", floor=0.25,
+        floor=0.25,
         centers=((5.0, 0.0), (-5.0, 0.0)),
         amplitudes=(0.75, 0.75), widths=(1.5, 1.5),
     )

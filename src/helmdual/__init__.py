@@ -41,7 +41,6 @@ from .functional import (
     DualState,
     NotInPositiveCone,
     ProblemSpec,
-    ScalingMetadata,
     constant_coefficient,
     energy,
     gradient,

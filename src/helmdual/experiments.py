@@ -202,6 +202,8 @@ def check_sweep(template: ProblemSpec, epsilon_list, bary_cfg: BarycenterConfig)
     """Raise ValueError for inputs no sweep can succeed on; epsilon_list is a sequence."""
     if any(b >= a for a, b in zip(epsilon_list, epsilon_list[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
+    if any(e <= 0 for e in epsilon_list):
+        raise ValueError("epsilon must be positive")
     if not template.coefficient.maximum_set:
         raise ValueError("concentration sweep needs a coefficient with a "
                          "finite maximum set (not constant)")
@@ -221,6 +223,8 @@ def concentration_sweep(template: ProblemSpec, epsilon_list, grid: Grid,
     eps = [float(e) for e in epsilon_list]
     check_sweep(template, eps, bary_cfg)
     template.validate_for_grid(grid)
+    if limit_state is not None and limit_state.v.grid != grid:
+        raise ValueError("limit state lives on another grid")
     if limit_state is None:
         limit_state = solve_limit(template.coefficient.q_sup, template.p, grid,
                                   solver_cfg, resolvent=template.resolvent)
@@ -292,6 +296,9 @@ def interaction_decay(p: float, grid: Grid, r_list,
     rl = [float(r) for r in r_list]
     if len(rl) < 3 or any(b <= a for a, b in zip(rl, rl[1:])) or rl[0] < 1.0:
         raise ValueError("r_list must be increasing with at least 3 entries, r >= 1")
+    fitted = sum(r >= rl[-1] / 10.0 for r in rl)  # the slope is fitted over the largest decade
+    if fitted < 2:
+        raise ValueError("r_list needs 2 separations in its largest decade (r >= r_max / 10)")
     margin = 2.0 * np.pi * BOUNDARY_WAVELENGTHS
     farthest = rl[-1] + 3.0 * bump_radius
     if farthest + margin > grid.half_length:
@@ -314,9 +321,8 @@ def interaction_decay(p: float, grid: Grid, r_list,
             raise ValueError(f"supports overlap at r = {r}")
         val = abs(inner_product(ru, v)) / (u_norm * lp_norm(v, pp))
         records.append(DecayRecord(r=r, interaction=val))
-    in_decade = [rec for rec in records if rec.r >= rl[-1] / 10.0]
-    logs = np.log([rec.r for rec in in_decade])
-    vals = np.log([max(rec.interaction, 1e-300) for rec in in_decade])
+    logs = np.log(rl[-fitted:])
+    vals = np.log([max(rec.interaction, 1e-300) for rec in records[-fitted:]])
     slope = float(np.polyfit(logs, vals, 1)[0])
     return DecayReport(dim=dim, p=p, lambda_p=lam, records=tuple(records),
                        slope=slope)

@@ -12,6 +12,7 @@ physical solution is a declared pure rescaling of it (never materialized).
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,86 +29,48 @@ class NotInPositiveCone(ValueError):
 
 @dataclass(frozen=True)
 class CoefficientSpec:
-    """Bounded continuous coefficient Q >= 0 with an analytic description.
+    """Coefficient Q(x) = floor + sum_i amp_i exp(-|x - c_i|^2 / (2 w_i^2)) >= 0.
 
-    kinds:
-      constant       -- Q = floor everywhere (maximum set is all of space,
-                        represented as an empty tuple of maxima).
-      gaussian_bumps -- Q(x) = floor + sum_i amp_i exp(-|x - c_i|^2 / (2 w_i^2));
-                        sup Q and the (finite) maximum set are taken from the
-                        dominant bumps, which requires well-separated centers.
-      expression     -- arbitrary callable with declared sup, limsup and maxima
-                        (library use only, not serializable).
+    With no bumps Q is the constant floor, whose maximum set is all of space
+    (represented as an empty tuple of maxima).  With bumps, limsup Q at
+    infinity is the floor, and sup Q and the (finite) maximum set come from
+    the dominant bumps, which requires well-separated centers.
     """
 
-    kind: str
     floor: float = 0.0
     centers: tuple[tuple[float, ...], ...] = ()
     amplitudes: tuple[float, ...] = ()
     widths: tuple[float, ...] = ()
-    function: object = None
-    declared_sup: float | None = None
-    declared_limsup: float | None = None
-    declared_maxima: tuple[tuple[float, ...], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("constant", "gaussian_bumps", "expression"):
-            raise ValueError(f"unknown coefficient kind {self.kind!r}")
         if self.floor < 0:
             raise ValueError("coefficient floor must be nonnegative")
-        if self.kind == "constant":
-            if self.floor <= 0:
-                raise ValueError("constant coefficient must be positive")
-        if self.kind == "gaussian_bumps":
-            if not (len(self.centers) == len(self.amplitudes) == len(self.widths)):
-                raise ValueError("centers, amplitudes, widths must have equal length")
-            if len(self.centers) == 0:
-                raise ValueError("gaussian_bumps needs at least one bump")
-            if any(a <= 0 for a in self.amplitudes) or any(w <= 0 for w in self.widths):
-                raise ValueError("amplitudes and widths must be positive")
-            self._check_separation()
-        if self.kind == "expression":
-            if self.function is None or self.declared_sup is None:
-                raise ValueError("expression coefficient needs function and declared_sup")
-
-    def _check_separation(self):
+        if not (len(self.centers) == len(self.amplitudes) == len(self.widths)):
+            raise ValueError("centers, amplitudes, widths must have equal length")
+        if not self.centers and self.floor <= 0:
+            raise ValueError("constant coefficient must be positive")
+        if any(a <= 0 for a in self.amplitudes) or any(w <= 0 for w in self.widths):
+            raise ValueError("amplitudes and widths must be positive")
         # with >= 6 widths of separation the cross terms perturb sup Q by < 1e-7
-        centers = np.asarray(self.centers, dtype=float)
-        wmax = max(self.widths)
-        for i in range(len(centers)):
-            for j in range(i + 1, len(centers)):
-                if np.linalg.norm(centers[i] - centers[j]) < 6.0 * wmax:
-                    raise ValueError("gaussian bumps must be separated by >= 6 widths")
+        if any(np.linalg.norm(np.subtract(a, b, dtype=float)) < 6.0 * max(self.widths)
+               for a, b in itertools.combinations(self.centers, 2)):
+            raise ValueError("gaussian bumps must be separated by >= 6 widths")
 
     @property
     def q_sup(self) -> float:
-        """sup Q (analytic for the built-ins)."""
-        if self.kind == "constant":
-            return self.floor
-        if self.kind == "gaussian_bumps":
-            return self.floor + max(self.amplitudes)
-        return float(self.declared_sup)
+        """sup Q."""
+        return self.floor + max(self.amplitudes, default=0.0)
 
     @property
     def q_infinity(self) -> float:
         """limsup of Q at infinity."""
-        if self.kind == "constant":
-            return self.floor
-        if self.kind == "gaussian_bumps":
-            return self.floor
-        if self.declared_limsup is None:
-            raise ValueError("expression coefficient has no declared limsup")
-        return float(self.declared_limsup)
+        return self.floor
 
     @property
     def maximum_set(self) -> tuple[tuple[float, ...], ...]:
         """Finite list of maximum points (empty for a constant coefficient)."""
-        if self.kind == "constant":
-            return ()
-        if self.kind == "gaussian_bumps":
-            amax = max(self.amplitudes)
-            return tuple(c for c, a in zip(self.centers, self.amplitudes) if a == amax)
-        return self.declared_maxima
+        amax = max(self.amplitudes, default=0.0)
+        return tuple(c for c, a in zip(self.centers, self.amplitudes) if a == amax)
 
     @property
     def has_strict_maximum(self) -> bool:
@@ -117,10 +80,6 @@ class CoefficientSpec:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Q at an array of points with trailing axis of length dim."""
         points = np.asarray(points, dtype=float)
-        if self.kind == "constant":
-            return np.full(points.shape[:-1], self.floor)
-        if self.kind == "expression":
-            return np.asarray(self.function(points), dtype=float)
         out = np.full(points.shape[:-1], self.floor)
         for c, a, w in zip(self.centers, self.amplitudes, self.widths):
             d_sq = np.sum((points - np.asarray(c)) ** 2, axis=-1)
@@ -134,7 +93,7 @@ class CoefficientSpec:
 
 
 def constant_coefficient(value: float) -> CoefficientSpec:
-    return CoefficientSpec(kind="constant", floor=value)
+    return CoefficientSpec(floor=value)
 
 
 @dataclass(frozen=True)
@@ -159,6 +118,11 @@ class ProblemSpec:
     @property
     def k(self) -> float:
         return 1.0 / self.epsilon
+
+    @property
+    def amplitude(self) -> float:
+        """k^(2/(p-2)): the physical solution is amplitude * u_rescaled(k x), never sampled."""
+        return self.k ** (2.0 / (self.p - 2.0))
 
     def validate_for_grid(self, grid: Grid) -> None:
         check_exponent(grid.dim, self.p)
@@ -257,26 +221,6 @@ def nehari_energy_identity(v: Field, spec: ProblemSpec) -> float:
     if abs(value - direct) > 1e-6 * abs(value):
         raise ValueError("Nehari energy identity violated beyond tolerance")
     return float(value)
-
-
-@dataclass(frozen=True)
-class ScalingMetadata:
-    """Declared rescaling from the working (rescaled) solution to the physical one.
-
-    The physical solution is u(x) = amplitude * u_rescaled(k x); it is never
-    sampled on a grid.
-    """
-
-    k: float
-    p: float
-
-    @property
-    def amplitude(self) -> float:
-        return self.k ** (2.0 / (self.p - 2.0))
-
-    @property
-    def inverse_amplitude(self) -> float:
-        return self.k ** (-2.0 / (self.p - 2.0))
 
 
 def pde_residual(u_eps: Field, spec: ProblemSpec) -> float:

@@ -114,12 +114,14 @@ _COEFFICIENT = {"kind": _string, "floor": _number, "centers": _point_list,
 
 def _parse_coefficient(obj, context: str) -> CoefficientSpec:
     _require(obj, context, required=("kind",), optional=_COEFFICIENT)
-    kind = obj["kind"]
+    kind = _string(obj["kind"], f"{context}.kind")
     if kind not in ("constant", "gaussian_bumps"):
         raise ConfigError(f"{context}.kind must be 'constant' or 'gaussian_bumps', "
                           f"got {kind!r} (expression coefficients are library-only)")
     keys = ("kind", "floor") if kind == "constant" else tuple(_COEFFICIENT)
     kwargs = _typed(obj, context, {key: _COEFFICIENT[key] for key in keys}, required=keys)
+    if kwargs.pop("kind") == "gaussian_bumps" and not kwargs["centers"]:
+        raise ConfigError(f"{context}: gaussian_bumps needs at least one bump")
     try:
         return CoefficientSpec(**kwargs)
     except ValueError as err:

@@ -283,6 +283,12 @@ def _best_state(outcomes) -> DualState:
     return best
 
 
+def _check_cutoffs_fit(points, epsilon: float, grid: Grid) -> None:
+    """Raise unless each support of eta(eps x - y), radius 2/eps around y/eps, fits the box."""
+    if any((abs(c) + 2.0) / epsilon > grid.half_length for y in points for c in y):
+        raise ValueError("cutoff support exceeds the box: enlarge it or raise epsilon")
+
+
 def make_test_function(y: tuple[float, ...], epsilon: float,
                        w: Field) -> tuple[Field, float]:
     """Cutoff-localized translate of the limit state: eta(eps x - y) w(x - y/eps).
@@ -295,9 +301,7 @@ def make_test_function(y: tuple[float, ...], epsilon: float,
     y = tuple(float(c) for c in y)
     if len(y) != grid.dim:
         raise ValueError("point dimension does not match the grid")
-    for c in y:
-        if (abs(c) + 2.0) / epsilon > grid.half_length:
-            raise ValueError("cutoff support exceeds the box: enlarge it or raise epsilon")
+    _check_cutoffs_fit([y], epsilon, grid)
     h = grid.spacing
     shift_nodes = [int(round(c / (epsilon * h))) for c in y]
     snapped = np.array([s * h for s in shift_nodes])
@@ -329,10 +333,13 @@ def solve_ground_state(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
     optimality is not certified.
     """
     spec.validate_for_grid(grid)
+    if limit_state is not None and limit_state.v.grid != grid:
+        raise ValueError("limit state lives on another grid")
     if seeds is None:
         if not spec.coefficient.maximum_set:  # restart seeds, each built as a slot opens
             seeds = (s.build(grid) for s in cfg.restart_seeds)
         else:
+            _check_cutoffs_fit(spec.coefficient.maximum_set, spec.epsilon, grid)  # before a solve
             if limit_state is None:
                 limit_state = solve_limit(spec.coefficient.q_sup, spec.p, grid, cfg,
                                           resolvent=spec.resolvent)

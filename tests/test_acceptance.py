@@ -66,7 +66,7 @@ def sweep():
     absorption parameter to keep finite-box near-resonant modes suppressed.
     """
     grid = make_grid(2, 60.0, 256)
-    coef = CoefficientSpec(kind="gaussian_bumps", floor=0.25,
+    coef = CoefficientSpec(floor=0.25,
                            centers=((0.8, 0.4),), amplitudes=(0.75,),
                            widths=(1.5,))
     res = ResolventConfig(delta=1e-2)
@@ -202,7 +202,7 @@ def test_7_interaction_decay():
 
 def test_8_multiplicity_two_maxima():
     grid = make_grid(2, 60.0, 256)
-    coef = CoefficientSpec(kind="gaussian_bumps", floor=0.25,
+    coef = CoefficientSpec(floor=0.25,
                            centers=((5.0, 0.0), (-5.0, 0.0)),
                            amplitudes=(0.75, 0.75), widths=(1.5, 1.5))
     res = ResolventConfig(delta=1e-2)

@@ -232,7 +232,8 @@ class TestSweepCommand:
     @pytest.mark.parametrize("keys, value, message", [
         (("problem", "coefficient", "centers"), [[0.8, 0.4, 0.1]], "center dimension"),
         (("params", "epsilon_list"), [0.05, 0.1], "strictly decreasing"),
-    ], ids=["3d-center-on-2d-grid", "increasing-epsilon-list"])
+        (("params", "epsilon_list"), [0.2, 0.1, 0.0], "epsilon must be positive"),
+    ], ids=["3d-center-on-2d-grid", "increasing-epsilon-list", "zero-epsilon"])
     def test_config_error_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                            keys, value, message):
         cfg = json.loads((CONFIGS / "sweep.json").read_text())
@@ -248,6 +249,25 @@ class TestSweepCommand:
         out = tmp_path / "o"
         assert run("sweep", str(path), out) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSolveCommand:
+    def test_cutoff_outgrowing_the_box_is_config_error_before_any_solve(
+            self, tmp_path, capsys, monkeypatch):
+        cfg = json.loads((CONFIGS / "sweep.json").read_text())
+        cfg.update(experiment="solve", params={})
+        cfg["problem"]["epsilon"] = 0.01  # cutoff radius 2/eps around y/eps: past L = 60
+        path = tmp_path / "solve.json"
+        path.write_text(json.dumps(cfg))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a config error must not solve")
+
+        monkeypatch.setattr("helmdual.solver.solve_limit", no_solve)
+        out = tmp_path / "o"
+        assert run("solve", str(path), out) == 2
+        assert "cutoff support exceeds the box" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from helmdual.grid import Field, make_grid
-from helmdual.functional import CoefficientSpec, ProblemSpec, constant_coefficient
+from helmdual.functional import CoefficientSpec, DualState, ProblemSpec, constant_coefficient
 from helmdual.resolvent import ResolventConfig
-from helmdual.solver import SolverConfig, solve_limit
+from helmdual.solver import InitialGuess, SolverConfig, solve_limit
 from helmdual.experiments import (
     BarycenterConfig,
     aligned_distance,
@@ -38,7 +38,7 @@ class TestBarycenter:
         with pytest.raises(ValueError):
             BarycenterConfig(rho=0.0, delta_nbhd=0.5)
         cfg = BarycenterConfig(rho=1.0, delta_nbhd=0.5)
-        coef = CoefficientSpec(kind="gaussian_bumps", floor=0.0,
+        coef = CoefficientSpec(floor=0.0,
                                centers=((5.0, 0.0),), amplitudes=(1.0,), widths=(0.5,))
         with pytest.raises(ValueError):
             cfg.validate_for(coef)
@@ -133,7 +133,7 @@ class TestConcentrationSweep:
                                 BarycenterConfig(rho=3.0, delta_nbhd=0.5))
 
     def test_nondecreasing_list_rejected(self, grid):
-        coef = CoefficientSpec(kind="gaussian_bumps", floor=0.25,
+        coef = CoefficientSpec(floor=0.25,
                                centers=((0.8, 0.4),), amplitudes=(0.75,),
                                widths=(1.5,))
         template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
@@ -146,15 +146,30 @@ class TestConcentrationSweep:
             raise AssertionError("an input error must not solve")
 
         monkeypatch.setattr("helmdual.experiments.solve_limit", no_solve)
-        coef = CoefficientSpec(kind="gaussian_bumps", floor=0.25, centers=((0.8, 0.4, 0.1),),
+        coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4, 0.1),),
                                amplitudes=(0.75,), widths=(1.5,))
         template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
         with pytest.raises(ValueError, match="dimension"):
             concentration_sweep(template, [0.5, 0.25], grid, SolverConfig(),
                                 BarycenterConfig(rho=3.0, delta_nbhd=0.5))
 
+    def test_limit_state_on_another_grid_rejected(self, grid, monkeypatch):
+        def no_seeds(*args, **kwargs):
+            raise AssertionError("no seed may be built")
+
+        monkeypatch.setattr("helmdual.experiments.default_seeds", no_seeds)
+        coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),),
+                               amplitudes=(0.75,), widths=(1.5,))
+        template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
+        other = make_grid(2, 30.0, 48)
+        foreign = DualState.from_field(InitialGuess().build(other), template)
+        with pytest.raises(ValueError, match="limit state lives on another grid"):
+            concentration_sweep(template, [0.5], grid, SolverConfig(),
+                                BarycenterConfig(rho=3.0, delta_nbhd=0.5),
+                                limit_state=foreign)
+
     def test_small_sweep_runs_and_serializes(self, grid):
-        coef = CoefficientSpec(kind="gaussian_bumps", floor=0.25,
+        coef = CoefficientSpec(floor=0.25,
                                centers=((0.8, 0.4),), amplitudes=(0.75,),
                                widths=(1.5,))
         res = ResolventConfig(delta=1e-2)
@@ -172,7 +187,7 @@ class TestConcentrationSweep:
     def test_points_solved_together_match_points_solved_alone(self, grid):
         # all points' seeds run in one lock-stepped solve; at eps = 0.05 the
         # cutoff support exceeds the box, and that point alone is flagged
-        coef = CoefficientSpec(kind="gaussian_bumps", floor=0.25,
+        coef = CoefficientSpec(floor=0.25,
                                centers=((0.8, 0.4),), amplitudes=(0.75,),
                                widths=(1.5,))
         res = ResolventConfig(delta=1e-2)
@@ -193,7 +208,7 @@ class TestConcentrationSweep:
     def test_non_finite_pairing_flags_each_point_that_shared_it(self, grid, monkeypatch):
         # the two points' seeds share every transform pair; a pair whose
         # result is not finite ends both seeds with their own error
-        coef = CoefficientSpec(kind="gaussian_bumps", floor=0.25,
+        coef = CoefficientSpec(floor=0.25,
                                centers=((0.8, 0.4),), amplitudes=(0.75,),
                                widths=(1.5,))
         res = ResolventConfig(delta=1e-2)
@@ -219,6 +234,8 @@ class TestInteractionDecay:
             interaction_decay(8.0, g, [5.0, 4.0, 10.0])  # not increasing
         with pytest.raises(ValueError):
             interaction_decay(8.0, g, [5.0, 10.0, 200.0])  # box too small
+        with pytest.raises(ValueError, match="largest decade"):
+            interaction_decay(8.0, g, [1.0, 2.0, 30.0])  # one point in r >= r_max / 10
 
     def test_symmetry_under_swap(self):
         # interaction of two bumps is symmetric in the pair
@@ -246,7 +263,7 @@ class TestInteractionDecay:
 
 class TestEnergyComparison:
     def test_bounds_and_homogeneity(self, grid):
-        coef = CoefficientSpec(kind="gaussian_bumps", floor=0.25,
+        coef = CoefficientSpec(floor=0.25,
                                centers=((0.8, 0.4),), amplitudes=(0.75,),
                                widths=(1.5,))
         res = ResolventConfig(delta=1e-2)
@@ -260,7 +277,7 @@ class TestEnergyComparison:
         assert "c_inf" in rep.csv()
 
     def test_c_inf_omitted_for_vanishing_tail(self, grid):
-        coef = CoefficientSpec(kind="gaussian_bumps", floor=0.0,
+        coef = CoefficientSpec(floor=0.0,
                                centers=((0.0, 0.0),), amplitudes=(1.0,),
                                widths=(1.5,))
         res = ResolventConfig(delta=1e-2)

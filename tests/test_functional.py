@@ -10,7 +10,6 @@ from helmdual.functional import (
     DualState,
     NotInPositiveCone,
     ProblemSpec,
-    ScalingMetadata,
     constant_coefficient,
     energy,
     gradient,
@@ -48,7 +47,7 @@ class TestCoefficientSpec:
         assert not q.has_strict_maximum
 
     def test_gaussian_bumps(self):
-        q = CoefficientSpec(kind="gaussian_bumps", floor=0.25,
+        q = CoefficientSpec(floor=0.25,
                             centers=((1.0, 0.0), (-8.0, 0.0)),
                             amplitudes=(0.75, 0.5), widths=(1.0, 1.0))
         assert q.q_sup == pytest.approx(1.0)
@@ -57,28 +56,26 @@ class TestCoefficientSpec:
         assert q.has_strict_maximum
 
     def test_two_equal_maxima(self):
-        q = CoefficientSpec(kind="gaussian_bumps", floor=0.0,
+        q = CoefficientSpec(floor=0.0,
                             centers=((5.0, 0.0), (-5.0, 0.0)),
                             amplitudes=(1.0, 1.0), widths=(1.0, 1.0))
         assert len(q.maximum_set) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CoefficientSpec(kind="bogus")
+            CoefficientSpec(floor=-1.0)
         with pytest.raises(ValueError):
             constant_coefficient(0.0)
         with pytest.raises(ValueError):
-            CoefficientSpec(kind="gaussian_bumps", centers=((0.0, 0.0),),
+            CoefficientSpec(centers=((0.0, 0.0),),
                             amplitudes=(1.0, 2.0), widths=(1.0,))
         # centers too close for the separation requirement
         with pytest.raises(ValueError):
-            CoefficientSpec(kind="gaussian_bumps", centers=((0.0, 0.0), (1.0, 0.0)),
+            CoefficientSpec(centers=((0.0, 0.0), (1.0, 0.0)),
                             amplitudes=(1.0, 1.0), widths=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            CoefficientSpec(kind="expression")
 
     def test_evaluate_and_rescaled_sampling(self, grid):
-        q = CoefficientSpec(kind="gaussian_bumps", floor=0.5,
+        q = CoefficientSpec(floor=0.5,
                             centers=((2.0, 0.0),), amplitudes=(1.0,), widths=(1.5,))
         eps = 0.25
         sampled = q.sample_rescaled(grid, eps)
@@ -89,12 +86,12 @@ class TestCoefficientSpec:
         )
         assert sampled.values[5, 20] == pytest.approx(expected)
 
-    def test_expression_coefficient(self, grid):
-        q = CoefficientSpec(kind="expression",
-                            function=lambda pts: 1.0 + 0.0 * pts[..., 0],
-                            declared_sup=1.0, declared_limsup=1.0)
-        assert q.q_sup == 1.0
-        np.testing.assert_allclose(q.sample_rescaled(grid, 1.0).values, 1.0)
+    def test_floor_without_bumps_is_constant(self, grid):
+        q = CoefficientSpec(floor=2.0)
+        assert q == constant_coefficient(2.0)
+        spec = ProblemSpec(p=8.0, epsilon=0.5, coefficient=q)
+        np.testing.assert_array_equal(spec.q_root(grid).values,
+                                      np.full(grid.shape, 2.0 ** (1.0 / 8.0)))
 
 
 class TestEnergyAndGradient:
@@ -193,13 +190,13 @@ class TestDualState:
 
 class TestSolutionMap:
     def test_scaling_metadata(self):
-        meta = ScalingMetadata(k=4.0, p=8.0)
-        assert meta.amplitude == pytest.approx(4.0 ** (1.0 / 3.0))
-        assert meta.amplitude * meta.inverse_amplitude == pytest.approx(1.0)
+        s = ProblemSpec(p=8.0, epsilon=0.25, coefficient=constant_coefficient(1.0))
+        assert s.k == 4.0
+        assert s.amplitude == pytest.approx(4.0 ** (1.0 / 3.0))
 
     def test_u_is_resolvent_image(self, grid):
         # u_rescaled = R(Q_eps^(1/p) v), with a Q that is not constant on the grid
-        bump = CoefficientSpec(kind="gaussian_bumps", floor=0.25, centers=((0.8, 0.4),),
+        bump = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),),
                                amplitudes=(0.75,), widths=(1.5,))
         spec = ProblemSpec(p=8.0, epsilon=0.5, coefficient=bump,
                            resolvent=ResolventConfig(delta=1e-2))
@@ -231,7 +228,7 @@ class TestProblemSpec:
             s.validate_for_grid(grid)  # p = 5 inadmissible in 2D
 
     def test_center_dimension_checked_against_grid(self, grid):
-        coef = CoefficientSpec(kind="gaussian_bumps", centers=((0.8, 0.4, 0.1),),
+        coef = CoefficientSpec(centers=((0.8, 0.4, 0.1),),
                                amplitudes=(0.75,), widths=(1.5,))
         s = ProblemSpec(p=8.0, epsilon=1.0, coefficient=coef)
         with pytest.raises(ValueError, match="center dimension"):

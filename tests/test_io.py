@@ -180,6 +180,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(json.dumps(obj).encode())
 
+    def test_bumps_without_a_bump_rejected(self):
+        obj = json.loads(base_config())
+        obj["problem"]["coefficient"] = {"kind": "gaussian_bumps", "floor": 0.25,
+                                         "centers": [], "amplitudes": [], "widths": []}
+        with pytest.raises(ConfigError, match="needs at least one bump"):
+            parse_config(json.dumps(obj).encode())
+
     def test_type_errors(self):
         obj = json.loads(base_config())
         obj["grid"]["points_per_axis"] = 64.5

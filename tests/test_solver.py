@@ -9,6 +9,7 @@ from helmdual import solver
 from helmdual.grid import lp_norm, make_grid
 from helmdual.functional import (
     CoefficientSpec,
+    DualState,
     NotInPositiveCone,
     ProblemSpec,
     constant_coefficient,
@@ -284,7 +285,7 @@ class TestTestFunction:
 
 class TestGroundState:
     def test_bump_coefficient_solve(self, grid, cfg, limit_state):
-        coef = CoefficientSpec(kind="gaussian_bumps", floor=0.25,
+        coef = CoefficientSpec(floor=0.25,
                                centers=((0.8, 0.4),), amplitudes=(0.75,),
                                widths=(1.5,))
         spec = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef,
@@ -294,6 +295,19 @@ class TestGroundState:
         state = solve_ground_state(spec, grid, loose, limit_state=lim)
         assert state.grad_norm <= 5e-8
         assert state.energy >= lim.energy * (1 - 1e-6)
+
+    def test_limit_state_on_another_grid_rejected(self, grid, cfg, monkeypatch):
+        def no_seeds(*args, **kwargs):
+            raise AssertionError("no seed may be built")
+
+        monkeypatch.setattr(solver, "default_seeds", no_seeds)
+        coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),),
+                               amplitudes=(0.75,), widths=(1.5,))
+        spec = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
+        other = make_grid(2, 30.0, 48)
+        foreign = DualState.from_field(InitialGuess().build(other), spec)
+        with pytest.raises(ValueError, match="limit state lives on another grid"):
+            solve_ground_state(spec, grid, cfg, limit_state=foreign)
 
     def test_inadmissible_exponent_rejected(self, grid, cfg):
         spec = ProblemSpec(p=5.0, epsilon=1.0, coefficient=constant_coefficient(1.0))
@@ -314,7 +328,7 @@ class TestMultistart:
         assert len(states) == 1  # sign flips identified
 
     def test_two_maxima_give_two_states(self, grid, cfg):
-        coef = CoefficientSpec(kind="gaussian_bumps", floor=0.25,
+        coef = CoefficientSpec(floor=0.25,
                                centers=((5.0, 0.0), (-5.0, 0.0)),
                                amplitudes=(0.75, 0.75), widths=(1.5, 1.5))
         res = ResolventConfig(delta=1e-2)

@@ -1,11 +1,17 @@
-"""Source hygiene: no module of the package imports a name or takes a parameter it never uses."""
+"""Source hygiene: no module of the package imports a name or takes a parameter it never
+uses, and the README and demos import only names the package has."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "helmdual"
+import helmdual
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "helmdual"
 # __init__ imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -65,3 +71,44 @@ def test_detector_flags_unused_parameters():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def readme_python() -> str:
+    """The README's python block: the library quick start."""
+    [block] = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return block
+
+
+def missing_helmdual_names(source: str) -> list[str]:
+    """'module.name' for every name imported from helmdual that it does not define."""
+    missing = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "helmdual":
+            module = importlib.import_module(node.module)
+            missing += [f"{node.module}.{alias.name}" for alias in node.names
+                        if not hasattr(module, alias.name)]
+    return missing
+
+
+def test_detector_flags_missing_names():
+    source = "from helmdual import make_grid, Nowhere\nfrom helmdual.grid import Gone\n"
+    assert missing_helmdual_names(source) == ["helmdual.Nowhere", "helmdual.grid.Gone"]
+
+
+DOCUMENTS = {path.name: path.read_text() for path in sorted((ROOT / "demos").glob("*.py"))}
+DOCUMENTS["README.md"] = readme_python()
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_documents_import_existing_names(name):
+    assert missing_helmdual_names(DOCUMENTS[name]) == []
+
+
+def test_readme_quick_start_runs(monkeypatch):
+    # the quick start's own grid, shrunk to 64^2 on [-30, 30)^2
+    make_grid = helmdual.make_grid
+    monkeypatch.setattr(helmdual, "make_grid", lambda dim, *size: make_grid(dim, 30.0, 64))
+    namespace = {}
+    exec(compile(readme_python(), "README.md", "exec"), namespace)
+    assert namespace["state"].grad_norm <= namespace["cfg"].grad_tol
+    assert namespace["u"].grid == make_grid(2, 30.0, 64)
