@@ -26,6 +26,7 @@ from .solver import (
     NoConvergence,
     SolverConfig,
     _best_state,
+    _check_cutoffs_fit,
     _solve_seeds,
     cutoff,
     default_seeds,
@@ -200,6 +201,8 @@ def sweep_point(spec: ProblemSpec, grid: Grid, outcomes, bary_cfg: BarycenterCon
 
 def check_sweep(template: ProblemSpec, epsilon_list, bary_cfg: BarycenterConfig) -> None:
     """Raise ValueError for inputs no sweep can succeed on; epsilon_list is a sequence."""
+    if not epsilon_list:
+        raise ValueError("epsilon list must not be empty")
     if any(b >= a for a, b in zip(epsilon_list, epsilon_list[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
     if any(e <= 0 for e in epsilon_list):
@@ -357,6 +360,7 @@ class EnergyComparison:
 def energy_comparison(spec: ProblemSpec, grid: Grid, solver_cfg: SolverConfig) -> EnergyComparison:
     """Compute c_0 (at sup Q), c_inf (at the tail level of Q, if positive), c_eps."""
     coef = spec.coefficient
+    _check_cutoffs_fit(coef.maximum_set, spec.epsilon, grid)  # before the limit solves
     limit_state = solve_limit(coef.q_sup, spec.p, grid, solver_cfg,
                               resolvent=spec.resolvent)
     c0 = limit_state.energy

@@ -2,11 +2,16 @@
 
 The minimization runs projected descent: a negative-gradient trial step with
 backtracking on the dual energy, followed by re-projection onto the Nehari
-manifold.  Because the resolvent is indefinite, trial iterates can leave the
-positive cone; those trigger step shrinking, and a seed whose step collapses
-is abandoned.  Seeds descend two at a time, so one complex FFT pair serves
-both descents' resolvent applications (R maps real fields to real fields).
-The line search constants (INITIAL_STEP ... MIN_STEP) are the same for every run.
+manifold.  The first trial of each iteration is the two-point step of
+Barzilai and Borwein (IMA J. Numer. Anal. 8, 1988) from the last move, kept
+monotone by the Armijo test as in Raydan (SIAM J. Optim. 7, 1997); it may
+exceed INITIAL_STEP only while that test can resolve the decrease against
+the energy's round-off.  Because the resolvent is indefinite, trial iterates
+can leave the positive cone; those trigger step shrinking, and a seed whose
+step collapses is abandoned.  Seeds descend two at a time, so one complex FFT
+pair serves both descents' resolvent applications (R maps real fields to real
+fields).  The line search constants (INITIAL_STEP ... RESOLVABLE_ULPS) are the
+same for every run.
 """
 
 from __future__ import annotations
@@ -35,9 +40,13 @@ DISTINCT_ENERGY_GAP = 1e-3
 #: backtracking line search of every descent
 INITIAL_STEP = 1.0
 SHRINK_FACTOR = 0.5
-GROWTH_FACTOR = 1.3
 SUFFICIENT_DECREASE = 1e-4
 MIN_STEP = 1e-14
+#: the two-point step's upper clip (with 2.0 or 8.0, 5 of 51 64^2 delta = 0 limit seeds
+#: fail; with 4.0 none), allowed only while the Armijo slope exceeds RESOLVABLE_ULPS ulps
+#: of the energy; below that the cap is INITIAL_STEP
+MAX_STEP = 4.0
+RESOLVABLE_ULPS = 1e4
 
 
 class NoConvergence(RuntimeError):
@@ -153,11 +162,31 @@ def _nehari(norm_p: float, quad: float, p: float) -> tuple[float, float, float]:
     return s, norm_p * s**p, quad * s ** (2.0 * (p - 1.0))
 
 
+def _two_point_step(w, grad, pg, shift: float, step: float) -> float:
+    """BB1 step <dw,dw>/<dw,dgrad> of the last move; INITIAL_STEP where the curvature is not positive.
+
+    The move is dw = shift w - step pg (shift = 1 - 1/s) and dgrad = grad - pg, so both
+    pairings expand into five inner products of w, grad and pg, and neither difference
+    is stored.  The products are pairwise np.sum, as every reduction of the descent.
+    """
+    ww, pgpg, wp, gp, wg = (float(np.sum(a * b)) for a, b in
+                            ((w, w), (pg, pg), (w, pg), (grad, pg), (w, grad)))
+    dw_dw = shift * shift * ww - 2.0 * shift * step * wp + step * step * pgpg
+    dw_dg = shift * (wg - wp) - step * (gp - pgpg)
+    return dw_dw / dw_dg if dw_dg > 0.0 else INITIAL_STEP
+
+
 def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
     """Projected descent from one seed: a coroutine sent (R g, int g R g) for each g it yields.
 
     In w = |v|^(p'-2) v the energy's first term is (1/p') ||w||_p^p with p > 2,
-    so backtracking sees bounded curvature.  Returns (DualState, iterations).
+    so backtracking sees bounded curvature.  Each iteration first tries the
+    two-point (Barzilai-Borwein) step of its last move, INITIAL_STEP on the
+    first, and halves it until the Armijo test passes.  Above INITIAL_STEP the
+    step is clipped at MAX_STEP, and only while the Armijo threshold can still
+    resolve the decrease against the energy's round-off (RESOLVABLE_ULPS); near
+    the float64 floor steps stay at most INITIAL_STEP.  Returns (DualState,
+    iterations); the state is built from the descent's own last R g.
     """
     grid, p, pp = seed.grid, spec.p, spec.p_prime
     cell, q_root = grid.cell_volume, spec.q_root(grid).values
@@ -169,17 +198,27 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
     rg, quad = yield g
     s, norm_p, quad = _nehari(norm_p, quad, p)
     en = norm_p / pp - 0.5 * quad
-    step = INITIAL_STEP
+    pg = None  # the previous gradient, for the two-point step
 
     for it in range(cfg.max_iters):
-        # onto the manifold; grad = w - Q^(1/p) R g (= the v-space gradient) in rg's storage
+        # onto the manifold: rg = R g = u; grad = w - Q^(1/p) u (the v-space gradient) in
+        # the storage of g, which is spent
         w *= s
         rg *= s ** (p - 1.0)
-        rg *= q_root
-        grad = np.subtract(w, rg, out=rg)
-        if np.linalg.norm(grad) / np.linalg.norm(w) <= cfg.grad_tol:
-            return DualState.from_field(Field(grid, _dual_power(w, p)), spec), it
+        grad = np.multiply(rg, q_root, out=g)
+        np.subtract(w, grad, out=grad)
+        rel_grad = float(np.linalg.norm(grad) / np.linalg.norm(w))
+        if rel_grad <= cfg.grad_tol:
+            return DualState(Field(grid, _dual_power(w, p)), spec, Field(grid, rg), en,
+                             rel_grad, abs(norm_p - quad), quad), it
+        del rg  # only a converged state keeps u
         slope = (p - 1.0) * cell * s ** (p - 2.0) * float(np.sum(w_pow * grad * grad))
+        if pg is not None:
+            cap = MAX_STEP if slope > RESOLVABLE_ULPS * np.spacing(abs(en)) else INITIAL_STEP
+            step = min(_two_point_step(w, grad, pg, 1.0 - 1.0 / s, step), cap)
+        else:
+            step = INITIAL_STEP
+        pg = grad
         while step >= MIN_STEP:
             trial = w - step * grad
             t_pow, g, t_norm = _power(trial, q_root, p, cell)
@@ -189,7 +228,7 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
                 t_en = t_norm / pp - 0.5 * t_quad
                 if t_en <= en - SUFFICIENT_DECREASE * step * slope:
                     w, w_pow, rg, s, en = trial, t_pow, t_rg, t_s, t_en
-                    step = min(step * GROWTH_FACTOR, INITIAL_STEP)
+                    norm_p, quad = t_norm, t_quad
                     break
             step *= SHRINK_FACTOR
         else:  # no trial step passed the Armijo test

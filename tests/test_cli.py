@@ -233,7 +233,8 @@ class TestSweepCommand:
         (("problem", "coefficient", "centers"), [[0.8, 0.4, 0.1]], "center dimension"),
         (("params", "epsilon_list"), [0.05, 0.1], "strictly decreasing"),
         (("params", "epsilon_list"), [0.2, 0.1, 0.0], "epsilon must be positive"),
-    ], ids=["3d-center-on-2d-grid", "increasing-epsilon-list", "zero-epsilon"])
+        (("params", "epsilon_list"), [], "must not be empty"),
+    ], ids=["3d-center-on-2d-grid", "increasing-epsilon-list", "zero-epsilon", "empty"])
     def test_config_error_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                            keys, value, message):
         cfg = json.loads((CONFIGS / "sweep.json").read_text())
@@ -298,6 +299,22 @@ class TestCompareEnergyCommand:
         manifest = json.loads((out / "run.json").read_text())
         assert manifest["energies"]["c_0"] <= manifest["energies"]["c_eps"]
         assert manifest["energies"]["c_eps"] <= manifest["energies"]["c_inf"]
+
+    def test_cutoff_outgrowing_the_box_is_config_error_before_any_solve(
+            self, tmp_path, capsys, monkeypatch):
+        cfg = json.loads((CONFIGS / "compare_energy.json").read_text())
+        cfg["problem"]["epsilon"] = 0.01  # cutoff radius 2/eps around y/eps: past the box
+        path = tmp_path / "compare_energy.json"
+        path.write_text(json.dumps(cfg))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a config error must not solve")
+
+        monkeypatch.setattr("helmdual.experiments.solve_limit", no_solve)
+        out = tmp_path / "o"
+        assert run("compare-energy", str(path), out) == 2
+        assert "cutoff support exceeds the box" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSeedOverride:

@@ -124,6 +124,16 @@ class TestFreeSpaceLimit:
                         for half_length, n in ((15.0, 64), (30.0, 128)))
         assert small == pytest.approx(large, rel=1e-4)
 
+    def test_every_default_seed_converges_at_the_default_tolerance(self):
+        # at grad_tol 1e-8 the Armijo test runs at the float64 floor; with steps
+        # capped at 1 one of these seeds collapsed its step and one used up the budget
+        cfg = SolverConfig()
+        spec = ProblemSpec(p=8.0, epsilon=1.0, coefficient=constant_coefficient(1.0),
+                           resolvent=ResolventConfig(mode="direct_oracle"))
+        grid = make_grid(2, 30.0, 128)
+        outcomes = list(_solve_seeds([(s.build(grid), spec) for s in cfg.restart_seeds], cfg))
+        assert all(not isinstance(o, Exception) and o[1] <= 50 for o in outcomes), outcomes
+
 
 class TestSeedFailures:
     @pytest.fixture(scope="class")
@@ -244,10 +254,15 @@ class TestLockStep:
         with pytest.raises(NoConvergence, match="no seed converged"):
             solve_ground_state(spec, small, strict, seeds=seeds)
 
-    def test_sweep_config_converges_well_inside_the_budget(self):
-        # every seed of configs/sweep.json converges in at most 60 iterations;
-        # a summation order that lets the Armijo test run below round-off
+    def test_sweep_config_converges_well_inside_the_budget(self, monkeypatch):
+        # every seed of configs/sweep.json converges in at most 25 iterations and
+        # the six make at most 100 resolvent applications (251 with steps capped
+        # at 1); a summation order that lets the Armijo test run below round-off
         # stalls them instead
+        applications = []
+        resolve = solver._resolve
+        monkeypatch.setattr(solver, "_resolve", lambda grid, cfg, *gs: (
+            applications.append(len(gs)) or resolve(grid, cfg, *gs)))
         cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "sweep.json")
         problem, grid = cfg.problem, cfg.grid
         limit = ProblemSpec(p=problem.p, epsilon=1.0,
@@ -262,7 +277,8 @@ class TestLockStep:
             seeds = default_seeds(spec, limit_state)
             outcomes += _solve_seeds([(seed, spec) for seed in seeds], cfg.solver)
         assert len(outcomes) == 6
-        assert all(not isinstance(o, Exception) and o[1] <= 60 for o in outcomes), outcomes
+        assert all(not isinstance(o, Exception) and o[1] <= 25 for o in outcomes), outcomes
+        assert sum(applications) <= 100
 
 
 class TestTestFunction:
@@ -295,6 +311,15 @@ class TestGroundState:
         state = solve_ground_state(spec, grid, loose, limit_state=lim)
         assert state.grad_norm <= 5e-8
         assert state.energy >= lim.energy * (1 - 1e-6)
+        # a converged state reuses the descent's last R g instead of applying R again
+        for st in (lim, state):
+            fresh = DualState.from_field(st.v, st.spec)
+            assert st.energy == pytest.approx(fresh.energy, rel=1e-13)
+            assert st.quadratic_term == pytest.approx(fresh.quadratic_term, rel=1e-13)
+            assert abs(st.grad_norm - fresh.grad_norm) <= 1e-13
+            assert st.nehari_residual <= 1e-13 * fresh.quadratic_term
+            u, u_fresh = st.u_rescaled.values, fresh.u_rescaled.values
+            assert np.max(np.abs(u - u_fresh)) <= 1e-13 * np.max(np.abs(u_fresh))
 
     def test_limit_state_on_another_grid_rejected(self, grid, cfg, monkeypatch):
         def no_seeds(*args, **kwargs):
