@@ -151,9 +151,8 @@ def cmd_sweep(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
 
 def cmd_decay(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
     problem = cfg.problem
-    params = dict(cfg.params)
-    report = interaction_decay(problem.p, cfg.grid, params.pop("r_list"),
-                               resolvent=problem.resolvent, **params)
+    report = interaction_decay(problem.p, cfg.grid, cfg.params["r_list"],
+                               resolvent=problem.resolvent)
     record.converged = True
     record.diagnostics.update(slope=report.slope, lambda_p=report.lambda_p,
                               satisfies_bound=report.satisfies_bound)

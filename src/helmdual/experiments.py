@@ -38,6 +38,8 @@ from .solver import (
 EDGE_TRUST = 0.5
 #: wavelengths (2 pi each) between the decay bumps' supports and the box boundary
 BOUNDARY_WAVELENGTHS = 5.0
+#: support radius of both decay bumps
+BUMP_RADIUS = 2.0
 #: relative quadrature slack of the lower bound c_eps >= c_0
 LEVEL_SLACK = 1e-4
 
@@ -284,13 +286,12 @@ class DecayReport:
 
 
 def interaction_decay(p: float, grid: Grid, r_list,
-                      resolvent: ResolventConfig | None = None,
-                      bump_radius: float = 2.0) -> DecayReport:
+                      resolvent: ResolventConfig | None = None) -> DecayReport:
     """Normalized interaction |int u R v| of disjointly supported bumps vs distance.
 
     The dimension is the grid's.  u is a fixed unmodulated compact_bump at the
-    origin (support radius ``bump_radius``); for each r the second bump is
-    centered at distance r + 2 * bump_radius along the first axis, so the
+    origin (support radius BUMP_RADIUS); for each r the second bump is
+    centered at distance r + 2 * BUMP_RADIUS along the first axis, so the
     supports are separated by exactly r.  Both supports must stay
     BOUNDARY_WAVELENGTHS wavelengths (2 pi each) away from the box boundary.
     """
@@ -303,7 +304,7 @@ def interaction_decay(p: float, grid: Grid, r_list,
     if fitted < 2:
         raise ValueError("r_list needs 2 separations in its largest decade (r >= r_max / 10)")
     margin = 2.0 * np.pi * BOUNDARY_WAVELENGTHS
-    farthest = rl[-1] + 3.0 * bump_radius
+    farthest = rl[-1] + 3.0 * BUMP_RADIUS
     if farthest + margin > grid.half_length:
         raise ValueError(
             f"box too small: need half_length >= {farthest + margin:.1f} "
@@ -311,14 +312,14 @@ def interaction_decay(p: float, grid: Grid, r_list,
         )
     cfg = resolvent if resolvent is not None else ResolventConfig()
     pp = p / (p - 1.0)
-    u = compact_bump(grid, (0.0,) * dim, bump_radius)
+    u = compact_bump(grid, (0.0,) * dim, BUMP_RADIUS)
     u_norm = lp_norm(u, pp)
     # int u R v = int (R u) v by symmetry of the real multiplier: one FFT total
     ru = apply_R(u, cfg)
     records = []
     for r in rl:
-        center = (r + 2.0 * bump_radius,) + (0.0,) * (dim - 1)
-        v = compact_bump(grid, center, bump_radius)
+        center = (r + 2.0 * BUMP_RADIUS,) + (0.0,) * (dim - 1)
+        v = compact_bump(grid, center, BUMP_RADIUS)
         overlap = np.abs(u.values * v.values).max()
         if overlap > 0.0:
             raise ValueError(f"supports overlap at r = {r}")

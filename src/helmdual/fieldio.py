@@ -8,6 +8,9 @@ import numpy as np
 
 from .grid import Field, make_grid
 
+#: the frequency shift stored per axis; the half shift is the only lattice
+SHIFT = 0.5
+
 MAGIC = b"HELMDUALFLD\x00"   # 12 bytes
 FORMAT_VERSION = 1
 
@@ -24,7 +27,7 @@ def write_field(path, f: Field) -> None:
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<qq", grid.dim, grid.points_per_axis))
         fh.write(struct.pack("<d", grid.half_length))
-        fh.write(struct.pack(f"<{grid.dim}d", *grid.freq_shift))
+        fh.write(struct.pack(f"<{grid.dim}d", *(SHIFT,) * grid.dim))
         fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
 
 
@@ -50,8 +53,10 @@ def read_field(path) -> Field:
             raise FieldFormatError(
                 f"file size {len(data)} != expected {expected} for n={n}, dim={dim}"
             )
+        if any(s != SHIFT for s in shift):
+            raise FieldFormatError(f"unsupported frequency shift {shift}: every axis must be 0.5")
         values = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-        grid = make_grid(int(dim), float(half_length), int(n), tuple(shift))
+        grid = make_grid(int(dim), float(half_length), int(n))
         return Field(grid, values.reshape(grid.shape).copy())
     except (struct.error, ValueError) as err:
         if isinstance(err, FieldFormatError):

@@ -43,6 +43,9 @@ class CoefficientSpec:
     widths: tuple[float, ...] = ()
 
     def __post_init__(self):
+        numbers = [self.floor, *self.amplitudes, *self.widths, *itertools.chain(*self.centers)]
+        if not np.all(np.isfinite(numbers)):
+            raise ValueError("coefficient numbers must be finite")
         if self.floor < 0:
             raise ValueError("coefficient floor must be nonnegative")
         if not (len(self.centers) == len(self.amplitudes) == len(self.widths)):
@@ -106,10 +109,10 @@ class ProblemSpec:
     resolvent: ResolventConfig = field(default_factory=ResolventConfig)
 
     def __post_init__(self):
-        if self.p <= 2:
-            raise ValueError("p must exceed 2")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 2.0 < self.p < np.inf:
+            raise ValueError(f"p must exceed 2 and be finite, got {self.p}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     @property
     def p_prime(self) -> float:

@@ -1,11 +1,11 @@
 """Periodic-box discretization: grid construction, quadrature norms, shifted DFT.
 
 The box is [-L, L)^N with n uniform nodes per axis, x_j = -L + j*h, h = 2L/n.
-The frequency lattice may be shifted by half the spacing pi/L per axis:
-xi_m = (pi/L) * (m + shift), shift in {0, 1/2}, m in the centered integer
-range.  Only these two shifts pair every xi with -xi, so that real fields
-have real transforms.  A half-spacing shift keeps the lattice away from the
-unit sphere |xi| = 1, which is where the Helmholtz multiplier is singular.
+The frequency lattice is shifted by half the spacing pi/L on every axis:
+xi_m = (pi/L) * (m + 1/2), m in the centered integer range.  The shift still
+pairs every xi with -xi, so real fields have real transforms, and it keeps
+the lattice away from the unit sphere |xi| = 1 for most L, which is where the
+Helmholtz multiplier is singular.
 
 Transform convention (forward / inverse):
 
@@ -18,6 +18,7 @@ so that Parseval reads  h^N sum |f_j|^2 = (2L)^-N sum |F_m|^2.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,21 +29,25 @@ UNIT_CIRCLE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [-L, L)^N with a (possibly shifted) frequency lattice.
+    """Uniform periodic grid on [-L, L)^N with the half-shifted frequency lattice.
 
-    Use :func:`make_grid` instead of constructing directly; it validates the
-    arguments and precomputes the lattice.
+    Construction checks that dim is 2 or 3, 0 < L < inf, and n is even and at least 8.
     """
 
     dim: int
     half_length: float
     points_per_axis: int
-    freq_shift: tuple[float, ...]
 
-    # precomputed in make_grid, compared by value through the fields above
+    # derived in __post_init__, compared by value through the fields above
     spacing: float = field(init=False, compare=False, default=0.0)
 
     def __post_init__(self):
+        if self.dim not in (2, 3):
+            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        if not 0.0 < self.half_length < np.inf:
+            raise ValueError(f"half_length must be positive and finite, got {self.half_length}")
+        if not (self.points_per_axis >= 8 and self.points_per_axis % 2 == 0):
+            raise ValueError(f"points_per_axis must be even and >= 8, got {self.points_per_axis}")
         object.__setattr__(self, "spacing", 2.0 * self.half_length / self.points_per_axis)
 
     @property
@@ -70,16 +75,17 @@ class Grid:
         shape[axis] = n
         return self.x_axis.reshape(shape) * np.ones(self.shape)
 
-    def freq_axis(self, axis: int) -> np.ndarray:
-        """Shifted frequencies along one axis, in FFT storage order."""
+    @property
+    def freq_axis(self) -> np.ndarray:
+        """Shifted frequencies (pi/L)(m + 1/2) along every axis, in FFT storage order."""
         n = self.points_per_axis
         m = np.fft.fftfreq(n, d=1.0 / n)  # integers 0..n/2-1, -n/2..-1
-        return (np.pi / self.half_length) * (m + self.freq_shift[axis])
+        return (np.pi / self.half_length) * (m + 0.5)
 
     @property
     def xi_squared(self) -> np.ndarray:
         """|xi_m|^2 on the full lattice, FFT storage order."""
-        return sum(np.ix_(*[self.freq_axis(d) ** 2 for d in range(self.dim)]))
+        return sum(np.ix_(*(self.freq_axis**2,) * self.dim))
 
     @property
     def min_unit_circle_distance(self) -> float:
@@ -92,23 +98,9 @@ class Grid:
         return self.min_unit_circle_distance < UNIT_CIRCLE_TOL
 
 
-def make_grid(dim: int, half_length: float, points_per_axis: int,
-              freq_shift: tuple[float, ...] | None = None) -> Grid:
-    """Build a periodic grid; default frequency shift is one half spacing per axis."""
-    if dim not in (2, 3):
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
-    if half_length <= 0:
-        raise ValueError("half_length must be positive")
-    if points_per_axis < 8 or points_per_axis % 2 != 0:
-        raise ValueError("points_per_axis must be even and >= 8")
-    if freq_shift is None:
-        freq_shift = (0.5,) * dim
-    freq_shift = tuple(float(s) for s in freq_shift)
-    if len(freq_shift) != dim:
-        raise ValueError("freq_shift must have one entry per axis")
-    if any(s not in (0.0, 0.5) for s in freq_shift):
-        raise ValueError("freq_shift entries must be 0 or 0.5")
-    return Grid(dim, float(half_length), int(points_per_axis), freq_shift)
+def make_grid(dim: int, half_length: float, points_per_axis: int) -> Grid:
+    """Build a periodic grid from integer-like sizes and a real half-length."""
+    return Grid(operator.index(dim), float(half_length), operator.index(points_per_axis))
 
 
 @dataclass(frozen=True)
@@ -164,23 +156,19 @@ def inner_product(f: Field, g: Field) -> float:
 
 
 def _shift_modulation(grid: Grid) -> np.ndarray:
-    """exp(-2 pi i s_d j_d / n), the node-side phase carrying the lattice shift."""
+    """exp(-2 pi i (1/2) j_d / n) per axis, the node-side phase carrying the lattice shift."""
     n = grid.points_per_axis
     j = np.arange(n)
-    return functools.reduce(np.multiply,
-                            np.ix_(*[np.exp(-2j * np.pi * s * j / n) for s in grid.freq_shift]))
+    axis = np.exp(-2j * np.pi * 0.5 * j / n)
+    return functools.reduce(np.multiply, np.ix_(*(axis,) * grid.dim))
 
 
 def _freq_phase(grid: Grid) -> np.ndarray:
-    """exp(+i pi (m_d + s_d)) per axis, the frequency-side phase from x_0 = -L."""
+    """exp(+i pi (m_d + 1/2)) per axis, the frequency-side phase from x_0 = -L."""
     n = grid.points_per_axis
-    out = np.ones(grid.shape, dtype=np.complex128)
     m = np.fft.fftfreq(n, d=1.0 / n)
-    for d, s in enumerate(grid.freq_shift):
-        shape = [1] * grid.dim
-        shape[d] = n
-        out = out * np.exp(1j * np.pi * (m + s)).reshape(shape)
-    return out
+    axis = np.exp(1j * np.pi * (m + 0.5))
+    return functools.reduce(np.multiply, np.ix_(*(axis,) * grid.dim))
 
 
 def dft_forward(f: Field) -> np.ndarray:
@@ -197,8 +185,7 @@ def dft_inverse(spectrum: np.ndarray, grid: Grid) -> Field:
     g = np.fft.ifftn(spectrum * np.conj(_freq_phase(grid)))
     values = g * np.conj(_shift_modulation(grid)) / grid.cell_volume
     if np.max(np.abs(values.imag)) > 1e-10 * np.max(np.abs(values.real)):
-        raise ValueError("inverse transform produced a non-real field "
-                         "(frequency shift must be 0 or 0.5 per axis for real output)")
+        raise ValueError("inverse transform produced a non-real field")
     return Field(grid, values.real)
 
 

@@ -1,8 +1,8 @@
 """Real Helmholtz resolvent as a Fourier multiplier, plus a direct-space oracle.
 
 The multiplier is Re 1/(|xi|^2 - 1 - i delta) = (|xi|^2 - 1)/((|xi|^2 - 1)^2 + delta^2).
-With delta = 0 it requires a frequency lattice that avoids |xi| = 1 (grid
-invariant).  The direct route (mode "direct_oracle") convolves with the
+With delta = 0 it requires a frequency lattice that avoids |xi| = 1 (see
+Grid.singular).  The direct route (mode "direct_oracle") convolves with the
 free-space kernel by one zero-padded FFT: no periodic images and no delta.
 R maps real fields to real fields, so one complex FFT pair serves two (``_apply``).
 """
@@ -36,8 +36,8 @@ class ResolventConfig:
     mode: str = "multiplier"
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not 0.0 <= self.delta < np.inf:
+            raise ValueError(f"delta must be nonnegative and finite, got {self.delta}")
         if self.mode not in ("multiplier", "direct_oracle"):
             raise ValueError(f"unknown resolvent mode {self.mode!r}")
 
@@ -64,14 +64,12 @@ def _plan(grid: Grid, delta: float) -> tuple[np.ndarray, np.ndarray]:
 
     The frequency-side phase and the cell volume of dft_forward/dft_inverse
     cancel between the two transforms, so R f = conj(M) ifftn(S fftn(M f))
-    with the node-side shift modulation M and the real symbol S.  Only the
-    shifts 0 and 1/2 pair every xi with -xi, so only they give a real R f.
+    with the node-side shift modulation M and the real symbol S.  The half
+    shift pairs every xi with -xi, so R f is real.
     """
-    if any(s not in (0.0, 0.5) for s in grid.freq_shift):
-        raise ValueError("frequency shift must be 0 or 0.5 per axis for real output")
     if delta == 0.0 and grid.singular:
         raise SingularLatticeError(
-            "frequency lattice contains |xi| = 1; shift the lattice or use delta > 0"
+            "frequency lattice contains |xi| = 1; change the box or use delta > 0"
         )
     plan = (_shift_modulation(grid), multiplier_value(grid.xi_squared, delta))
     for arr in plan:
@@ -110,7 +108,6 @@ def _apply(grid: Grid, cfg: ResolventConfig, *fields: np.ndarray) -> list[np.nda
 
 
 # bounded: an entry holds one complex array of (2n)^(N-1) (n+1) values
-# keyed on what the kernel depends on: grids differing only in their shift share it
 @functools.lru_cache(maxsize=4)
 def _kernel_spectrum(dim: int, n: int, h: float, spec: KernelSpec) -> np.ndarray:
     """rfftn at size (2n)^N of the kernel, center weight included, on the difference lattice."""

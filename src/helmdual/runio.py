@@ -84,7 +84,7 @@ _PARAMS = {
     "limit": {"q0": (_number, False)},
     "sweep": {"epsilon_list": (_number_list, True), "rho": (_number, False),
               "delta_nbhd": (_number, False)},
-    "decay": {"r_list": (_number_list, True), "bump_radius": (_number, False)},
+    "decay": {"r_list": (_number_list, True)},
     "compare_energy": {},
 }
 
@@ -128,8 +128,7 @@ def _parse_coefficient(obj, context: str) -> CoefficientSpec:
         raise ConfigError(f"{context}: {err}") from err
 
 
-_GRID = {"dim": _integer, "half_length": _number, "points_per_axis": _integer,
-         "freq_shift": _number_list}
+_GRID = {"dim": _integer, "half_length": _number, "points_per_axis": _integer}
 
 _PROBLEM = {"p": _number, "epsilon": _number, "coefficient": _parse_coefficient,
             "delta": _number, "resolvent_mode": _string}
@@ -139,7 +138,7 @@ _SOLVER = {"max_iters": _integer, "grad_tol": _number,
 
 
 def _parse_grid(obj) -> Grid:
-    kwargs = _typed(obj, "grid", _GRID, required=("dim", "half_length", "points_per_axis"))
+    kwargs = _typed(obj, "grid", _GRID, required=_GRID)
     try:
         return make_grid(**kwargs)
     except ValueError as err:

@@ -52,9 +52,8 @@ RESOLVABLE_ULPS = 1e4
 class NoConvergence(RuntimeError):
     """Iteration budget exhausted above the gradient tolerance."""
 
-    def __init__(self, message: str, best: DualState | None = None, iterations: int = 0):
+    def __init__(self, message: str, iterations: int = 0):
         super().__init__(message)
-        self.best = best
         self.iterations = iterations
 
 
@@ -234,11 +233,9 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
         else:  # no trial step passed the Armijo test
             raise _StepCollapsed("step collapsed without an acceptable iterate")
 
-    best = DualState.from_field(Field(grid, _dual_power(s * w, p)), spec)
     raise NoConvergence(
-        f"gradient {best.grad_norm:.3e} above tolerance {cfg.grad_tol:.1e} "
+        f"gradient {rel_grad:.3e} above tolerance {cfg.grad_tol:.1e} "
         f"after {cfg.max_iters} iterations",
-        best=best,
         iterations=cfg.max_iters,
     )
 
@@ -257,8 +254,8 @@ def solve_limit(q0: float, p: float, grid: Grid, cfg: SolverConfig,
 
     Returns the lowest-energy converged state over the restart seeds.
     """
-    if q0 <= 0:
-        raise ValueError("q0 must be positive")
+    if not 0.0 < q0 < np.inf:
+        raise ValueError(f"q0 must be positive and finite, got {q0}")
     spec = ProblemSpec(p, 1.0, constant_coefficient(q0),
                        resolvent if resolvent is not None else ResolventConfig())
     return solve_ground_state(spec, grid, cfg)

@@ -102,7 +102,7 @@ def test_1_resolvent_oracle_equivalence():
 
 def test_2_discrete_resolvent_identity():
     """(-Delta - 1) R f = f at delta = 0 for 100 random fields."""
-    g = make_grid(2, 9.0, 32, (0.5, 0.5))
+    g = make_grid(2, 9.0, 32)
     rng = np.random.default_rng(7)
     cfg = ResolventConfig(delta=0.0)
     worst = max(

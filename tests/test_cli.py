@@ -137,20 +137,32 @@ class TestLimitCommand:
         cfg = write_config(tmp_path)
         assert run("solve", cfg, tmp_path / "o") == 2
 
-    def test_quarter_shift_is_config_error(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            grid={"dim": 2, "half_length": 30.0, "points_per_axis": 16,
-                  "freq_shift": [0.25, 0.5]},
-        )
-        assert run("limit", cfg, tmp_path / "o") == 2
-        assert "0 or 0.5" in capsys.readouterr().err
+    @pytest.mark.parametrize("config, keys, value", [
+        ("limit.json", ("grid", "freq_shift"), [0.5, 0.5]),
+        ("decay.json", ("params", "bump_radius"), 2.0),
+    ], ids=["freq_shift", "bump_radius"])
+    def test_removed_key_is_config_error_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                           config, keys, value):
+        cfg = json.loads((CONFIGS / config).read_text())
+        *parents, key = keys
+        reduce(dict.__getitem__, parents, cfg)[key] = value
+        path = tmp_path / config
+        path.write_text(json.dumps(cfg))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a config error must not solve")
+
+        for name in ("solve_limit", "interaction_decay"):
+            monkeypatch.setattr(cli, name, no_solve)
+        out = tmp_path / "o"
+        assert run(cfg["experiment"], str(path), out) == 2
+        assert f"{parents[0]}: unknown keys ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_singular_lattice_is_numeric_failure(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
-            grid={"dim": 2, "half_length": float(np.pi), "points_per_axis": 16,
-                  "freq_shift": [0.0, 0.0]},
+            grid={"dim": 2, "half_length": float(np.pi / np.sqrt(2.0)), "points_per_axis": 16},
         )
         assert run("limit", cfg, tmp_path / "o") == 3
         assert "numeric failure" in capsys.readouterr().err

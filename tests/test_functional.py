@@ -74,6 +74,14 @@ class TestCoefficientSpec:
             CoefficientSpec(centers=((0.0, 0.0), (1.0, 0.0)),
                             amplitudes=(1.0, 1.0), widths=(1.0, 1.0))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("key", ["floor", "center", "amplitude", "width"])
+    def test_nonfinite_number_rejected(self, key, value):
+        numbers = {"floor": 0.25, "center": 0.8, "amplitude": 0.75, "width": 1.5, key: value}
+        with pytest.raises(ValueError, match="finite"):
+            CoefficientSpec(floor=numbers["floor"], centers=((numbers["center"], 0.4),),
+                            amplitudes=(numbers["amplitude"],), widths=(numbers["width"],))
+
     def test_evaluate_and_rescaled_sampling(self, grid):
         q = CoefficientSpec(floor=0.5,
                             centers=((2.0, 0.0),), amplitudes=(1.0,), widths=(1.5,))
@@ -216,6 +224,13 @@ class TestProblemSpec:
             ProblemSpec(p=2.0, epsilon=1.0, coefficient=constant_coefficient(1.0))
         with pytest.raises(ValueError):
             ProblemSpec(p=8.0, epsilon=0.0, coefficient=constant_coefficient(1.0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("key", ["p", "epsilon"])
+    def test_nonfinite_number_rejected(self, key, value):
+        numbers = {"p": 8.0, "epsilon": 0.5, key: value}
+        with pytest.raises(ValueError, match=key):
+            ProblemSpec(coefficient=constant_coefficient(1.0), **numbers)
 
     def test_p_prime_and_k(self):
         s = ProblemSpec(p=8.0, epsilon=0.25, coefficient=constant_coefficient(1.0))

@@ -5,6 +5,7 @@ import pytest
 
 from helmdual.grid import (
     Field,
+    Grid,
     dft_forward,
     dft_inverse,
     inner_product,
@@ -28,9 +29,10 @@ class TestMakeGrid:
         assert g.x_axis[0] == pytest.approx(-30.0)
         assert g.x_axis[-1] == pytest.approx(30.0 - g.spacing)
 
-    def test_default_shift_is_half(self):
+    def test_lattice_shift_is_half(self):
         g = make_grid(3, 20.0, 16)
-        assert g.freq_shift == (0.5, 0.5, 0.5)
+        m = np.concatenate([np.arange(8), np.arange(-8, 0)])
+        np.testing.assert_array_equal(g.freq_axis, (np.pi / 20.0) * (m + 0.5))
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -41,28 +43,40 @@ class TestMakeGrid:
             make_grid(2, 30.0, 63)  # odd
         with pytest.raises(ValueError):
             make_grid(2, 30.0, 4)  # too small
-        with pytest.raises(ValueError):
-            make_grid(2, 30.0, 64, (0.5,))  # wrong length
-        with pytest.raises(ValueError):
-            make_grid(2, 30.0, 64, (1.5, 0.0))  # out of range
 
-    def test_shift_other_than_zero_or_half_rejected(self):
-        # a quarter shift breaks the xi / -xi pairing, so no inverse transform would be real
-        with pytest.raises(ValueError, match="0 or 0.5"):
-            make_grid(2, 30.0, 64, (0.25, 0.5))
+    @pytest.mark.parametrize("args", [(4, 30.0, 64), (2, 0.0, 64), (2, -1.0, 64),
+                                      (2, 30.0, 63), (2, 30.0, 6)])
+    def test_directly_built_grid_checks_itself(self, args):
+        with pytest.raises(ValueError):
+            Grid(*args)
 
-    def test_integer_lattice_is_singular(self):
-        # L = pi makes the unshifted frequencies integers, so |xi| = 1 occurs
-        g = make_grid(2, np.pi, 16, (0.0, 0.0))
+    @pytest.mark.parametrize("half_length", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_half_length_rejected(self, half_length):
+        with pytest.raises(ValueError, match="half_length"):
+            make_grid(2, half_length, 16)
+        with pytest.raises(ValueError, match="half_length"):
+            Grid(2, half_length, 16)
+
+    def test_non_integer_sizes_rejected(self):
+        with pytest.raises(TypeError):
+            make_grid(2, 30.0, 64.5)
+        with pytest.raises(TypeError):
+            make_grid(2.5, 30.0, 64)
+
+    @pytest.mark.parametrize("dim, half_length", [(2, np.pi / np.sqrt(2.0)),
+                                                  (3, np.pi * np.sqrt(0.75))], ids=["2d", "3d"])
+    def test_lattice_through_unit_sphere_is_singular(self, dim, half_length):
+        # xi = (pi/L)(1/2) on every axis gives |xi|^2 = N (pi/L)^2 / 4 = 1
+        g = make_grid(dim, half_length, 16)
         assert g.singular
 
     def test_half_shift_avoids_unit_circle(self):
-        g = make_grid(2, np.pi, 16, (0.5, 0.5))
+        g = make_grid(2, np.pi, 16)
         assert not g.singular
         assert g.min_unit_circle_distance > 1e-3
 
     def test_min_distance_by_exhaustive_scan_3d(self):
-        g = make_grid(3, 20.0, 64, (0.0, 0.0, 0.0))
+        g = make_grid(3, 20.0, 64)
         xi = np.sqrt(g.xi_squared)
         assert g.min_unit_circle_distance == pytest.approx(
             float(np.min(np.abs(xi - 1.0))), abs=0.0
@@ -180,21 +194,20 @@ class TestDft:
             assert err <= 1e-12
 
     def test_parseval(self):
-        for shift in ((0.5, 0.5), (0.0, 0.5), (0.0, 0.0)):
-            g = make_grid(2, 9.0, 32, shift)
-            rng = np.random.default_rng(6)
-            for _ in range(20):
-                f = random_field(g, rng)
-                spec = dft_forward(f)
-                spectral = np.sum(np.abs(spec) ** 2) / (2 * g.half_length) ** g.dim
-                assert lp_norm(f, 2.0) ** 2 == pytest.approx(spectral, rel=1e-12)
+        g = make_grid(2, 9.0, 32)
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            f = random_field(g, rng)
+            spec = dft_forward(f)
+            spectral = np.sum(np.abs(spec) ** 2) / (2 * g.half_length) ** g.dim
+            assert lp_norm(f, 2.0) ** 2 == pytest.approx(spectral, rel=1e-12)
 
     def test_lattice_cosine_spectrum_support(self):
         # a product of cosines at lattice frequencies excites exactly the four
         # conjugate mode pairs (a shifted lattice has no zero frequency, so a
         # plain 1D cosine would not be a finite sum of modes)
-        g = make_grid(2, 10.0, 32, (0.5, 0.5))
-        xi0, xi1 = g.freq_axis(0)[3], g.freq_axis(1)[5]
+        g = make_grid(2, 10.0, 32)
+        xi0, xi1 = g.freq_axis[3], g.freq_axis[5]
         f = Field(g, np.cos(xi0 * g.coords(0)) * np.cos(xi1 * g.coords(1)))
         spec = np.abs(dft_forward(f))
         big = spec > 1e-8 * spec.max()
@@ -216,8 +229,8 @@ class TestDft:
 
 class TestSpectralLaplacian:
     def test_lattice_cosine_eigenfunction(self):
-        g = make_grid(2, 10.0, 32, (0.5, 0.5))
-        xi0, xi1 = g.freq_axis(0)[2], g.freq_axis(1)[4]
+        g = make_grid(2, 10.0, 32)
+        xi0, xi1 = g.freq_axis[2], g.freq_axis[4]
         f = Field(g, np.cos(xi0 * g.coords(0)) * np.cos(xi1 * g.coords(1)))
         lap = spectral_laplacian(f)
         np.testing.assert_allclose(

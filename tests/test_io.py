@@ -45,7 +45,7 @@ def base_config(**overrides):
 
 class TestFieldFormat:
     def test_roundtrip_exact(self, tmp_path):
-        g = make_grid(3, 12.0, 16, (0.0, 0.5, 0.5))
+        g = make_grid(3, 12.0, 16)
         rng = np.random.default_rng(21)
         f = Field(g, rng.standard_normal(g.shape))
         path = tmp_path / "f.fld"
@@ -77,6 +77,18 @@ class TestFieldFormat:
         data[12] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(FieldFormatError):
+            read_field(path)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_half_shift_stored_and_other_shifts_rejected(self, tmp_path, dim):
+        g = make_grid(dim, 5.0, 8)
+        path = tmp_path / "f.fld"
+        write_field(path, Field(g, np.ones(g.shape)))
+        data = bytearray(path.read_bytes())
+        assert np.frombuffer(data, "<f8", dim, 40).tolist() == [0.5] * dim
+        data[40 + 8 * (dim - 1):40 + 8 * dim] = np.float64(0.0).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(FieldFormatError, match="frequency shift"):
             read_field(path)
 
     def test_bad_dimension(self, tmp_path):
@@ -221,7 +233,7 @@ FULL_PARAMS = {
     "solve": {},
     "limit": {"q0": 1.0},
     "sweep": {"epsilon_list": [0.5, 0.25], "rho": 3.0, "delta_nbhd": 0.5},
-    "decay": {"r_list": [5.0, 11.0, 17.0], "bump_radius": 2.0},
+    "decay": {"r_list": [5.0, 11.0, 17.0]},
     "compare_energy": {},
 }
 
@@ -230,8 +242,7 @@ def full_config(experiment):
     return {
         "version": 1,
         "experiment": experiment,
-        "grid": {"dim": 2, "half_length": 30.0, "points_per_axis": 16,
-                 "freq_shift": [0.5, 0.5]},
+        "grid": {"dim": 2, "half_length": 30.0, "points_per_axis": 16},
         "problem": {
             "p": 8.0, "epsilon": 0.5, "delta": 0.01, "resolvent_mode": "multiplier",
             "coefficient": {"kind": "gaussian_bumps", "floor": 0.25,

@@ -100,17 +100,20 @@ class TestLimitSolve:
         ratio = q0 ** (-(2.0 / 8.0) * pp / (2.0 - pp))
         assert other.energy == pytest.approx(ratio * limit_state.energy, rel=1e-6)
 
-    def test_invalid_q0(self, grid, cfg):
-        with pytest.raises(ValueError):
-            solve_limit(0.0, 8.0, grid, cfg)
+    @pytest.mark.parametrize("q0", [0.0, np.nan, np.inf])
+    def test_invalid_q0(self, grid, cfg, q0):
+        with pytest.raises(ValueError, match="q0"):
+            solve_limit(q0, 8.0, grid, cfg)
 
-    def test_tiny_budget_raises_with_best_iterate(self, grid):
+    def test_tiny_budget_raises_with_last_gradient(self, grid):
         small = SolverConfig(max_iters=3)
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence, match=r"gradient \S+ above tolerance") as err:
             solve_from_seed(InitialGuess(width=0.8).build(grid),
                             ProblemSpec(p=8.0, epsilon=1.0,
                                         coefficient=constant_coefficient(1.0)),
                             small)
+        assert err.value.iterations == 3
+        assert small.grad_tol < float(str(err.value).split()[1]) < np.inf
 
 
 class TestFreeSpaceLimit:

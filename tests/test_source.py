@@ -1,14 +1,17 @@
 """Source hygiene: no module of the package imports a name or takes a parameter it never
-uses, and the README and demos import only names the package has."""
+uses, the README and demos import only names the package has, and the README's config
+key tables list exactly the keys the schema accepts."""
 
 import ast
 import importlib
+import itertools
 import re
 from pathlib import Path
 
 import pytest
 
 import helmdual
+from helmdual import runio
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "helmdual"
@@ -112,3 +115,22 @@ def test_readme_quick_start_runs(monkeypatch):
     exec(compile(readme_python(), "README.md", "exec"), namespace)
     assert namespace["state"].grad_norm <= namespace["cfg"].grad_tol
     assert namespace["u"].grid == make_grid(2, 30.0, 64)
+
+
+def readme_table(header: str) -> list[list[str]]:
+    """The body rows of the README table under ``header``, one list of cells each."""
+    body = (ROOT / "README.md").read_text().split(header + "\n", 1)[1].splitlines()[1:]
+    rows = itertools.takewhile(lambda line: line.startswith("|"), body)
+    return [[cell.strip().strip("`") for cell in row.strip("|").split("|")] for row in rows]
+
+
+def test_readme_params_table_matches_schema():
+    rows = readme_table("| experiment | key | type | required | default |")
+    assert {experiment for experiment, *_ in rows} == set(runio._PARAMS)
+    assert {(experiment, key) for experiment, key, *_ in rows if key != "—"} == {
+        (experiment, key) for experiment, keys in runio._PARAMS.items() for key in keys}
+
+
+def test_readme_solver_table_matches_schema():
+    rows = readme_table("| key | type | default |")
+    assert [key for key, *_ in rows] == list(runio._SOLVER)
