@@ -58,8 +58,8 @@ class BarycenterConfig:
     delta_nbhd: float = 0.5
 
     def __post_init__(self):
-        if self.rho <= 0 or self.delta_nbhd <= 0:
-            raise ValueError("rho and delta_nbhd must be positive")
+        if not (0.0 < self.rho < np.inf and 0.0 < self.delta_nbhd < np.inf):  # NaN fails too
+            raise ValueError("rho and delta_nbhd must be positive and finite")
 
     def validate_for(self, coefficient) -> None:
         for y in coefficient.maximum_set:
@@ -298,8 +298,10 @@ def interaction_decay(p: float, grid: Grid, r_list,
     dim = grid.dim
     lam = lambda_p(dim, p)
     rl = [float(r) for r in r_list]
-    if len(rl) < 3 or any(b <= a for a, b in zip(rl, rl[1:])) or rl[0] < 1.0:
-        raise ValueError("r_list must be increasing with at least 3 entries, r >= 1")
+    # written so that NaN fails each comparison
+    if (len(rl) < 3 or not all(b > a for a, b in zip(rl, rl[1:])) or not 1.0 <= rl[0]
+            or not rl[-1] < np.inf):
+        raise ValueError("r_list must be finite and increasing with at least 3 entries, r >= 1")
     fitted = sum(r >= rl[-1] / 10.0 for r in rl)  # the slope is fitted over the largest decade
     if fitted < 2:
         raise ValueError("r_list needs 2 separations in its largest decade (r >= r_max / 10)")

@@ -9,10 +9,15 @@ J0 and Y0 are evaluated by the ascending series for moderate arguments and by
 the large-argument (Hankel) expansion beyond; the crossover at x = 13 keeps
 both branches below ~1e-11 absolute error in double precision.  The test
 suite validates them against independent integral-representation quadrature.
+
+The kernel's moment against a Gaussian window, which fixes the center weight of
+KernelSpec, has a closed form through Ei (N = 2) and Dawson's integral (N = 3);
+both are summed from their series to round-off, with no quadrature.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +30,9 @@ _ASYMPTOTIC_TERMS = 34
 
 #: width of the Gaussian window of the moment-fitted center weight, in spacings
 _SINGULAR_WINDOW = 3.0
+_EPS = np.finfo(np.float64).eps
+#: x = -ln(eps): from here on the asymptotic series of the window moment reach round-off
+_MOMENT_ASYMPTOTIC = -math.log(_EPS)
 
 
 def _j0_series(x: np.ndarray) -> np.ndarray:
@@ -39,16 +47,21 @@ def _j0_series(x: np.ndarray) -> np.ndarray:
 
 
 def _y0_series(x: np.ndarray) -> np.ndarray:
-    """(2/pi) [ (ln(x/2) + gamma) J0(x) + sum_k (-1)^(k+1) H_k (x^2/4)^k / (k!)^2 ]."""
+    """(2/pi) [ (ln(x/2) + gamma) J0(x) + sum_k (-1)^(k+1) H_k (x^2/4)^k / (k!)^2 ].
+
+    J0's series shares the terms (-q)^k / (k!)^2, so one recursion builds both sums.
+    """
     q = 0.25 * x * x
     term = np.ones_like(x)
+    j0 = np.ones_like(x)
     harmonic = 0.0
     total = np.zeros_like(x)
     for k in range(1, _SERIES_TERMS):
         term = term * (-q) / (k * k)
+        j0 = j0 + term
         harmonic += 1.0 / k
         total = total - harmonic * term  # (-1)^(k+1) H_k q^k/(k!)^2
-    return (2.0 / np.pi) * ((np.log(0.5 * x) + EULER_GAMMA) * _j0_series(x) + total)
+    return (2.0 / np.pi) * ((np.log(0.5 * x) + EULER_GAMMA) * j0 + total)
 
 
 def _asymptotic_pq(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,10 +110,10 @@ def bessel_j0(x):
 
 
 def bessel_y0(x):
-    """Bessel function of the second kind, order zero (x > 0)."""
+    """Bessel function of the second kind, order zero (finite x > 0)."""
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0):
-        raise ValueError("bessel_y0 requires x > 0")
+    if not np.all((x > 0) & (x < np.inf)):  # NaN fails both comparisons
+        raise ValueError("bessel_y0 requires finite x > 0")
     small = x <= _SERIES_CUTOFF
     out = np.empty_like(x)
     if np.any(small):
@@ -111,10 +124,10 @@ def bessel_y0(x):
 
 
 def re_phi(r, dim: int):
-    """Re Phi(r) for the unit-wavenumber Helmholtz equation, r > 0."""
+    """Re Phi(r) for the unit-wavenumber Helmholtz equation, finite r > 0."""
     r = np.asarray(r, dtype=np.float64)
-    if np.any(r <= 0):
-        raise ValueError("re_phi requires r > 0")
+    if not np.all((r > 0) & (r < np.inf)):  # NaN fails both comparisons
+        raise ValueError("re_phi requires finite r > 0")
     if dim == 3:
         out = np.cos(r) / (4.0 * np.pi * r)
     elif dim == 2:
@@ -122,6 +135,43 @@ def re_phi(r, dim: int):
     else:
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     return out if out.ndim else float(out)
+
+
+def _series(first: float, ratio, max_terms: int) -> float:
+    """sum_{k < max_terms} t_k with t_0 = first, t_k = t_(k-1) ratio(k); stops at round-off."""
+    term = total = first
+    for k in range(1, max_terms):
+        term *= ratio(k)
+        total += term
+        if term <= 0.5 * _EPS * total:
+            break
+    return total
+
+
+def _gaussian_moment(dim: int, sigma: float) -> float:
+    """int over R^N of Re Phi(|x|) exp(-|x|^2 / (2 sigma^2)) dx, in closed form.
+
+    With x = sigma^2 / 2 it is -x e^-x Ei(x) for N = 2 and 2x (1 - 2 sqrt(x) D(sqrt(x)))
+    for N = 3, D being Dawson's integral.  Up to x = -ln(eps) both come from positive-term
+    ascending series,
+
+        Ei(x) = gamma + ln x + sum_{k>=1} x^k / (k k!),
+        2 sqrt(x) D(sqrt(x)) = 2 e^-x sum_{k>=0} x^(k+1) / (k! (2k+1));
+
+    beyond, from the asymptotic series x e^-x Ei(x) ~ sum_{k>=0} k! / x^k and
+    1 - 2 sqrt(x) D(sqrt(x)) ~ -sum_{k>=1} (2k-1)!! / (2x)^k, cut before their terms grow.
+    """
+    x = 0.5 * sigma * sigma
+    if x >= _MOMENT_ASYMPTOTIC:
+        if dim == 2:
+            return -_series(1.0, lambda k: k / x, int(x))
+        return -2.0 * x * _series(0.5 / x, lambda k: (2 * k + 1) / (2.0 * x), int(x))
+    # below -ln(eps) the ascending series reach round-off well before 1000 terms
+    if dim == 2:
+        tail = _series(x, lambda k: x * k / (k + 1) ** 2, 1000)
+        return -x * math.exp(-x) * (EULER_GAMMA + math.log(x) + tail)
+    tail = _series(x, lambda k: x * (2 * k - 1) / (k * (2 * k + 1)), 1000)
+    return 2.0 * x * (1.0 - 2.0 * math.exp(-x) * tail)
 
 
 def exponent_bounds(dim: int) -> tuple[float, float]:
@@ -155,10 +205,13 @@ class KernelSpec:
 
     * ``corrected=True`` (default): a moment-fitted weight.  The center
       weight is chosen so that the punctured lattice sum integrates the
-      kernel exactly against a Gaussian window of width 3 spacings.  This
-      cancels the low-frequency bias of sampling a slowly-decaying
-      oscillatory kernel on a lattice and is what makes the direct oracle
-      agree with the spectral route at coarse spacing.
+      kernel exactly against a Gaussian window of width 3 spacings.  The
+      exact integral over R^N is the closed-form moment of
+      ``_gaussian_moment`` (Ei for N = 2, Dawson's integral for N = 3), so
+      the weight costs one lattice sum and no quadrature.  This cancels the
+      low-frequency bias of sampling a slowly-decaying oscillatory kernel on
+      a lattice and is what makes the direct oracle agree with the spectral
+      route at coarse spacing.
     * ``corrected=False``: the analytic average of the leading singular term
       over a cell-volume-equivalent ball (1/(4 pi r) for N = 3, the log term
       for N = 2).  Kept as the plain second-order reference.
@@ -181,16 +234,11 @@ class KernelSpec:
         return -(EULER_GAMMA + np.log(0.5 * a) - 0.5) / (2.0 * np.pi)
 
     def corrected_cell_value(self, spacing: float) -> float:
-        """Moment-fitted center weight: exact kernel integral against a Gaussian window."""
+        """Moment-fitted center weight: the window's closed-form moment minus the punctured
+        lattice sum of kernel * window, per cell volume."""
         sw = _SINGULAR_WINDOW * spacing
+        exact = _gaussian_moment(self.dim, sw)
         rmax = 9.0 * sw
-        r = np.linspace(1e-8, rmax, 200_001)
-        window = np.exp(-(r * r) / (2.0 * sw * sw))
-        if self.dim == 2:
-            shell = 2.0 * np.pi * r
-        else:
-            shell = 4.0 * np.pi * r * r
-        exact = np.trapezoid(re_phi(r, self.dim) * window * shell, r)
         # punctured lattice sum of kernel * window, truncated where the window dies
         m = int(np.ceil(rmax / spacing))
         r_sq = sum(np.ix_(*((spacing * np.arange(-m, m + 1)) ** 2,) * self.dim))
@@ -199,6 +247,8 @@ class KernelSpec:
         return (exact - lattice * spacing**self.dim) / spacing**self.dim
 
     def center_weight(self, spacing: float) -> float:
+        if not 0.0 < spacing < np.inf:  # NaN fails too; the weights take log(spacing)
+            raise ValueError(f"spacing must be positive and finite, got {spacing}")
         if self.corrected:
             return self.corrected_cell_value(spacing)
         return self.singular_cell_value(spacing)

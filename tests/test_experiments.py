@@ -43,6 +43,12 @@ class TestBarycenter:
         with pytest.raises(ValueError):
             cfg.validate_for(coef)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["rho", "delta_nbhd"])
+    def test_config_rejects_non_finite(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BarycenterConfig(**{field: bad})
+
     def test_even_field_centered(self, grid):
         cfg = BarycenterConfig(rho=100.0, delta_nbhd=1.0)
         beta = barycenter(gaussian(grid, (0.0, 0.0)), 0.5, PP, cfg)
@@ -236,6 +242,14 @@ class TestInteractionDecay:
             interaction_decay(8.0, g, [5.0, 10.0, 200.0])  # box too small
         with pytest.raises(ValueError, match="largest decade"):
             interaction_decay(8.0, g, [1.0, 2.0, 30.0])  # one point in r >= r_max / 10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [0, 1, 3])
+    def test_rejects_non_finite_separation(self, where, bad):
+        r_list = [5.0, 11.0, 17.0, 23.0]
+        r_list[where] = bad
+        with pytest.raises(ValueError, match="finite and increasing"):
+            interaction_decay(8.0, make_grid(2, 80.0, 64), r_list)
 
     def test_symmetry_under_swap(self):
         # interaction of two bumps is symmetric in the pair

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+import helmdual.kernels
 from helmdual.kernels import (
+    EULER_GAMMA,
     KernelSpec,
+    _SERIES_TERMS,
+    _gaussian_moment,
+    _j0_series,
+    _y0_series,
     bessel_j0,
     bessel_y0,
     check_exponent,
@@ -12,6 +18,7 @@ from helmdual.kernels import (
     lambda_p,
     re_phi,
 )
+from helmdual.resolvent import _kernel_spectrum
 
 
 def j0_integral_oracle(x):
@@ -71,6 +78,26 @@ class TestBesselY0:
         with pytest.raises(ValueError):
             bessel_y0(np.array([1.0, -2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            bessel_y0(bad)
+        with pytest.raises(ValueError, match="finite"):
+            bessel_y0(np.array([1.0, bad]))
+
+    def test_series_bit_identical_to_separate_j0_sum(self):
+        # the one-loop series against (ln(x/2) + gamma) J0 taken from J0's own series
+        x = np.linspace(1e-6, 13.0, 50001)
+        q = 0.25 * x * x
+        term, harmonic, total = np.ones_like(x), 0.0, np.zeros_like(x)
+        for k in range(1, _SERIES_TERMS):
+            term = term * (-q) / (k * k)
+            harmonic += 1.0 / k
+            total = total - harmonic * term
+        separate = (2.0 / np.pi) * ((np.log(0.5 * x) + EULER_GAMMA) * _j0_series(x) + total)
+        np.testing.assert_array_equal(_y0_series(x), separate)
+        np.testing.assert_array_equal(bessel_y0(x), separate)
+
 
 class TestRePhi:
     def test_3d_value_at_pi(self):
@@ -90,6 +117,14 @@ class TestRePhi:
             re_phi(0.0, 3)
         with pytest.raises(ValueError):
             re_phi(1.0, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rejects_non_finite(self, dim, bad):
+        with pytest.raises(ValueError, match="finite"):
+            re_phi(bad, dim)
+        with pytest.raises(ValueError, match="finite"):
+            re_phi(np.array([0.5, bad]), dim)
 
 
 class TestExponents:
@@ -142,3 +177,75 @@ class TestKernelSpec:
             plain = KernelSpec(dim, corrected=False).center_weight(h)
             fitted = KernelSpec(dim, corrected=True).center_weight(h)
             assert 0.2 * plain < fitted < 5.0 * plain
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("corrected", [True, False])
+    def test_center_weight_rejects_bad_spacing(self, corrected, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            KernelSpec(2, corrected=corrected).center_weight(bad)
+
+
+def _moment_reference(dim, h):
+    """The window moment from mpmath's Ei and erfi: D(z) = (sqrt(pi)/2) e^(-z^2) erfi(z)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        sigma = 3 * mpmath.mpf(h)
+        x = sigma**2 / 2
+        if dim == 2:
+            return float(-x * mpmath.exp(-x) * mpmath.ei(x))
+        z = mpmath.sqrt(x)
+        dawson = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-z * z) * mpmath.erfi(z)
+        return float(sigma**2 * (1 - 2 * z * dawson))
+
+
+class TestGaussianMoment:
+    """The center weight's exact integral int Re Phi(|x|) exp(-|x|^2 / (2 sigma^2)) dx."""
+
+    # 2.8 and 2.9 put x = 4.5 h^2 on either side of the switch to the asymptotic series
+    @pytest.mark.parametrize("dim, h", [
+        *((2, h) for h in (0.1, 0.234, 0.469, 1.25, 1.875, 2.8, 2.9, 3.0)),
+        *((3, h) for h in (0.25, 0.5, 2 / 3, 1.0, 2.8, 2.9)),
+    ])
+    def test_closed_form_against_mpmath(self, dim, h):
+        expected = _moment_reference(dim, h)
+        assert _gaussian_moment(dim, 3.0 * h) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dim, h", [(2, 0.469), (3, 0.5)])
+    def test_identity_against_quadrature(self, dim, h):
+        # the radial integral itself, so the closed form is pinned independently of Ei and D
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(15):
+            sigma = 3.0 * h
+            if dim == 2:  # -Y0(r)/4 on the shell 2 pi r
+                radial = lambda r: -mpmath.bessely(0, r) * r * mpmath.pi / 2
+            else:  # cos(r)/(4 pi r) on the shell 4 pi r^2
+                radial = lambda r: mpmath.cos(r) * r
+            exact = mpmath.quad(lambda r: radial(r) * mpmath.exp(-r * r / (2 * sigma**2)),
+                                [0, 10 * sigma])
+        assert _gaussian_moment(dim, sigma) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+
+class TestKernelTable:
+    @pytest.mark.parametrize("dim, n, h", [(2, 32, 1.875), (2, 33, 0.7), (3, 16, 0.5)])
+    def test_orthant_mirror_equals_full_lattice(self, dim, n, h):
+        spec = KernelSpec(dim)
+        diff_sq = (h * np.arange(1 - n, n)) ** 2
+        full = spec.evaluate(np.sqrt(sum(np.ix_(*(diff_sq,) * dim))), h)
+        expected = np.fft.rfftn(full, (2 * n,) * dim, tuple(range(dim)))
+        np.testing.assert_array_equal(_kernel_spectrum(dim, n, h, spec), expected)
+
+    def test_kernel_evaluations_scale_with_the_lattice(self, monkeypatch):
+        radii = []
+
+        def counting(r, dim):
+            radii.append(np.size(r))
+            return re_phi(r, dim)
+
+        monkeypatch.setattr(helmdual.kernels, "re_phi", counting)
+        _kernel_spectrum.cache_clear()
+        try:
+            _kernel_spectrum(2, 80, 1.5, KernelSpec(2))
+        finally:
+            _kernel_spectrum.cache_clear()
+        # the orthant of the table plus the center weight's punctured lattice sum
+        assert sum(radii) <= 80**2 + 55**2

@@ -71,6 +71,11 @@ class TestMultiplierValue:
         with pytest.raises(ValueError):
             multiplier_value(2.0, -0.1)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            multiplier_value(2.0, delta)
+
     def test_sign_structure(self):
         # negative inside the unit sphere, positive outside
         assert multiplier_value(0.5, 0.0) < 0
