@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .grid import Field, dft_forward, dft_inverse, make_grid
+from .grid import Field, _l2, dft_forward, dft_inverse, make_grid
 from .kernels import KernelSpec, re_phi
 from .resolvent import (
     ResolventConfig,
@@ -69,7 +69,7 @@ def cmd_validate(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
     small = make_grid(2, 30.0, 32)
     f = Field(small, rng.standard_normal(small.shape))
     rt = dft_inverse(dft_forward(f), small)
-    err = np.linalg.norm(rt.values - f.values) / np.linalg.norm(f.values)
+    err = _l2(rt.values - f.values) / _l2(f.values)
     checks.append(("dft roundtrip", err <= 1e-12, f"rel err {err:.2e}"))
 
     k3 = abs(re_phi(np.pi, 3) - (-1.0 / (4.0 * np.pi**2)))
@@ -81,7 +81,7 @@ def cmd_validate(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
     bump = Field(small, np.exp(-(r**2) / 72.0))
     mult = apply_R(bump, ResolventConfig(delta=1e-3))
     direct = apply_R_direct(bump, KernelSpec(2))
-    oerr = np.linalg.norm(mult.values - direct.values) / np.linalg.norm(direct.values)
+    oerr = _l2(mult.values - direct.values) / _l2(direct.values)
     checks.append(("resolvent oracle", oerr <= 5e-2, f"rel err {oerr:.2e}"))
 
     ident = resolvent_identity_residual(f, ResolventConfig(delta=0.0))

@@ -13,11 +13,12 @@ falsifiable discrete form:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Field, Grid, inner_product, lp_norm
+from .grid import Field, Grid, _squared_distance, inner_product, lp_norm
 from .kernels import lambda_p
 from .functional import DualState, ProblemSpec, pde_residual
 from .resolvent import ResolventConfig, apply_R
@@ -28,8 +29,8 @@ from .solver import (
     _best_state,
     _check_cutoffs_fit,
     _solve_seeds,
+    _translates,
     cutoff,
-    default_seeds,
     solve_ground_state,
     solve_limit,
 )
@@ -94,10 +95,10 @@ def edge_mass(v: Field, p_prime: float) -> float:
     """Fraction of ||v||_p'^p' in the box's outer shell (|x_d| > 0.9 L on some axis)."""
     grid = v.grid
     cut = 0.9 * grid.half_length
-    outer = np.zeros(grid.shape, dtype=bool)
-    for d in range(grid.dim):
-        outer |= np.abs(grid.coords(d)) > cut
-    weight = np.abs(v.values) ** p_prime
+    outer = functools.reduce(np.logical_or,
+                             (x > cut for x in np.ix_(*(np.abs(grid.x_axis),) * grid.dim)))
+    weight = np.abs(v.values)
+    weight **= p_prime
     return float(weight[outer].sum() / weight.sum())
 
 
@@ -111,20 +112,27 @@ def aligned_distance(v: Field, w0: Field, p_prime: float) -> tuple[float, tuple[
     grid = v.grid
     if grid != w0.grid:
         raise ValueError("fields live on different grids")
-    a = np.abs(v.values) ** p_prime
-    b = np.abs(w0.values) ** p_prime
-    corr = np.fft.ifftn(np.fft.fftn(a) * np.conj(np.fft.fftn(b))).real
+    a, b = (np.fft.rfftn(np.abs(f.values) ** p_prime) for f in (v, w0))
+    a *= np.conjugate(b, out=b)  # the correlation is real: half-size spectra carry it
+    corr = np.fft.irfftn(a, grid.shape, tuple(range(grid.dim)))
     center = np.unravel_index(np.argmax(corr), corr.shape)
+    del a, b, corr
     denom = lp_norm(w0, p_prime)
     best = np.inf
     best_shift: tuple[int, ...] = (0,) * grid.dim
     offsets = np.stack(np.meshgrid(*([[-1, 0, 1]] * grid.dim), indexing="ij"),
                        axis=-1).reshape(-1, grid.dim)
+    diff = np.empty(grid.shape)
     for off in offsets:
         shift = tuple(-(int(c) + int(o)) for c, o in zip(center, off))
         rolled = np.roll(v.values, shift, axis=tuple(range(grid.dim)))
         for sign in (1.0, -1.0):
-            d = lp_norm(Field(grid, sign * rolled - w0.values), p_prime) / denom
+            # lp_norm(sign * rolled - w0) / denom, in one reused array
+            np.multiply(rolled, sign, out=diff)
+            diff -= w0.values
+            np.abs(diff, out=diff)
+            diff **= p_prime
+            d = float((grid.cell_volume * np.sum(diff)) ** (1.0 / p_prime)) / denom
             if d < best:
                 best = d
                 best_shift = shift
@@ -234,18 +242,20 @@ def concentration_sweep(template: ProblemSpec, epsilon_list, grid: Grid,
         limit_state = solve_limit(template.coefficient.q_sup, template.p, grid,
                                   solver_cfg, resolvent=template.resolvent)
     specs = [replace(template, epsilon=e) for e in eps]
-    seeds = []  # per point: its seeds, or the error that left it none
+    unfit = []  # per point: None, or the error that leaves it no seeds
     for spec in specs:
         try:
-            seeds.append(default_seeds(spec, limit_state))
+            _check_cutoffs_fit(spec.coefficient.maximum_set, spec.epsilon, grid)
+            unfit.append(None)
         except ValueError as err:
-            seeds.append(err)
-    problems = [(seed, spec) for spec, point in zip(specs, seeds) if isinstance(point, list)
-                for seed in point]
-    outcomes = iter(list(_solve_seeds(problems, solver_cfg)))  # every point's seeds in one solve
-    return [sweep_point(spec, grid, [next(outcomes) for _ in point] if isinstance(point, list)
-                        else [point], bary_cfg, limit_state)
-            for spec, point in zip(specs, seeds)]
+            unfit.append(err)
+    maxima = template.coefficient.maximum_set
+    # every point's seeds in one solve; each translate is built as its slot opens
+    problems = _translates([spec for spec, err in zip(specs, unfit) if err is None], limit_state)
+    outcomes = iter(list(_solve_seeds(problems, solver_cfg)))
+    return [sweep_point(spec, grid, [next(outcomes) for _ in maxima] if err is None else [err],
+                        bary_cfg, limit_state)
+            for spec, err in zip(specs, unfit)]
 
 
 def sweep_to_csv(records) -> str:
@@ -258,11 +268,11 @@ def compact_bump(grid: Grid, center, radius: float) -> Field:
     Radial profile eta(2 r / radius) with the standard smooth cutoff eta
     (identically 1 up to half the radius, 0 beyond); it is not modulated.
     """
-    r_sq = np.zeros(grid.shape)
-    for d in range(grid.dim):
-        r_sq = r_sq + (grid.coords(d) - center[d]) ** 2
-    r = np.sqrt(r_sq)
-    return Field(grid, cutoff(2.0 * r / radius))
+    r = _squared_distance(np.ix_(*(grid.x_axis,) * grid.dim), center)
+    np.sqrt(r, out=r)
+    r *= 2.0
+    r /= radius
+    return Field(grid, cutoff(r))
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, Grid, lp_norm, spectral_laplacian
+from .grid import Field, Grid, _l2, _squared_distance, lp_norm, spectral_laplacian
 from .kernels import check_exponent
-from .resolvent import ResolventConfig, _apply, apply_R
+from .resolvent import ResolventConfig, _apply
 
 
 class NotInPositiveCone(ValueError):
@@ -80,19 +80,26 @@ class CoefficientSpec:
         """Whether limsup at infinity < sup (the compactness condition)."""
         return self.q_infinity < self.q_sup
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Q at an array of points with trailing axis of length dim."""
-        points = np.asarray(points, dtype=float)
-        out = np.full(points.shape[:-1], self.floor)
+    def evaluate(self, coords) -> np.ndarray:
+        """Q at the points whose d-th coordinate is coords[d], arrays that broadcast together.
+
+        An open mesh (np.ix_ of the axes) gives Q on a whole grid without a coordinate
+        array of the grid's size.
+        """
+        coords = [np.asarray(x, dtype=float) for x in coords]
+        out = np.full(np.broadcast_shapes(*(x.shape for x in coords)), self.floor)
         for c, a, w in zip(self.centers, self.amplitudes, self.widths):
-            d_sq = np.sum((points - np.asarray(c)) ** 2, axis=-1)
-            out = out + a * np.exp(-d_sq / (2.0 * w * w))
+            bump = _squared_distance(coords, c)  # a new array: worked on in place
+            np.negative(bump, out=bump)
+            bump /= 2.0 * w * w
+            np.exp(bump, out=bump)
+            bump *= a
+            out += bump
         return out
 
     def sample_rescaled(self, grid: Grid, epsilon: float) -> Field:
         """Q_eps on the grid: Q evaluated analytically at eps * x (never interpolated)."""
-        pts = np.stack([epsilon * grid.coords(d) for d in range(grid.dim)], axis=-1)
-        return Field(grid, self.evaluate(pts))
+        return Field(grid, self.evaluate(np.ix_(*(epsilon * grid.x_axis,) * grid.dim)))
 
 
 def constant_coefficient(value: float) -> CoefficientSpec:
@@ -134,20 +141,23 @@ class ProblemSpec:
 
     def q_root(self, grid: Grid) -> Field:
         """Q_eps^(1/p) sampled on the grid."""
-        qe = self.coefficient.sample_rescaled(grid, self.epsilon)
-        return Field(grid, qe.values ** (1.0 / self.p))
+        qe = self.coefficient.sample_rescaled(grid, self.epsilon).values
+        return Field(grid, np.power(qe, 1.0 / self.p, out=qe))
 
 
 def _dual_power(values: np.ndarray, p_prime: float) -> np.ndarray:
     """|v|^(p'-2) v, with the value 0 at v = 0 (p' > 1)."""
-    return np.sign(values) * np.abs(values) ** (p_prime - 1.0)
+    out = np.abs(values)
+    out **= p_prime - 1.0
+    out *= np.sign(values)
+    return out
 
 
 def _resolve(grid: Grid, cfg: ResolventConfig, *gs: np.ndarray) -> list[tuple[np.ndarray, float]]:
     """R g and int g R g for one or two g = Q_eps^(1/p) v: where R meets the dual variable."""
-    rgs = [apply_R(Field(grid, gs[0]), cfg).values] if len(gs) == 1 else _apply(grid, cfg, *gs)
+    rgs = _apply(grid, cfg, *gs)
     quads = [float(grid.cell_volume * np.sum(g * rg)) for g, rg in zip(gs, rgs)]  # inner_product
-    if not np.isfinite(quads).all():
+    if not np.isfinite(quads).all():  # a non-finite g or R g
         raise ValueError("field values must be finite")
     return list(zip(rgs, quads))
 
@@ -191,8 +201,8 @@ class DualState:
         norm_pp = lp_norm(v, pp) ** pp
         en = norm_pp / pp - 0.5 * quad
         grad_vals = _dual_power(v.values, pp) - qr * rg
-        scale = np.linalg.norm(np.abs(v.values) ** (pp - 1.0))
-        grad_norm = float(np.linalg.norm(grad_vals) / scale) if scale > 0 else 0.0
+        scale = _l2(np.abs(v.values) ** (pp - 1.0))
+        grad_norm = _l2(grad_vals) / scale if scale > 0 else 0.0
         residual = abs(norm_pp - quad)
         return cls(v, spec, Field(v.grid, rg), float(en), grad_norm, float(residual), float(quad))
 
@@ -233,11 +243,17 @@ def pde_residual(u_eps: Field, spec: ProblemSpec) -> float:
     absolute residual of the left-hand side is returned and a warning is
     emitted.
     """
-    qe = spec.coefficient.sample_rescaled(u_eps.grid, spec.epsilon)
-    rhs = qe.values * np.abs(u_eps.values) ** (spec.p - 2.0) * u_eps.values
-    lhs = -spectral_laplacian(u_eps).values - u_eps.values
-    denom = np.linalg.norm(rhs)
+    u = u_eps.values
+    lhs = spectral_laplacian(u_eps).values  # a new array: worked on in place
+    np.negative(lhs, out=lhs)
+    lhs -= u
+    rhs = np.abs(u)
+    rhs **= spec.p - 2.0
+    rhs *= spec.coefficient.sample_rescaled(u_eps.grid, spec.epsilon).values
+    rhs *= u
+    denom = _l2(rhs)
     if denom == 0.0:
         warnings.warn("zero right-hand side: returning absolute residual", stacklevel=2)
-        return float(np.linalg.norm(lhs))
-    return float(np.linalg.norm(lhs - rhs) / denom)
+        return _l2(lhs)
+    lhs -= rhs
+    return _l2(lhs) / denom

@@ -149,6 +149,24 @@ def lp_norm(f: Field, q: float) -> float:
     return float((f.grid.cell_volume * np.sum(np.abs(f.values) ** q)) ** (1.0 / q))
 
 
+def _l2(values: np.ndarray) -> float:
+    """Euclidean norm of an array as sqrt(sum x^2), numpy's pairwise sum.
+
+    np.linalg.norm goes through BLAS dot, which splits the sum across threads, so its last
+    bits depend on the thread count; this does not.
+    """
+    return float(np.sqrt(np.sum(values * values)))
+
+
+def _squared_distance(coords, center) -> np.ndarray:
+    """|x - c|^2 at coordinates that broadcast (an open mesh: np.ix_ of the axes).
+
+    The axis terms are summed left to right, (t0 + t1) + t2: numpy's order for a sum over a
+    trailing axis of length 3, so a mesh gives the bits of a stacked point array.
+    """
+    return sum((x - c) ** 2 for x, c in zip(coords, center))
+
+
 def inner_product(f: Field, g: Field) -> float:
     """Quadrature L^2 pairing h^N sum f_j g_j."""
     _check_same_grid(f, g)
@@ -171,24 +189,38 @@ def _freq_phase(grid: Grid) -> np.ndarray:
     return functools.reduce(np.multiply, np.ix_(*(axis,) * grid.dim))
 
 
+# The transforms work in place on one complex array.  Complex products keep their operand
+# order (a * b as multiply(a, b, out=...)): with fused multiply-adds they are not commutative
+# bit for bit.
+
 def dft_forward(f: Field) -> np.ndarray:
     """Coefficients F_m = h^N sum_j f_j exp(-i xi_m . x_j) on the shifted lattice."""
     grid = f.grid
     g = f.values * _shift_modulation(grid)
-    return grid.cell_volume * _freq_phase(grid) * np.fft.fftn(g)
+    np.fft.fftn(g, out=g)
+    phase = _freq_phase(grid)
+    phase *= grid.cell_volume
+    return np.multiply(phase, g, out=g)
 
 
 def dft_inverse(spectrum: np.ndarray, grid: Grid) -> Field:
     """Inverse of :func:`dft_forward`; raises if the result is not real."""
     if spectrum.shape != grid.shape:
         raise ValueError(f"spectrum shape {spectrum.shape} != grid shape {grid.shape}")
-    g = np.fft.ifftn(spectrum * np.conj(_freq_phase(grid)))
-    values = g * np.conj(_shift_modulation(grid)) / grid.cell_volume
-    if np.max(np.abs(values.imag)) > 1e-10 * np.max(np.abs(values.real)):
+    g = np.conjugate(_freq_phase(grid))
+    np.multiply(spectrum, g, out=g)
+    np.fft.ifftn(g, out=g)
+    modulation = _shift_modulation(grid)
+    g *= np.conjugate(modulation, out=modulation)
+    del modulation
+    g /= grid.cell_volume
+    if np.max(np.abs(g.imag)) > 1e-10 * np.max(np.abs(g.real)):
         raise ValueError("inverse transform produced a non-real field")
-    return Field(grid, values.real)
+    return Field(grid, g.real.copy())  # a real array, not a view holding the complex one
 
 
 def spectral_laplacian(f: Field) -> Field:
     """Laplacian via multiplication by -|xi|^2 on the shifted lattice."""
-    return dft_inverse(-f.grid.xi_squared * dft_forward(f), f.grid)
+    spectrum = dft_forward(f)
+    np.multiply(np.negative(f.grid.xi_squared), spectrum, out=spectrum)
+    return dft_inverse(spectrum, f.grid)

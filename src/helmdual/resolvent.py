@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, _shift_modulation, inner_product, spectral_laplacian
+from .grid import Field, Grid, _l2, _shift_modulation, inner_product, spectral_laplacian
 from .kernels import KernelSpec
 
 
@@ -93,7 +93,7 @@ def _apply(grid: Grid, cfg: ResolventConfig, *fields: np.ndarray) -> list[np.nda
         return [apply_R_direct(Field(grid, x), KernelSpec(grid.dim)).values for x in fields]
     modulation, symbol = _plan(grid, cfg.delta)
     packed = np.zeros(grid.shape, np.complex128)
-    norms = [float(np.max(np.abs(x))) or 1.0 for x in fields]
+    norms = [float(max(x.max(), -x.min())) or 1.0 for x in fields]  # max |x|, with no |x| copy
     for part, x, norm in zip((packed.real, packed.imag), fields, norms):
         np.divide(x, norm, out=part)
     packed *= modulation
@@ -156,5 +156,5 @@ def resolvent_identity_residual(f: Field, cfg: ResolventConfig) -> float:
     """Relative L^2 residual of -Laplacian(Rf) - Rf = f (exact for delta = 0)."""
     rf = apply_R(f, cfg)
     lhs = -spectral_laplacian(rf).values - rf.values
-    denom = np.linalg.norm(f.values)
-    return float(np.linalg.norm(lhs - f.values) / denom) if denom > 0 else 0.0
+    denom = _l2(f.values)
+    return _l2(lhs - f.values) / denom if denom > 0 else 0.0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -105,6 +104,8 @@ class RunConfig:
 
     @property
     def config_hash(self) -> str:
+        import hashlib  # loads OpenSSL: only a run that writes a record pays for it
+
         return hashlib.sha256(self.raw_bytes).hexdigest()
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, lp_norm
+from .grid import Field, Grid, _l2, _squared_distance, lp_norm
 from .functional import (
     DualState,
     NotInPositiveCone,
@@ -90,16 +90,20 @@ class InitialGuess:
 
     def build(self, grid: Grid) -> Field:
         """The seed centered at the origin of the grid, with peak value 1."""
-        r_sq = np.zeros(grid.shape)
-        for d in range(grid.dim):
-            r_sq = r_sq + grid.coords(d) ** 2
-        vals = np.exp(-r_sq / (2.0 * self.width**2))
+        r_sq = sum(np.ix_(*(grid.x_axis**2,) * grid.dim))
+        vals = np.negative(r_sq)
+        vals /= 2.0 * self.width**2
+        np.exp(vals, out=vals)
         if self.modulation > 0.0:
-            vals = vals * np.cos(self.modulation * np.sqrt(r_sq))
+            np.sqrt(r_sq, out=r_sq)
+            r_sq *= self.modulation
+            vals *= np.cos(r_sq, out=r_sq)
         if self.perturbation > 0.0:
             rng = np.random.default_rng(self.rng_seed)
             noise = rng.standard_normal(grid.shape)
-            vals = vals * (1.0 + self.perturbation * noise)
+            noise *= self.perturbation
+            noise += 1.0
+            vals *= noise
         return Field(grid, vals)
 
 
@@ -144,13 +148,25 @@ def _mollifier(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _power(w: np.ndarray, q_root: np.ndarray, p: float, cell: float):
+def _power(w: np.ndarray, q_root, p: float, cell: float):
     """|w|^(p-2), g = Q^(1/p) v and ||w||_p^p = int v w from one power (v = |w|^(p-2) w)."""
     w_pow = np.abs(w) ** (p - 2.0)
     g = w_pow * w
     norm_p = cell * float(np.sum(g * w))
     g *= q_root
     return w_pow, g, norm_p
+
+
+def _q_root(spec: ProblemSpec, grid: Grid):
+    """Q_eps^(1/p) for a descent: sampled on the grid, or one number for a constant Q.
+
+    np.power, not **: it runs the ufunc loop that sampling runs, so the number is bit for
+    bit every value of the sampled array (Python's pow differs in the last bit).
+    """
+    coefficient = spec.coefficient
+    if coefficient.centers:
+        return spec.q_root(grid).values
+    return np.power(coefficient.floor, 1.0 / spec.p)
 
 
 def _nehari(norm_p: float, quad: float, p: float) -> tuple[float, float, float]:
@@ -188,7 +204,7 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
     iterations); the state is built from the descent's own last R g.
     """
     grid, p, pp = seed.grid, spec.p, spec.p_prime
-    cell, q_root = grid.cell_volume, spec.q_root(grid).values
+    cell, q_root = grid.cell_volume, _q_root(spec, grid)
     w = _dual_power(seed.values, pp)  # seed is given in v; move to w
     del seed  # the descent's own arrays are all it keeps
     w_pow, g, norm_p = _power(w, q_root, p, cell)
@@ -206,12 +222,15 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
         rg *= s ** (p - 1.0)
         grad = np.multiply(rg, q_root, out=g)
         np.subtract(w, grad, out=grad)
-        rel_grad = float(np.linalg.norm(grad) / np.linalg.norm(w))
+        rel_grad = _l2(grad) / _l2(w)
         if rel_grad <= cfg.grad_tol:
             return DualState(Field(grid, _dual_power(w, p)), spec, Field(grid, rg), en,
                              rel_grad, abs(norm_p - quad), quad), it
         del rg  # only a converged state keeps u
-        slope = (p - 1.0) * cell * s ** (p - 2.0) * float(np.sum(w_pow * grad * grad))
+        w_pow *= grad  # spent once the slope is formed: an accepted trial brings its own
+        w_pow *= grad
+        slope = (p - 1.0) * cell * s ** (p - 2.0) * float(np.sum(w_pow))
+        del w_pow
         if pg is not None:
             cap = MAX_STEP if slope > RESOLVABLE_ULPS * np.spacing(abs(en)) else INITIAL_STEP
             step = min(_two_point_step(w, grad, pg, 1.0 - 1.0 / s, step), cap)
@@ -219,7 +238,8 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
             step = INITIAL_STEP
         pg = grad
         while step >= MIN_STEP:
-            trial = w - step * grad
+            trial = np.multiply(grad, step)
+            np.subtract(w, trial, out=trial)
             t_pow, g, t_norm = _power(trial, q_root, p, cell)
             t_rg, t_quad = yield g
             if t_quad > 0.0:
@@ -229,9 +249,11 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
                     w, w_pow, rg, s, en = trial, t_pow, t_rg, t_s, t_en
                     norm_p, quad = t_norm, t_quad
                     break
+            del trial, t_pow, g, t_rg  # a rejected trial's arrays go before the next is built
             step *= SHRINK_FACTOR
         else:  # no trial step passed the Armijo test
             raise _StepCollapsed("step collapsed without an acceptable iterate")
+        del trial, t_pow, t_rg  # the accepted arrays live on as w, w_pow and rg alone
 
     raise NoConvergence(
         f"gradient {rel_grad:.3e} above tolerance {cfg.grad_tol:.1e} "
@@ -263,11 +285,12 @@ def solve_limit(q0: float, p: float, grid: Grid, cfg: SolverConfig,
 
 def _solve_seeds(problems, cfg: SolverConfig):
     """Descend from every (seed, spec), two at a time; yields the outcomes in seed order."""
-    pending = enumerate(problems)
+    pending, opened = iter(problems), itertools.count()  # no enumerate: it keeps its last item
     running: dict[int, list] = {}  # seed index -> [descent, (grid, resolvent), next g]
     finished: dict[int, object] = {}  # seed index -> (DualState, iterations) or its exception
 
     def advance(i: int, answer) -> None:
+        running[i][2] = None  # the resolved g is spent: its descent reuses or drops it
         send = running[i][0].throw if isinstance(answer, Exception) else running[i][0].send
         try:
             running[i][2] = send(answer)
@@ -280,7 +303,8 @@ def _solve_seeds(problems, cfg: SolverConfig):
 
     for index in itertools.count():
         while index not in finished:
-            for i, (seed, spec) in itertools.islice(pending, 2 - len(running)):  # as slots open
+            for seed, spec in itertools.islice(pending, 2 - len(running)):  # as slots open
+                i = next(opened)
                 running[i] = [_descend(seed, spec, cfg), (seed.grid, spec.resolvent), None]
                 del seed
                 advance(i, None)
@@ -294,8 +318,8 @@ def _solve_seeds(problems, cfg: SolverConfig):
                 answers = _resolve(*key, *(running[i][2] for i in batch))
             except ValueError as err:  # a non-finite pairing ends every seed in it
                 answers = [err] * len(batch)
-            for i, answer in zip(batch, answers):
-                advance(i, answer)
+            while batch:  # each R g is dropped here once sent: its descent decides its life
+                advance(batch.pop(0), answers.pop(0))
         yield finished.pop(index)
 
 
@@ -342,12 +366,11 @@ def make_test_function(y: tuple[float, ...], epsilon: float,
     shift_nodes = [int(round(c / (epsilon * h))) for c in y]
     snapped = np.array([s * h for s in shift_nodes])
     snap_distance = float(np.linalg.norm(np.array(y) / epsilon - snapped))
-    translated = np.roll(w.values, shift_nodes, axis=tuple(range(grid.dim)))
-    r = np.zeros(grid.shape)
-    for d in range(grid.dim):
-        r = r + (epsilon * grid.coords(d) - y[d]) ** 2
-    eta = cutoff(np.sqrt(r))
-    return Field(grid, eta * translated), snap_distance
+    r = _squared_distance(np.ix_(*(epsilon * grid.x_axis,) * grid.dim), y)
+    eta = cutoff(np.sqrt(r, out=r))
+    del r
+    eta *= np.roll(w.values, shift_nodes, axis=tuple(range(grid.dim)))
+    return Field(grid, eta), snap_distance
 
 
 def default_seeds(spec: ProblemSpec, limit_state: DualState) -> list[Field]:
@@ -356,8 +379,17 @@ def default_seeds(spec: ProblemSpec, limit_state: DualState) -> list[Field]:
     A constant Q has no maximum set, so it gets no seeds here; its solves start
     from ``SolverConfig.restart_seeds``.
     """
-    return [make_test_function(y, spec.epsilon, limit_state.v)[0]
-            for y in spec.coefficient.maximum_set]
+    return [seed for seed, _ in _translates([spec], limit_state)]
+
+
+def _translates(specs, limit_state: DualState):
+    """(seed, spec) for the default seeds of each spec in turn, each built when asked for.
+
+    Given to _solve_seeds, a translate is built as its slot opens, and nothing here keeps it.
+    """
+    for spec in specs:
+        for y in spec.coefficient.maximum_set:
+            yield make_test_function(y, spec.epsilon, limit_state.v)[0], spec
 
 
 def solve_ground_state(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
@@ -371,16 +403,17 @@ def solve_ground_state(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
     spec.validate_for_grid(grid)
     if limit_state is not None and limit_state.v.grid != grid:
         raise ValueError("limit state lives on another grid")
-    if seeds is None:
-        if not spec.coefficient.maximum_set:  # restart seeds, each built as a slot opens
-            seeds = (s.build(grid) for s in cfg.restart_seeds)
-        else:
-            _check_cutoffs_fit(spec.coefficient.maximum_set, spec.epsilon, grid)  # before a solve
-            if limit_state is None:
-                limit_state = solve_limit(spec.coefficient.q_sup, spec.p, grid, cfg,
-                                          resolvent=spec.resolvent)
-            seeds = default_seeds(spec, limit_state)
-    return _best_state(_solve_seeds(((seed, spec) for seed in seeds), cfg))
+    if seeds is not None:
+        problems = ((seed, spec) for seed in seeds)
+    elif not spec.coefficient.maximum_set:  # restart seeds, each built as a slot opens
+        problems = ((s.build(grid), spec) for s in cfg.restart_seeds)
+    else:
+        _check_cutoffs_fit(spec.coefficient.maximum_set, spec.epsilon, grid)  # before a solve
+        if limit_state is None:
+            limit_state = solve_limit(spec.coefficient.q_sup, spec.p, grid, cfg,
+                                      resolvent=spec.resolvent)
+        problems = _translates([spec], limit_state)
+    return _best_state(_solve_seeds(problems, cfg))
 
 
 def multistart(spec: ProblemSpec, cfg: SolverConfig, seeds: list[Field]) -> list[DualState]:

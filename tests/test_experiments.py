@@ -1,12 +1,17 @@
 """Barycenter map, concentration sweep, interaction decay, energy comparison."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from helmdual import solver
 from helmdual.grid import Field, make_grid
 from helmdual.functional import CoefficientSpec, DualState, ProblemSpec, constant_coefficient
 from helmdual.resolvent import ResolventConfig
-from helmdual.solver import InitialGuess, SolverConfig, solve_limit
+from helmdual.runio import load_config
+from helmdual.solver import InitialGuess, SolverConfig, cutoff, solve_limit
 from helmdual.experiments import (
     BarycenterConfig,
     aligned_distance,
@@ -163,7 +168,7 @@ class TestConcentrationSweep:
         def no_seeds(*args, **kwargs):
             raise AssertionError("no seed may be built")
 
-        monkeypatch.setattr("helmdual.experiments.default_seeds", no_seeds)
+        monkeypatch.setattr("helmdual.solver.make_test_function", no_seeds)
         coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),),
                                amplitudes=(0.75,), widths=(1.5,))
         template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
@@ -231,6 +236,79 @@ class TestConcentrationSweep:
                                       limit_state=limit)
         assert [r.converged for r in records] == [False, False]
         assert [r.failure for r in records] == ["field values must be finite"] * 2
+
+
+class TestSweepMemory:
+    """The sweep builds a cutoff translate as its slot opens and keeps few grid arrays."""
+
+    def test_translates_are_built_as_slots_open(self, grid, monkeypatch):
+        coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),), amplitudes=(0.75,),
+                               widths=(1.5,))
+        template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef,
+                               resolvent=ResolventConfig(delta=1e-2))
+        limit = DualState.from_field(InitialGuess().build(grid), template)
+        built, at_first_resolve = [], []
+        make = solver.make_test_function
+        monkeypatch.setattr(solver, "make_test_function",
+                            lambda *args: built.append(args) or make(*args))
+
+        class FirstResolve(Exception):
+            pass
+
+        def first_resolve(*args):
+            at_first_resolve.append(len(built))
+            raise FirstResolve
+
+        monkeypatch.setattr(solver, "_resolve", first_resolve)
+        with pytest.raises(FirstResolve):
+            concentration_sweep(template, [0.5, 0.25, 0.2], grid, SolverConfig(),
+                                BarycenterConfig(rho=3.0, delta_nbhd=0.5), limit_state=limit)
+        assert at_first_resolve == [2]  # one per open slot, not one per point
+
+    def test_warm_sweep_peak_in_grid_arrays(self):
+        # configs/sweep.json on a 128^2 grid; the limit solve also builds the resolvent plan.
+        # The sweep peaks at 18.1 grid arrays: two descents of six (five plus Q^(1/p)), the
+        # paired application's complex array and its two results, and a finished point's v
+        # and u.  The pin allows one array more.
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "sweep.json")
+        problem, grid = cfg.problem, make_grid(2, cfg.grid.half_length, 128)
+        bary = BarycenterConfig(rho=cfg.params["rho"], delta_nbhd=cfg.params["delta_nbhd"])
+        limit = solve_limit(problem.coefficient.q_sup, problem.p, grid, cfg.solver,
+                            resolvent=problem.resolvent)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            records = concentration_sweep(problem, cfg.params["epsilon_list"], grid, cfg.solver,
+                                          bary, limit_state=limit)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert all(r.converged for r in records)
+        assert peak / (grid.num_nodes * 8) <= 19.1
+
+
+class TestOpenMeshGeometry:
+    """Bump and edge mask from open meshes equal the coordinate-array formulas bit for bit."""
+
+    @pytest.mark.parametrize("dims, center", [((2, 30.0, 64), (3.0, -1.5)),
+                                              ((3, 16.0, 24), (2.0, 0.5, -1.0))])
+    def test_compact_bump_and_edge_mass(self, dims, center):
+        grid = make_grid(*dims)
+        r_sq = np.zeros(grid.shape)
+        for d in range(grid.dim):
+            r_sq = r_sq + (grid.coords(d) - center[d]) ** 2
+        expected = cutoff(2.0 * np.sqrt(r_sq) / 4.0)
+        bump = compact_bump(grid, center, 4.0)
+        assert bump.values.tobytes() == expected.tobytes()
+        outer = np.zeros(grid.shape, dtype=bool)
+        for d in range(grid.dim):
+            outer |= np.abs(grid.coords(d)) > 0.9 * grid.half_length
+        v = gaussian(grid, (0.8 * grid.half_length,) + (0.0,) * (grid.dim - 1), width=3.0)
+        weight = np.abs(v.values) ** PP
+        assert edge_mass(v, PP) == float(weight[outer].sum() / weight.sum())
 
 
 class TestInteractionDecay:

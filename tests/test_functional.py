@@ -1,5 +1,10 @@
 """Dual energy, gradient, Nehari projection, and the map back to the PDE."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -100,6 +105,61 @@ class TestCoefficientSpec:
         spec = ProblemSpec(p=8.0, epsilon=0.5, coefficient=q)
         np.testing.assert_array_equal(spec.q_root(grid).values,
                                       np.full(grid.shape, 2.0 ** (1.0 / 8.0)))
+
+
+class TestOpenMeshSampling:
+    """Q sampled on an open mesh (np.ix_ of the axes) is bit for bit the formula over an
+    (n^N x N) stack of coordinate arrays that it replaces, kept here as the reference."""
+
+    @staticmethod
+    def stacked_points_sample(coefficient, grid, eps):
+        points = np.stack([eps * grid.coords(d) for d in range(grid.dim)], axis=-1)
+        out = np.full(points.shape[:-1], coefficient.floor)
+        for c, a, w in zip(coefficient.centers, coefficient.amplitudes, coefficient.widths):
+            d_sq = np.sum((points - np.asarray(c)) ** 2, axis=-1)
+            out = out + a * np.exp(-d_sq / (2.0 * w * w))
+        return out
+
+    @pytest.mark.parametrize("dims", [(2, 30.0, 64), (3, 16.0, 24)])
+    @pytest.mark.parametrize("bumps", [0, 1, 2])
+    def test_sample(self, dims, bumps):
+        grid = make_grid(*dims)
+        centers = [(0.8, 0.4, -0.3)[:grid.dim], (-9.0, 6.0, 1.0)[:grid.dim]][:bumps]
+        q = CoefficientSpec(floor=0.25 if bumps else 1.3, centers=tuple(centers),
+                            amplitudes=(0.75, 0.6)[:bumps], widths=(1.5, 0.7)[:bumps])
+        for eps in (1.0, 0.3):
+            sampled = q.sample_rescaled(grid, eps).values
+            expected = self.stacked_points_sample(q, grid, eps)
+            assert sampled.shape == expected.shape
+            assert sampled.tobytes() == expected.tobytes()
+
+
+#: pde_residual and a gradient norm of one fixed 256^2 field, printed by a fresh interpreter
+BLAS_PROBE = """
+import numpy as np
+from helmdual.grid import Field, make_grid
+from helmdual.functional import CoefficientSpec, DualState, ProblemSpec, pde_residual
+from helmdual.resolvent import ResolventConfig
+grid = make_grid(2, 60.0, 256)
+coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),), amplitudes=(0.75,), widths=(1.5,))
+spec = ProblemSpec(p=8.0, epsilon=0.2, coefficient=coef, resolvent=ResolventConfig(delta=0.01))
+v = Field(grid, np.random.default_rng(7).standard_normal(grid.shape))
+print(repr(pde_residual(v, spec)), repr(DualState.from_field(v, spec).grad_norm))
+"""
+
+
+def test_norms_do_not_depend_on_the_blas_thread_count():
+    # np.linalg.norm splits its dot product across BLAS threads, and on this field its last
+    # bit moves between one and two threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probes = [subprocess.Popen([sys.executable, "-c", BLAS_PROBE], stdout=subprocess.PIPE,
+                               text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                                                   PYTHONPATH=path))
+              for threads in ("1", "2")]
+    outputs = [probe.communicate()[0] for probe in probes]
+    assert [probe.returncode for probe in probes] == [0, 0]
+    assert outputs[0] == outputs[1], outputs
 
 
 class TestEnergyAndGradient:

@@ -217,7 +217,8 @@ class TestDirectOracle:
         spec = KernelSpec(dim)
         expected = _literal_sum(f, spec)
         got = apply_R_direct(f, spec).values
-        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+        # measured worst case 1.07e-15 (3D, n = 16)
+        assert np.max(np.abs(got - expected)) <= 4e-15 * np.max(np.abs(expected))
 
     def test_dim_mismatch(self):
         g = make_grid(2, 30.0, 16)

@@ -284,6 +284,73 @@ class TestLockStep:
         assert sum(applications) <= 100
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestOpenMeshSeeds:
+    """Seeds and cutoff translates built on open meshes (np.ix_ of the axes) are bit for bit
+    the formulas over n^N coordinate arrays that they replace, kept here as the reference."""
+
+    GRIDS = [(2, 30.0, 64), (3, 16.0, 24)]
+
+    @staticmethod
+    def coordinate_seed(grid, guess):
+        r_sq = np.zeros(grid.shape)
+        for d in range(grid.dim):
+            r_sq = r_sq + grid.coords(d) ** 2
+        vals = np.exp(-r_sq / (2.0 * guess.width**2))
+        if guess.modulation > 0.0:
+            vals = vals * np.cos(guess.modulation * np.sqrt(r_sq))
+        if guess.perturbation > 0.0:
+            noise = np.random.default_rng(guess.rng_seed).standard_normal(grid.shape)
+            vals = vals * (1.0 + guess.perturbation * noise)
+        return vals
+
+    @pytest.mark.parametrize("dims", GRIDS)
+    @pytest.mark.parametrize("guess", [InitialGuess(),
+                                       InitialGuess(width=1.2, modulation=0.0),
+                                       InitialGuess(width=0.5, perturbation=0.1, rng_seed=3)])
+    def test_seed(self, dims, guess):
+        grid = make_grid(*dims)
+        assert same_bits(guess.build(grid).values, self.coordinate_seed(grid, guess))
+
+    @pytest.mark.parametrize("dims, y", zip(GRIDS, [(0.8, 0.4), (0.8, -0.4, 0.3)]))
+    def test_translate(self, dims, y):
+        grid, eps = make_grid(*dims), 0.5
+        w = InitialGuess().build(grid)
+        shift = [int(round(c / (eps * grid.spacing))) for c in y]
+        r = np.zeros(grid.shape)
+        for d in range(grid.dim):
+            r = r + (eps * grid.coords(d) - y[d]) ** 2
+        expected = cutoff(np.sqrt(r)) * np.roll(w.values, shift, axis=tuple(range(grid.dim)))
+        assert same_bits(make_test_function(y, eps, w)[0].values, expected)
+
+
+class TestConstantCoefficientRoot:
+    """A constant Q enters the descent as one number, not as a sampled array."""
+
+    def test_number_is_every_sampled_value(self):
+        # with SIMD power loops, Python's ** differs from numpy's in the last bit for some of
+        # these (0.359 ** (1/3), 0.407 ** (1/4.5), 0.658 ** (1/8) on an AVX-512 host)
+        grid = make_grid(2, 30.0, 16)
+        for floor in (0.25, 0.359, 0.407, 0.658, 2.0):
+            for p in (3.0, 4.5, 5.0, 8.0):
+                spec = ProblemSpec(p=p, epsilon=1.0, coefficient=constant_coefficient(floor))
+                root = solver._q_root(spec, grid)
+                assert np.ndim(root) == 0
+                assert same_bits(np.full(grid.shape, root), spec.q_root(grid).values)
+
+    def test_descent_matches_the_sampled_array(self, grid, cfg, monkeypatch):
+        number = solve_limit(0.658, 8.0, grid, cfg)
+        monkeypatch.setattr(solver, "_q_root", lambda spec, g: spec.q_root(g).values)
+        sampled = solve_limit(0.658, 8.0, grid, cfg)
+        assert same_bits(number.v.values, sampled.v.values)
+        assert same_bits(number.u_rescaled.values, sampled.u_rescaled.values)
+        assert (number.energy, number.grad_norm) == (sampled.energy, sampled.grad_norm)
+
+
 class TestTestFunction:
     def test_translate_and_cutoff(self, grid, limit_state):
         phi, snap = make_test_function((0.8, 0.4), 0.5, limit_state.v)
@@ -328,7 +395,7 @@ class TestGroundState:
         def no_seeds(*args, **kwargs):
             raise AssertionError("no seed may be built")
 
-        monkeypatch.setattr(solver, "default_seeds", no_seeds)
+        monkeypatch.setattr("helmdual.solver.make_test_function", no_seeds)
         coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),),
                                amplitudes=(0.75,), widths=(1.5,))
         spec = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)

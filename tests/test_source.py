@@ -5,7 +5,10 @@ key tables list exactly the keys the schema accepts."""
 import ast
 import importlib
 import itertools
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,3 +137,13 @@ def test_readme_params_table_matches_schema():
 def test_readme_solver_table_matches_schema():
     rows = readme_table("| key | type | default |")
     assert [key for key, *_ in rows] == list(runio._SOLVER)
+
+
+def test_import_leaves_hashlib_unloaded():
+    # hashlib maps OpenSSL; only RunConfig.config_hash, for a run record, imports it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    probe = "import sys, helmdual, helmdual.cli; print('hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
