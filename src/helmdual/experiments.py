@@ -97,8 +97,7 @@ def edge_mass(v: Field, p_prime: float) -> float:
     cut = 0.9 * grid.half_length
     outer = functools.reduce(np.logical_or,
                              (x > cut for x in np.ix_(*(np.abs(grid.x_axis),) * grid.dim)))
-    weight = np.abs(v.values)
-    weight **= p_prime
+    weight = np.abs(v.values) ** p_prime
     return float(weight[outer].sum() / weight.sum())
 
 
@@ -122,17 +121,11 @@ def aligned_distance(v: Field, w0: Field, p_prime: float) -> tuple[float, tuple[
     best_shift: tuple[int, ...] = (0,) * grid.dim
     offsets = np.stack(np.meshgrid(*([[-1, 0, 1]] * grid.dim), indexing="ij"),
                        axis=-1).reshape(-1, grid.dim)
-    diff = np.empty(grid.shape)
     for off in offsets:
         shift = tuple(-(int(c) + int(o)) for c, o in zip(center, off))
         rolled = np.roll(v.values, shift, axis=tuple(range(grid.dim)))
         for sign in (1.0, -1.0):
-            # lp_norm(sign * rolled - w0) / denom, in one reused array
-            np.multiply(rolled, sign, out=diff)
-            diff -= w0.values
-            np.abs(diff, out=diff)
-            diff **= p_prime
-            d = float((grid.cell_volume * np.sum(diff)) ** (1.0 / p_prime)) / denom
+            d = lp_norm(Field(grid, sign * rolled - w0.values), p_prime) / denom
             if d < best:
                 best = d
                 best_shift = shift
@@ -268,11 +261,8 @@ def compact_bump(grid: Grid, center, radius: float) -> Field:
     Radial profile eta(2 r / radius) with the standard smooth cutoff eta
     (identically 1 up to half the radius, 0 beyond); it is not modulated.
     """
-    r = _squared_distance(np.ix_(*(grid.x_axis,) * grid.dim), center)
-    np.sqrt(r, out=r)
-    r *= 2.0
-    r /= radius
-    return Field(grid, cutoff(r))
+    r = np.sqrt(_squared_distance(np.ix_(*(grid.x_axis,) * grid.dim), center))
+    return Field(grid, cutoff(2.0 * r / radius))
 
 
 @dataclass(frozen=True)

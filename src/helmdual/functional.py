@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import Field, Grid, _l2, _squared_distance, lp_norm, spectral_laplacian
 from .kernels import check_exponent
-from .resolvent import ResolventConfig, _apply
+from .resolvent import ResolventConfig, _apply, apply_R
 
 
 class NotInPositiveCone(ValueError):
@@ -86,7 +86,13 @@ class CoefficientSpec:
         An open mesh (np.ix_ of the axes) gives Q on a whole grid without a coordinate
         array of the grid's size.
         """
+        if isinstance(coords, np.ndarray):
+            raise TypeError("coords must be a sequence of per-axis coordinate arrays, "
+                            "not a stacked array of points")
         coords = [np.asarray(x, dtype=float) for x in coords]
+        if any(len(c) != len(coords) for c in self.centers):
+            raise ValueError(f"{len(coords)} coordinate arrays for centers of dimension "
+                             f"{len(self.centers[0])}")
         out = np.full(np.broadcast_shapes(*(x.shape for x in coords)), self.floor)
         for c, a, w in zip(self.centers, self.amplitudes, self.widths):
             bump = _squared_distance(coords, c)  # a new array: worked on in place
@@ -155,9 +161,9 @@ def _dual_power(values: np.ndarray, p_prime: float) -> np.ndarray:
 
 def _resolve(grid: Grid, cfg: ResolventConfig, *gs: np.ndarray) -> list[tuple[np.ndarray, float]]:
     """R g and int g R g for one or two g = Q_eps^(1/p) v: where R meets the dual variable."""
-    rgs = _apply(grid, cfg, *gs)
+    rgs = [apply_R(Field(grid, gs[0]), cfg).values] if len(gs) == 1 else _apply(grid, cfg, *gs)
     quads = [float(grid.cell_volume * np.sum(g * rg)) for g, rg in zip(gs, rgs)]  # inner_product
-    if not np.isfinite(quads).all():  # a non-finite g or R g
+    if not np.isfinite(quads).all():
         raise ValueError("field values must be finite")
     return list(zip(rgs, quads))
 
@@ -243,17 +249,11 @@ def pde_residual(u_eps: Field, spec: ProblemSpec) -> float:
     absolute residual of the left-hand side is returned and a warning is
     emitted.
     """
-    u = u_eps.values
-    lhs = spectral_laplacian(u_eps).values  # a new array: worked on in place
-    np.negative(lhs, out=lhs)
-    lhs -= u
-    rhs = np.abs(u)
-    rhs **= spec.p - 2.0
-    rhs *= spec.coefficient.sample_rescaled(u_eps.grid, spec.epsilon).values
-    rhs *= u
+    qe = spec.coefficient.sample_rescaled(u_eps.grid, spec.epsilon)
+    rhs = qe.values * np.abs(u_eps.values) ** (spec.p - 2.0) * u_eps.values
+    lhs = -spectral_laplacian(u_eps).values - u_eps.values
     denom = _l2(rhs)
     if denom == 0.0:
         warnings.warn("zero right-hand side: returning absolute residual", stacklevel=2)
         return _l2(lhs)
-    lhs -= rhs
-    return _l2(lhs) / denom
+    return _l2(lhs - rhs) / denom

@@ -90,7 +90,7 @@ class InitialGuess:
 
     def build(self, grid: Grid) -> Field:
         """The seed centered at the origin of the grid, with peak value 1."""
-        r_sq = sum(np.ix_(*(grid.x_axis**2,) * grid.dim))
+        r_sq = _squared_distance(np.ix_(*(grid.x_axis,) * grid.dim), (0.0,) * grid.dim)
         vals = np.negative(r_sq)
         vals /= 2.0 * self.width**2
         np.exp(vals, out=vals)

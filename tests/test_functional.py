@@ -133,6 +133,19 @@ class TestOpenMeshSampling:
             assert sampled.shape == expected.shape
             assert sampled.tobytes() == expected.tobytes()
 
+    def test_stacked_points_refused(self):
+        # evaluate takes one coordinate array per axis; an (m x N) point array, which rows
+        # would otherwise read as axes, is refused whether or not Q has bumps
+        bumped = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),), amplitudes=(0.75,),
+                                 widths=(1.5,))
+        for q in (bumped, constant_coefficient(1.3)):
+            with pytest.raises(TypeError, match="per-axis"):
+                q.evaluate(np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="coordinate arrays"):
+            bumped.evaluate([np.zeros(5)] * 3)
+        x, y = np.ix_(np.arange(3.0), np.arange(4.0))
+        assert bumped.evaluate((x, y)).shape == (3, 4)
+
 
 #: pde_residual and a gradient norm of one fixed 256^2 field, printed by a fresh interpreter
 BLAS_PROBE = """
