@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .grid import Field, _l2, dft_forward, dft_inverse, make_grid
+from .grid import Field, _l2, _squared_distance, dft_forward, dft_inverse, make_grid
 from .kernels import KernelSpec, re_phi
 from .resolvent import (
     ResolventConfig,
@@ -77,7 +77,7 @@ def cmd_validate(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
     ok = k3 <= 1e-12 and k2 <= 1e-12
     checks.append(("kernel spot values", ok, f"dev {max(k3, k2):.2e}"))
 
-    r = np.sqrt(small.coords(0) ** 2 + small.coords(1) ** 2)
+    r = np.sqrt(_squared_distance(np.ix_(small.x_axis, small.x_axis), (0.0, 0.0)))
     bump = Field(small, np.exp(-(r**2) / 72.0))
     mult = apply_R(bump, ResolventConfig(delta=1e-3))
     direct = apply_R_direct(bump, KernelSpec(2))
@@ -106,7 +106,7 @@ def cmd_validate(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
 
 def cmd_limit(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
     problem = cfg.problem
-    q0 = cfg.params.get("q0", problem.coefficient.q_sup)
+    q0 = problem.coefficient.q_sup
     state = solve_limit(q0, problem.p, cfg.grid, cfg.solver, resolvent=problem.resolvent)
     record.converged = True
     record.energies["c_0"] = state.energy

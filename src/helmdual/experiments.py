@@ -82,13 +82,12 @@ def barycenter(v: Field, epsilon: float, p_prime: float,
     if total == 0.0:
         raise ValueError("cannot take the barycenter of the zero field")
     grid = v.grid
-    pts = np.stack([epsilon * grid.coords(d) for d in range(grid.dim)], axis=-1)
-    norms = np.linalg.norm(pts, axis=-1)
-    outside = norms > cfg.rho
-    scale = np.ones_like(norms)
-    scale[outside] = cfg.rho / norms[outside]
-    xi = pts * scale[..., None]
-    return np.tensordot(weight, xi, axes=grid.dim) / total
+    axes = np.ix_(*(epsilon * grid.x_axis,) * grid.dim)
+    scale = _squared_distance(axes, (0.0,) * grid.dim)  # a new array: worked on in place
+    np.sqrt(scale, out=scale)
+    np.maximum(scale, cfg.rho, out=scale)
+    weight *= np.divide(cfg.rho, scale, out=scale)  # Xi(y) = (rho/|y|) y beyond rho, else y
+    return np.array([np.sum(weight * x) for x in axes]) / total
 
 
 def edge_mass(v: Field, p_prime: float) -> float:
@@ -208,8 +207,8 @@ def check_sweep(template: ProblemSpec, epsilon_list, bary_cfg: BarycenterConfig)
         raise ValueError("epsilon list must not be empty")
     if any(b >= a for a, b in zip(epsilon_list, epsilon_list[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
-    if any(e <= 0 for e in epsilon_list):
-        raise ValueError("epsilon must be positive")
+    if any(not 0.0 < e < np.inf for e in epsilon_list):  # NaN fails too
+        raise ValueError("epsilon must be positive and finite")
     if not template.coefficient.maximum_set:
         raise ValueError("concentration sweep needs a coefficient with a "
                          "finite maximum set (not constant)")

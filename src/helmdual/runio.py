@@ -13,7 +13,7 @@ from . import __version__
 from .grid import Grid, make_grid
 from .functional import CoefficientSpec, ProblemSpec
 from .resolvent import ResolventConfig
-from .solver import InitialGuess, SolverConfig
+from .solver import SolverConfig
 
 CONFIG_VERSION = 1
 
@@ -80,7 +80,7 @@ def _point_list(value, context: str) -> tuple[tuple[float, ...], ...]:
 _PARAMS = {
     "validate": {"input_field": (_string, False)},
     "solve": {},
-    "limit": {"q0": (_number, False)},
+    "limit": {},
     "sweep": {"epsilon_list": (_number_list, True), "rho": (_number, False),
               "delta_nbhd": (_number, False)},
     "decay": {"r_list": (_number_list, True)},
@@ -134,8 +134,7 @@ _GRID = {"dim": _integer, "half_length": _number, "points_per_axis": _integer}
 _PROBLEM = {"p": _number, "epsilon": _number, "coefficient": _parse_coefficient,
             "delta": _number, "resolvent_mode": _string}
 
-_SOLVER = {"max_iters": _integer, "grad_tol": _number,
-           "seed_widths": _number_list, "seed_modulation": _number}
+_SOLVER = {"max_iters": _integer, "grad_tol": _number}
 
 
 def _parse_grid(obj) -> Grid:
@@ -160,11 +159,8 @@ def _parse_problem(obj, grid: Grid) -> ProblemSpec:
 
 def _parse_solver(obj) -> SolverConfig:
     kwargs = _typed(obj, "solver", _SOLVER)
-    widths = kwargs.pop("seed_widths", [s.width for s in SolverConfig.restart_seeds])
-    modulation = kwargs.pop("seed_modulation", InitialGuess.modulation)
     try:
-        seeds = tuple(InitialGuess(width=w, modulation=modulation) for w in widths)
-        return SolverConfig(restart_seeds=seeds, **kwargs)
+        return SolverConfig(**kwargs)
     except ValueError as err:
         raise ConfigError(f"solver: {err}") from err
 

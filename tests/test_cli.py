@@ -28,7 +28,6 @@ def write_config(tmp_path, name="cfg.json", **overrides):
             "coefficient": {"kind": "constant", "floor": 1.0},
         },
         "solver": {"max_iters": 5000},
-        "params": {"q0": 1.0},
         "seed": 0,
     }
     cfg.update(overrides)
@@ -65,7 +64,9 @@ class TestLimitCommand:
         out = tmp_path / "run"
         assert run("limit", write_config(tmp_path, "first.json"), out) == 0
         first = {path.name: path.read_bytes() for path in out.iterdir()}
-        second = write_config(tmp_path, "second.json", params={"q0": 2.0})
+        second = write_config(tmp_path, "second.json",
+                              problem={"p": 8.0, "epsilon": 1.0, "delta": 0.0,
+                                       "coefficient": {"kind": "constant", "floor": 2.0}})
 
         def no_solve(*args, **kwargs):
             raise AssertionError("a refused rerun must not solve")
@@ -88,8 +89,8 @@ class TestLimitCommand:
 
     @pytest.mark.parametrize("experiment, params", [
         ("sweep", {"epsilon_list": 0.1}),
-        ("limit", {"q0": None}),
-    ], ids=["epsilon_list-number", "q0-null"])
+        ("decay", {"r_list": None}),
+    ], ids=["epsilon_list-number", "r_list-null"])
     def test_mistyped_param_is_config_error(self, tmp_path, capsys, experiment, params):
         cfg = write_config(tmp_path, experiment=experiment, params=params)
         out = tmp_path / "o"
@@ -97,9 +98,7 @@ class TestLimitCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("solver", [
-        {"seed_widths": []}, {"max_iters": 0}, {"seed_widths": [0.0]},
-    ], ids=["no-seeds", "no-iterations", "zero-width"])
+    @pytest.mark.parametrize("solver", [{"max_iters": 0}], ids=["no-iterations"])
     def test_degenerate_solver_is_config_error_before_any_solve(self, tmp_path, capsys,
                                                                  monkeypatch, solver):
         def no_solve(*args, **kwargs):
@@ -115,7 +114,7 @@ class TestLimitCommand:
                              ids=["NaN", "Infinity", "integer-beyond-float"])
     @pytest.mark.parametrize("keys", [
         ("grid", "half_length"), ("problem", "delta"), ("problem", "coefficient", "floor"),
-        ("solver", "seed_modulation"), ("params", "q0"),
+        ("solver", "grad_tol"),
     ], ids=".".join)
     def test_non_finite_number_is_config_error_before_any_solve(self, tmp_path, capsys,
                                                                 monkeypatch, keys, value):
@@ -140,12 +139,16 @@ class TestLimitCommand:
     @pytest.mark.parametrize("config, keys, value", [
         ("limit.json", ("grid", "freq_shift"), [0.5, 0.5]),
         ("decay.json", ("params", "bump_radius"), 2.0),
-    ], ids=["freq_shift", "bump_radius"])
+        ("limit.json", ("params", "q0"), 1.0),
+        ("limit.json", ("solver", "seed_widths"), [0.5, 0.8]),
+        ("limit.json", ("solver", "seed_modulation"), 1.1),
+    ], ids=["freq_shift", "bump_radius", "q0", "seed_widths", "seed_modulation"])
     def test_removed_key_is_config_error_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                            config, keys, value):
+        # the limit level is sup Q of problem.coefficient; runs use the default restart seeds
         cfg = json.loads((CONFIGS / config).read_text())
         *parents, key = keys
-        reduce(dict.__getitem__, parents, cfg)[key] = value
+        reduce(lambda section, name: section.setdefault(name, {}), parents, cfg)[key] = value
         path = tmp_path / config
         path.write_text(json.dumps(cfg))
 

@@ -38,6 +38,18 @@ def gaussian(grid, center, width=1.0):
     return Field(grid, np.exp(-r_sq / (2 * width**2)))
 
 
+def stacked_barycenter(v, epsilon, p_prime, cfg):
+    """The barycenter from an (n^N x N) stack of the points eps x and its projection."""
+    weight = np.abs(v.values) ** p_prime
+    grid = v.grid
+    pts = np.stack([epsilon * grid.coords(d) for d in range(grid.dim)], axis=-1)
+    norms = np.linalg.norm(pts, axis=-1)
+    outside = norms > cfg.rho
+    scale = np.ones_like(norms)
+    scale[outside] = cfg.rho / norms[outside]
+    return np.tensordot(weight, pts * scale[..., None], axes=grid.dim) / weight.sum()
+
+
 class TestBarycenter:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -101,6 +113,40 @@ class TestBarycenter:
         with pytest.raises(ValueError):
             barycenter(Field(grid, np.zeros(grid.shape)), 1.0, PP, cfg)
 
+    @pytest.mark.parametrize("rho", [1.0, 100.0], ids=["rho-active", "rho-inactive"])
+    @pytest.mark.parametrize("dims, center", [((2, 30.0, 64), (4.0, -2.0)),
+                                              ((3, 16.0, 24), (3.0, -1.5, 2.0))],
+                             ids=["2d", "3d"])
+    def test_open_mesh_matches_stacked_points(self, dims, center, rho):
+        grid = make_grid(*dims)
+        v = gaussian(grid, center, width=1.5)
+        cfg = BarycenterConfig(rho=rho, delta_nbhd=0.5)
+        expected = stacked_barycenter(v, 0.5, PP, cfg)
+        weight = np.abs(v.values) ** PP
+        beyond = sum((0.5 * grid.coords(d)) ** 2 for d in range(grid.dim)) > rho**2
+        share = weight[beyond].sum() / weight.sum()
+        assert share > 0.5 if rho == 1.0 else share == 0.0  # the cut acts, or it does not
+        beta = barycenter(v, 0.5, PP, cfg)
+        assert np.linalg.norm(beta - expected) <= 1e-14 * np.linalg.norm(expected)
+
+    def test_peak_in_grid_arrays(self):
+        # |v|^p' and |eps x| live at once, then one moment product at a time: 3 arrays.
+        # Stacks of the points eps x and of their projection took 7.25.
+        grid = make_grid(2, 60.0, 256)
+        v = gaussian(grid, (4.0, -2.0), width=3.0)
+        cfg = BarycenterConfig(rho=1.0, delta_nbhd=0.5)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            barycenter(v, 0.5, PP, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak / (grid.num_nodes * 8) <= 4.0
+
 
 class TestAlignedDistance:
     def test_identical_fields(self, grid):
@@ -150,6 +196,21 @@ class TestConcentrationSweep:
         template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
         with pytest.raises(ValueError):
             concentration_sweep(template, [0.25, 0.5], grid, SolverConfig(),
+                                BarycenterConfig(rho=3.0, delta_nbhd=0.5))
+
+    @pytest.mark.parametrize("epsilon_list", [[0.5, np.nan], [np.inf, 0.5]],
+                             ids=["nan", "inf"])
+    def test_non_finite_epsilon_raises_before_the_limit_solve(self, grid, monkeypatch,
+                                                               epsilon_list):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an input error must not solve")
+
+        monkeypatch.setattr("helmdual.experiments.solve_limit", no_solve)
+        coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),),
+                               amplitudes=(0.75,), widths=(1.5,))
+        template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
+        with pytest.raises(ValueError, match="positive and finite"):
+            concentration_sweep(template, epsilon_list, grid, SolverConfig(),
                                 BarycenterConfig(rho=3.0, delta_nbhd=0.5))
 
     def test_center_dimension_mismatch_raises_before_the_limit_solve(self, grid, monkeypatch):

@@ -36,7 +36,6 @@ def base_config(**overrides):
             "coefficient": {"kind": "constant", "floor": 1.0},
         },
         "solver": {"max_iters": 500},
-        "params": {"q0": 1.0},
         "seed": 3,
     }
     cfg.update(overrides)
@@ -110,7 +109,7 @@ class TestParseConfig:
         assert cfg.problem.p == 8.0
         assert cfg.solver.max_iters == 500
         assert cfg.seed == 3
-        assert cfg.params == {"q0": 1.0}
+        assert cfg.params == {}
 
     def test_config_hash_tracks_bytes(self):
         a = parse_config(base_config(seed=3))
@@ -161,13 +160,14 @@ class TestParseConfig:
             parse_config(json.dumps(obj).encode())
 
     def test_solver_keys_match_solver_config(self):
-        # a knob added to one side only would be unreachable or unparsed
+        # a knob added to one side only would be unreachable or unparsed; the restart
+        # seeds are set by library callers only
         fields = {f.name for f in dataclasses.fields(SolverConfig)} - {"restart_seeds"}
-        assert set(_SOLVER) == fields | {"seed_widths", "seed_modulation"}
+        assert set(_SOLVER) == fields
 
     def test_unknown_params_key(self):
         obj = json.loads(base_config())
-        obj["params"]["rho"] = 3.0  # belongs to sweep, not limit
+        obj["params"] = {"rho": 3.0}  # belongs to sweep, not limit
         with pytest.raises(ConfigError, match="params"):
             parse_config(json.dumps(obj).encode())
 
@@ -219,19 +219,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(json.dumps(obj).encode())
 
-    def test_seed_widths_build_restart_seeds(self):
-        obj = json.loads(base_config())
-        obj["solver"]["seed_widths"] = [0.7, 1.4]
-        cfg = parse_config(json.dumps(obj).encode())
-        assert len(cfg.solver.restart_seeds) == 2
-        assert cfg.solver.restart_seeds[0].width == 0.7
-
 
 #: params of a config per experiment that sets every optional key
 FULL_PARAMS = {
     "validate": {"input_field": "input.field"},
     "solve": {},
-    "limit": {"q0": 1.0},
+    "limit": {},
     "sweep": {"epsilon_list": [0.5, 0.25], "rho": 3.0, "delta_nbhd": 0.5},
     "decay": {"r_list": [5.0, 11.0, 17.0]},
     "compare_energy": {},
@@ -249,8 +242,7 @@ def full_config(experiment):
                             "centers": [[0.8, 0.4]], "amplitudes": [0.75],
                             "widths": [1.5]},
         },
-        "solver": {"max_iters": 100, "grad_tol": 5e-8,
-                   "seed_widths": [0.5, 0.8], "seed_modulation": 1.1},
+        "solver": {"max_iters": 100, "grad_tol": 5e-8},
         "params": FULL_PARAMS[experiment],
         "seed": 0,
     }

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name or takes a parameter it never
-uses, the README and demos import only names the package has, and the README's config
-key tables list exactly the keys the schema accepts."""
+uses, the README and demos import only names the package has, the package namespace holds
+only names that programs read from it, and the README's config key tables list exactly
+the keys the schema accepts."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -108,6 +110,35 @@ DOCUMENTS["README.md"] = readme_python()
 @pytest.mark.parametrize("name", DOCUMENTS)
 def test_documents_import_existing_names(name):
     assert missing_helmdual_names(DOCUMENTS[name]) == []
+
+
+def package_names_read(source: str) -> set[str]:
+    """Every name source reads from the package, as ``from helmdual import X`` or ``helmdual.X``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "helmdual":
+            names.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "helmdual"):
+            names.add(node.attr)
+    return names
+
+
+def test_detector_reads_package_names():
+    source = ("import helmdual\nfrom helmdual import make_grid, solver\n"
+              "from helmdual.grid import Grid\nhelmdual.solve_limit(1.0)\n")
+    assert package_names_read(source) == {"make_grid", "solver", "solve_limit"}
+
+
+def test_package_namespace_holds_only_what_programs_read():
+    # the README quick start, the demos and the benchmark harness; tests import from modules
+    sources = [*DOCUMENTS.values(),
+               *(path.read_text() for path in sorted((ROOT / "perfbench").rglob("*.py")))]
+    read = set().union(*map(package_names_read, sources))
+    extra = [name for name, obj in vars(helmdual).items()
+             if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+             and not (isinstance(obj, type) and issubclass(obj, Exception)) and name not in read]
+    assert sorted(extra) == []
 
 
 def test_readme_quick_start_runs(monkeypatch):
