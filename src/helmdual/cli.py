@@ -25,6 +25,7 @@ from .kernels import KernelSpec, re_phi
 from .resolvent import (
     ResolventConfig,
     SingularLatticeError,
+    _route,
     apply_R,
     apply_R_direct,
     resolvent_identity_residual,
@@ -87,9 +88,11 @@ def cmd_validate(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
     ident = resolvent_identity_residual(f, ResolventConfig(delta=0.0))
     checks.append(("resolvent identity", ident <= 1e-10, f"residual {ident:.2e}"))
 
-    if cfg.problem is not None and cfg.problem.resolvent.delta == 0.0 and cfg.grid.singular:
-        checks.append(("singular lattice", False,
-                       "delta = 0 with |xi| = 1 on the frequency lattice"))
+    if cfg.problem is not None:
+        try:
+            _route(cfg.grid, cfg.problem.resolvent)
+        except SingularLatticeError as err:
+            checks.append(("singular lattice", False, str(err)))
 
     if "input_field" in cfg.params:
         try:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import Field, Grid, _l2, _squared_distance, lp_norm, spectral_laplacian
 from .kernels import check_exponent
-from .resolvent import ResolventConfig, _apply, apply_R
+from .resolvent import ResolventConfig, _route, apply_R
 
 
 class NotInPositiveCone(ValueError):
@@ -159,32 +159,46 @@ def _dual_power(values: np.ndarray, p_prime: float) -> np.ndarray:
     return out
 
 
+def _q_root(spec: ProblemSpec, grid: Grid):
+    """Q_eps^(1/p), formed nowhere else: one number for a constant Q, else sampled.  np.power,
+    not **, runs sampling's ufunc loop: the number is bit for bit every sampled value."""
+    coefficient = spec.coefficient
+    if coefficient.centers:
+        return spec.q_root(grid).values
+    return np.power(coefficient.floor, 1.0 / spec.p)
+
+
 def _resolve(grid: Grid, cfg: ResolventConfig, *gs: np.ndarray) -> list[tuple[np.ndarray, float]]:
     """R g and int g R g for one or two g = Q_eps^(1/p) v: where R meets the dual variable."""
-    rgs = [apply_R(Field(grid, gs[0]), cfg).values] if len(gs) == 1 else _apply(grid, cfg, *gs)
+    rgs = [apply_R(Field(grid, gs[0]), cfg).values] if len(gs) == 1 else _route(grid, cfg)(*gs)
     quads = [float(grid.cell_volume * np.sum(g * rg)) for g, rg in zip(gs, rgs)]  # inner_product
     if not np.isfinite(quads).all():
         raise ValueError("field values must be finite")
     return list(zip(rgs, quads))
 
 
+def _paired(v: Field, spec: ProblemSpec):
+    """Q_eps^(1/p), R g and int g R g for g = Q_eps^(1/p) v."""
+    q_root = _q_root(spec, v.grid)
+    [(rg, quad)] = _resolve(v.grid, spec.resolvent, q_root * v.values)
+    return q_root, rg, quad
+
+
 def energy(v: Field, spec: ProblemSpec) -> float:
     """Dual energy J(v)."""
-    [(_, quad)] = _resolve(v.grid, spec.resolvent, spec.q_root(v.grid).values * v.values)
     pp = spec.p_prime
-    return lp_norm(v, pp) ** pp / pp - 0.5 * quad
+    return lp_norm(v, pp) ** pp / pp - 0.5 * _paired(v, spec)[2]
 
 
 def gradient(v: Field, spec: ProblemSpec) -> Field:
     """L^2 representation of J'(v): |v|^(p'-2) v - Q_eps^(1/p) R(Q_eps^(1/p) v)."""
-    qr = spec.q_root(v.grid).values
-    [(rg, _)] = _resolve(v.grid, spec.resolvent, qr * v.values)
-    return Field(v.grid, _dual_power(v.values, spec.p_prime) - qr * rg)
+    q_root, rg, _ = _paired(v, spec)
+    return Field(v.grid, _dual_power(v.values, spec.p_prime) - q_root * rg)
 
 
 def quadratic_term(v: Field, spec: ProblemSpec) -> float:
     """int Q_eps^(1/p) v R(Q_eps^(1/p) v) dx; positive iff v is in the positive cone."""
-    return _resolve(v.grid, spec.resolvent, spec.q_root(v.grid).values * v.values)[0][1]
+    return _paired(v, spec)[2]
 
 
 @dataclass(frozen=True)
@@ -201,12 +215,11 @@ class DualState:
 
     @classmethod
     def from_field(cls, v: Field, spec: ProblemSpec) -> "DualState":
-        qr = spec.q_root(v.grid).values
-        [(rg, quad)] = _resolve(v.grid, spec.resolvent, qr * v.values)
+        q_root, rg, quad = _paired(v, spec)
         pp = spec.p_prime
         norm_pp = lp_norm(v, pp) ** pp
         en = norm_pp / pp - 0.5 * quad
-        grad_vals = _dual_power(v.values, pp) - qr * rg
+        grad_vals = _dual_power(v.values, pp) - q_root * rg
         scale = _l2(np.abs(v.values) ** (pp - 1.0))
         grad_norm = _l2(grad_vals) / scale if scale > 0 else 0.0
         residual = abs(norm_pp - quad)

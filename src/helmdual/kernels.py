@@ -197,35 +197,27 @@ def lambda_p(dim: int, p: float) -> float:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Free-space kernel with a regularized value for the singular cell.
+    """Free-space kernel with a moment-fitted value for the singular cell.
 
     The singular cell is r == 0; on the difference lattice every other radius
     is at least the grid spacing.  There the pointwise kernel is replaced by a
-    finite cell weight.  Two choices are implemented:
-
-    * ``corrected=True`` (default): a moment-fitted weight.  The center
-      weight is chosen so that the punctured lattice sum integrates the
-      kernel exactly against a Gaussian window of width 3 spacings.  The
-      exact integral over R^N is the closed-form moment of
-      ``_gaussian_moment`` (Ei for N = 2, Dawson's integral for N = 3), so
-      the weight costs one lattice sum and no quadrature.  This cancels the
-      low-frequency bias of sampling a slowly-decaying oscillatory kernel on
-      a lattice and is what makes the direct oracle agree with the spectral
-      route at coarse spacing.
-    * ``corrected=False``: the analytic average of the leading singular term
-      over a cell-volume-equivalent ball (1/(4 pi r) for N = 3, the log term
-      for N = 2).  Kept as the plain second-order reference.
+    finite cell weight, chosen so that the punctured lattice sum integrates the
+    kernel exactly against a Gaussian window of width 3 spacings.  The exact
+    integral over R^N is the closed-form moment of ``_gaussian_moment`` (Ei for
+    N = 2, Dawson's integral for N = 3), so the weight costs one lattice sum and
+    no quadrature.  This cancels the low-frequency bias of sampling a
+    slowly-decaying oscillatory kernel on a lattice and is what makes the direct
+    oracle agree with the spectral route at coarse spacing.
     """
 
     dim: int
-    corrected: bool = True
 
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
 
     def singular_cell_value(self, spacing: float) -> float:
-        """Analytic cell average of the leading singular term over one grid cell."""
+        """Analytic cell average of the leading singular term: center_weight's plain reference."""
         if self.dim == 3:
             a = spacing * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
             return 3.0 / (8.0 * np.pi * a)
@@ -233,9 +225,11 @@ class KernelSpec:
         # mean of log r over the disk of radius a is log(a) - 1/2
         return -(EULER_GAMMA + np.log(0.5 * a) - 0.5) / (2.0 * np.pi)
 
-    def corrected_cell_value(self, spacing: float) -> float:
+    def center_weight(self, spacing: float) -> float:
         """Moment-fitted center weight: the window's closed-form moment minus the punctured
         lattice sum of kernel * window, per cell volume."""
+        if not 0.0 < spacing < np.inf:  # NaN fails too; the weight takes log(spacing)
+            raise ValueError(f"spacing must be positive and finite, got {spacing}")
         sw = _SINGULAR_WINDOW * spacing
         exact = _gaussian_moment(self.dim, sw)
         rmax = 9.0 * sw
@@ -245,13 +239,6 @@ class KernelSpec:
         rr = np.sqrt(r_sq[r_sq > 1e-20])
         lattice = np.sum(re_phi(rr, self.dim) * np.exp(-(rr * rr) / (2.0 * sw * sw)))
         return (exact - lattice * spacing**self.dim) / spacing**self.dim
-
-    def center_weight(self, spacing: float) -> float:
-        if not 0.0 < spacing < np.inf:  # NaN fails too; the weights take log(spacing)
-            raise ValueError(f"spacing must be positive and finite, got {spacing}")
-        if self.corrected:
-            return self.corrected_cell_value(spacing)
-        return self.singular_cell_value(spacing)
 
     def evaluate(self, r: np.ndarray, spacing: float) -> np.ndarray:
         """Kernel on an array of radii, with the singular cell replaced by its weight."""

@@ -4,7 +4,8 @@ The multiplier is Re 1/(|xi|^2 - 1 - i delta) = (|xi|^2 - 1)/((|xi|^2 - 1)^2 + d
 With delta = 0 it requires a frequency lattice that avoids |xi| = 1 (see
 Grid.singular).  The direct route (mode "direct_oracle") convolves with the
 free-space kernel by one zero-padded FFT: no periodic images and no delta.
-R maps real fields to real fields, so one complex FFT pair serves two (``_apply``).
+R maps real fields to real fields, so one complex FFT pair serves two.  Each grid and
+config has one route (``_route``), whose read-only arrays are built once.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, _l2, _shift_modulation, inner_product, spectral_laplacian
+from .grid import Field, Grid, _l2, _shift_modulation, spectral_laplacian
 from .kernels import KernelSpec
 
 
@@ -57,41 +58,44 @@ def multiplier_value(xi_sq, delta: float):
     return out if out.ndim else float(out)
 
 
-# bounded: an entry holds one complex and one real array of the grid's size
-@functools.lru_cache(maxsize=4)
-def _plan(grid: Grid, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """(M, S): the multiplier route's arrays, built once per grid and delta.
+def _route(grid: Grid, cfg: ResolventConfig, max_nodes: int | None = None):
+    """R on grid under cfg for one or two real arrays; direct only to max_nodes (DIRECT_GUARD)."""
+    guard = max_nodes if max_nodes is not None else DIRECT_GUARD[grid.dim]
+    if cfg.mode == "direct_oracle" and grid.num_nodes > guard:
+        raise GridTooLargeError(f"{grid.num_nodes} nodes exceeds direct-oracle guard {guard}")
+    return _build_route(grid, cfg)
 
-    The frequency-side phase and the cell volume of dft_forward/dft_inverse
-    cancel between the two transforms, so R f = conj(M) ifftn(S fftn(M f))
-    with the node-side shift modulation M and the real symbol S.  The half
-    shift pairs every xi with -xi, so R f is real.
-    """
-    if delta == 0.0 and grid.singular:
+
+# bounded at 4 entries (M and S, or one kernel spectrum): two grids under both routes
+@functools.lru_cache(maxsize=4)
+def _build_route(grid: Grid, cfg: ResolventConfig) -> functools.partial:
+    """The route's arrays, built once per grid and config and shared read-only after."""
+    if cfg.mode == "direct_oracle":
+        apply = _convolve
+        arrays = (_kernel_spectrum(grid.dim, grid.points_per_axis, grid.spacing),)
+    elif cfg.delta == 0.0 and grid.singular:
         raise SingularLatticeError(
             "frequency lattice contains |xi| = 1; change the box or use delta > 0"
         )
-    plan = (_shift_modulation(grid), multiplier_value(grid.xi_squared, delta))
-    for arr in plan:
-        arr.flags.writeable = False  # shared by every later call on this grid and delta
-    return plan
+    else:
+        apply = _multiply
+        arrays = (_shift_modulation(grid), multiplier_value(grid.xi_squared, cfg.delta))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return functools.partial(apply, grid, *arrays)
 
 
-def apply_R(f: Field, cfg: ResolventConfig) -> Field:
-    """Resolvent applied to a field; multiplier route unless cfg says otherwise."""
-    return Field(f.grid, _apply(f.grid, cfg, f.values)[0])
-
-
-def _apply(grid: Grid, cfg: ResolventConfig, *fields: np.ndarray) -> list[np.ndarray]:
+def _multiply(grid: Grid, modulation, symbol, *fields: np.ndarray) -> list[np.ndarray]:
     """R of one or two real arrays: R(a/alpha + i b/beta) = R a/alpha + i R b/beta.
 
-    alpha, beta are the max-norms, so a large field's round-off stays out of a small one.  Of
-    the equivalent roundings, x / alpha then / (1/alpha) keeps every 64^2, delta = 0 limit
-    seed converging: there the Armijo test runs below round-off (ROADMAP item 4).
+    The frequency-side phase and the cell volume of dft_forward/dft_inverse cancel
+    between the two transforms, so R f = conj(M) ifftn(S fftn(M f)) with the node-side
+    shift modulation M and the real symbol S.  The half shift pairs every xi with -xi,
+    so R f is real.  alpha, beta are the max-norms, so a large field's round-off stays
+    out of a small one.  Of the equivalent roundings, x / alpha then / (1/alpha) keeps
+    every 64^2, delta = 0 limit seed converging: there the Armijo test runs below
+    round-off (ROADMAP item 4).
     """
-    if cfg.mode == "direct_oracle":
-        return [apply_R_direct(Field(grid, x), KernelSpec(grid.dim)).values for x in fields]
-    modulation, symbol = _plan(grid, cfg.delta)
     packed = np.zeros(grid.shape, np.complex128)
     norms = [float(max(x.max(), -x.min())) or 1.0 for x in fields]  # max |x|, with no |x| copy
     for part, x, norm in zip((packed.real, packed.imag), fields, norms):
@@ -107,9 +111,7 @@ def _apply(grid: Grid, cfg: ResolventConfig, *fields: np.ndarray) -> list[np.nda
             for part, sign, norm in zip((packed.real, packed.imag), (1.0, -1.0), norms)]
 
 
-# bounded: an entry holds one complex array of (2n)^(N-1) (n+1) values
-@functools.lru_cache(maxsize=4)
-def _kernel_spectrum(dim: int, n: int, h: float, spec: KernelSpec) -> np.ndarray:
+def _kernel_spectrum(dim: int, n: int, h: float) -> np.ndarray:
     """rfftn at size (2n)^N of the kernel, center weight included, on the difference lattice.
 
     The kernel is radial and (h k)^2 == (h (-k))^2 bit for bit, so it is evaluated on the
@@ -117,15 +119,13 @@ def _kernel_spectrum(dim: int, n: int, h: float, spec: KernelSpec) -> np.ndarray
     n-1 per axis): 2^N times fewer kernel evaluations, the same table.
     """
     orthant_sq = (h * np.arange(n)) ** 2
-    orthant = spec.evaluate(np.sqrt(sum(np.ix_(*(orthant_sq,) * dim))), h)
+    orthant = KernelSpec(dim).evaluate(np.sqrt(sum(np.ix_(*(orthant_sq,) * dim))), h)
     kernel = orthant[np.ix_(*(np.abs(np.arange(1 - n, n)),) * dim)]
-    spectrum = np.fft.rfftn(kernel, (2 * n,) * dim, tuple(range(dim)))
-    spectrum.flags.writeable = False  # shared by every later call on this grid and kernel
-    return spectrum
+    return np.fft.rfftn(kernel, (2 * n,) * dim, tuple(range(dim)))
 
 
-def apply_R_direct(f: Field, spec: KernelSpec, max_nodes: int | None = None) -> Field:
-    """Free-space convolution with Re Phi: the sum over all source cells, by FFT.
+def _convolve(grid: Grid, spectrum, *fields: np.ndarray) -> list[np.ndarray]:
+    """Free-space convolution with Re Phi of each array: the sum over all source cells.
 
     The kernel on the difference lattice (index offset n-1 per axis) and the
     field are zero-padded to (2n)^N; on the window [n-1, 2n-1) per axis their
@@ -133,23 +133,30 @@ def apply_R_direct(f: Field, spec: KernelSpec, max_nodes: int | None = None) -> 
     O((2n)^N log n).  Non-periodic: no images and no delta, which is exactly
     what makes it an independent check of the periodic multiplier route.
     """
-    grid = f.grid
-    if spec.dim != grid.dim:
-        raise ValueError("kernel dimension does not match grid")
-    guard = max_nodes if max_nodes is not None else DIRECT_GUARD[grid.dim]
-    if grid.num_nodes > guard:
-        raise GridTooLargeError(f"{grid.num_nodes} nodes exceeds direct-oracle guard {guard}")
     n = grid.points_per_axis
     size, axes = (2 * n,) * grid.dim, tuple(range(grid.dim))
-    spectrum = np.fft.rfftn(f.values, size, axes)
-    spectrum *= _kernel_spectrum(grid.dim, n, grid.spacing, spec)
-    window = np.fft.irfftn(spectrum, size, axes)[(slice(n - 1, 2 * n - 1),) * grid.dim]
-    return Field(grid, grid.cell_volume * window)
+    out = []
+    for x in fields:
+        padded = np.fft.rfftn(x, size, axes)
+        padded *= spectrum
+        # irfftn, its leading-axis inverses in place (same order, same bits): one temporary fewer
+        np.fft.ifftn(padded, axes=axes[-2::-1], out=padded)
+        window = np.fft.irfft(padded, 2 * n, axes[-1])[(slice(n - 1, 2 * n - 1),) * grid.dim]
+        out.append(grid.cell_volume * window)
+    return out
 
 
-def bilinear_R(u: Field, v: Field, cfg: ResolventConfig) -> float:
-    """int u R v dx; symmetric in (u, v) since the multiplier is real and even."""
-    return inner_product(u, apply_R(v, cfg))
+def apply_R(f: Field, cfg: ResolventConfig) -> Field:
+    """Resolvent applied to a field, on the route cfg names."""
+    return Field(f.grid, _route(f.grid, cfg)(f.values)[0])
+
+
+def apply_R_direct(f: Field, spec: KernelSpec, max_nodes: int | None = None) -> Field:
+    """Free-space convolution with Re Phi by FFT (``_convolve``), refused above max_nodes."""
+    if spec.dim != f.grid.dim:
+        raise ValueError("kernel dimension does not match grid")
+    route = _route(f.grid, ResolventConfig(mode="direct_oracle"), max_nodes)
+    return Field(f.grid, route(f.values)[0])
 
 
 def resolvent_identity_residual(f: Field, cfg: ResolventConfig) -> float:

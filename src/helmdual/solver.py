@@ -27,6 +27,7 @@ from .functional import (
     NotInPositiveCone,
     ProblemSpec,
     _dual_power,
+    _q_root,
     _resolve,
     constant_coefficient,
 )
@@ -155,18 +156,6 @@ def _power(w: np.ndarray, q_root, p: float, cell: float):
     norm_p = cell * float(np.sum(g * w))
     g *= q_root
     return w_pow, g, norm_p
-
-
-def _q_root(spec: ProblemSpec, grid: Grid):
-    """Q_eps^(1/p) for a descent: sampled on the grid, or one number for a constant Q.
-
-    np.power, not **: it runs the ufunc loop that sampling runs, so the number is bit for
-    bit every value of the sampled array (Python's pow differs in the last bit).
-    """
-    coefficient = spec.coefficient
-    if coefficient.centers:
-        return spec.q_root(grid).values
-    return np.power(coefficient.floor, 1.0 / spec.p)
 
 
 def _nehari(norm_p: float, quad: float, p: float) -> tuple[float, float, float]:

@@ -198,6 +198,20 @@ class TestValidateCommand:
                            params={"input_field": str(fld)})
         assert run("validate", cfg, tmp_path / "o") == 0
 
+    @pytest.mark.parametrize("mode, code", [("direct_oracle", 0), ("multiplier", 3)])
+    def test_singular_lattice_only_on_the_multiplier_route(self, tmp_path, capsys, mode, code):
+        # |xi| = 1 on this lattice: the multiplier route at delta = 0 is singular there, the
+        # free-space route never sees the lattice
+        problem = {"p": 8.0, "epsilon": 1.0, "delta": 0.0, "resolvent_mode": mode,
+                   "coefficient": {"kind": "constant", "floor": 1.0}}
+        grid = {"dim": 2, "half_length": float(np.pi / np.sqrt(2.0)), "points_per_axis": 16}
+        cfg = write_config(tmp_path, experiment="validate", params={}, grid=grid,
+                           problem=problem)
+        assert run("validate", cfg, tmp_path / "o") == code
+        out = capsys.readouterr().out
+        assert ("singular lattice" in out) == (code == 3)
+        assert ("FAIL" in out) == (code == 3)
+
     def test_corrupt_input_field_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.field"
         bad.write_bytes(b"garbage")

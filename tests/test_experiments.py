@@ -288,10 +288,10 @@ class TestConcentrationSweep:
         cfg = SolverConfig(max_iters=8000, grad_tol=5e-8)
         limit = solve_limit(1.0, 8.0, grid, cfg, resolvent=res)
 
-        def non_finite_pair(g, resolvent_cfg, *fields):
-            return [np.full(g.shape, np.nan) for _ in fields]
+        def non_finite_route(g, resolvent_cfg):
+            return lambda *fields: [np.full(g.shape, np.nan) for _ in fields]
 
-        monkeypatch.setattr("helmdual.functional._apply", non_finite_pair)
+        monkeypatch.setattr("helmdual.functional._route", non_finite_route)
         records = concentration_sweep(template, [0.5, 0.25], grid, cfg,
                                       BarycenterConfig(rho=3.0, delta_nbhd=0.5),
                                       limit_state=limit)

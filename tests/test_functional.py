@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helmdual import functional
 from helmdual.grid import Field, dft_forward, dft_inverse, inner_product, lp_norm, make_grid
 from helmdual.resolvent import ResolventConfig, apply_R
 from helmdual.functional import (
@@ -267,6 +268,49 @@ class TestDualState:
         assert state.energy == pytest.approx(energy(tv, spec))
         assert state.quadratic_term == pytest.approx(quadratic_term(tv, spec))
         assert state.nehari_residual <= 1e-9 * lp_norm(tv, spec.p_prime) ** spec.p_prime
+
+
+def _bits(result):
+    """The arrays and numbers of an energy, gradient, quadratic term or DualState."""
+    if isinstance(result, DualState):
+        return (result.v.values, result.u_rescaled.values, result.energy, result.grad_norm,
+                result.nehari_residual, result.quadratic_term)
+    return (result.values,) if isinstance(result, Field) else (result,)
+
+
+class TestOneQRootSite:
+    """Every single-field pairing forms Q_eps^(1/p) in functional._q_root, once per call."""
+
+    CALLS = {"energy": energy, "gradient": gradient, "quadratic_term": quadratic_term,
+             "from_field": DualState.from_field}
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_constant_q_is_one_number(self, grid, spec, monkeypatch, name):
+        v = cone_field(grid, np.random.default_rng(23))
+        # the sampled array, as each of the four formed it on its own
+        monkeypatch.setattr(functional, "_q_root", lambda spec, g: spec.q_root(g).values)
+        sampled = _bits(self.CALLS[name](v, spec))
+        monkeypatch.undo()
+
+        def unsampled(self, g):
+            raise AssertionError("a constant Q is not sampled")
+
+        monkeypatch.setattr(ProblemSpec, "q_root", unsampled)
+        got = _bits(self.CALLS[name](v, spec))
+        assert all(np.array_equal(a, b) for a, b in zip(got, sampled, strict=True))
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_bump_q_is_sampled_once(self, grid, monkeypatch, name):
+        bump = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),), amplitudes=(0.75,),
+                               widths=(1.5,))
+        spec = ProblemSpec(p=8.0, epsilon=0.5, coefficient=bump,
+                           resolvent=ResolventConfig(delta=1e-2))
+        v = cone_field(grid, np.random.default_rng(24))
+        calls, q_root = [], ProblemSpec.q_root
+        monkeypatch.setattr(ProblemSpec, "q_root",
+                            lambda self, g: calls.append(g) or q_root(self, g))
+        self.CALLS[name](v, spec)
+        assert calls == [grid]
 
 
 class TestSolutionMap:

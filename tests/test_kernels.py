@@ -164,25 +164,24 @@ class TestKernelSpec:
 
     def test_uncorrected_center_weight_3d(self):
         # analytic mean of 1/(4 pi r) over the volume-equivalent ball
-        spec = KernelSpec(3, corrected=False)
+        spec = KernelSpec(3)
         h = 0.4
         a = h * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
-        assert spec.center_weight(h) == pytest.approx(3.0 / (8 * np.pi * a))
+        assert spec.singular_cell_value(h) == pytest.approx(3.0 / (8 * np.pi * a))
 
     def test_corrected_weight_matches_singular_scale(self):
         # the moment-fitted weight is a finite correction of the same order
         # as the leading-term cell average, not a wildly different scale
         for dim in (2, 3):
             h = 0.9375
-            plain = KernelSpec(dim, corrected=False).center_weight(h)
-            fitted = KernelSpec(dim, corrected=True).center_weight(h)
+            plain = KernelSpec(dim).singular_cell_value(h)
+            fitted = KernelSpec(dim).center_weight(h)
             assert 0.2 * plain < fitted < 5.0 * plain
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-    @pytest.mark.parametrize("corrected", [True, False])
-    def test_center_weight_rejects_bad_spacing(self, corrected, bad):
+    def test_center_weight_rejects_bad_spacing(self, bad):
         with pytest.raises(ValueError, match="positive and finite"):
-            KernelSpec(2, corrected=corrected).center_weight(bad)
+            KernelSpec(2).center_weight(bad)
 
 
 def _moment_reference(dim, h):
@@ -232,7 +231,7 @@ class TestKernelTable:
         diff_sq = (h * np.arange(1 - n, n)) ** 2
         full = spec.evaluate(np.sqrt(sum(np.ix_(*(diff_sq,) * dim))), h)
         expected = np.fft.rfftn(full, (2 * n,) * dim, tuple(range(dim)))
-        np.testing.assert_array_equal(_kernel_spectrum(dim, n, h, spec), expected)
+        np.testing.assert_array_equal(_kernel_spectrum(dim, n, h), expected)
 
     def test_kernel_evaluations_scale_with_the_lattice(self, monkeypatch):
         radii = []
@@ -242,10 +241,6 @@ class TestKernelTable:
             return re_phi(r, dim)
 
         monkeypatch.setattr(helmdual.kernels, "re_phi", counting)
-        _kernel_spectrum.cache_clear()
-        try:
-            _kernel_spectrum(2, 80, 1.5, KernelSpec(2))
-        finally:
-            _kernel_spectrum.cache_clear()
+        _kernel_spectrum(2, 80, 1.5)
         # the orthant of the table plus the center weight's punctured lattice sum
         assert sum(radii) <= 80**2 + 55**2

@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
-from helmdual.grid import Field, dft_forward, dft_inverse, make_grid
+from helmdual.grid import Field, dft_forward, dft_inverse, inner_product, make_grid
 from helmdual.kernels import KernelSpec
 from helmdual.resolvent import (
     DIRECT_GUARD,
     GridTooLargeError,
     ResolventConfig,
     SingularLatticeError,
-    _apply,
-    _kernel_spectrum,
-    _plan,
+    _build_route,
+    _route,
     apply_R,
     apply_R_direct,
-    bilinear_R,
     multiplier_value,
     resolvent_identity_residual,
 )
@@ -97,7 +95,7 @@ class TestApplyR:
     def test_singular_lattice_rejected_at_delta_zero(self):
         g = make_grid(2, np.pi / np.sqrt(2.0), 16)
         f = gaussian_bump(g, width=1.0)
-        for _ in range(2):  # a failed plan is not cached
+        for _ in range(2):  # a failed route is not cached
             with pytest.raises(SingularLatticeError):
                 apply_R(f, ResolventConfig(delta=0.0))
 
@@ -132,8 +130,8 @@ class TestApplyR:
         cfg = ResolventConfig(delta=0.0)
         u_low = dft_inverse(low, g)
         u_high = dft_inverse(high, g)
-        assert bilinear_R(u_low, u_low, cfg) < 0
-        assert bilinear_R(u_high, u_high, cfg) > 0
+        assert inner_product(u_low, apply_R(u_low, cfg)) < 0
+        assert inner_product(u_high, apply_R(u_high, cfg)) > 0
 
     def test_bilinear_symmetry(self):
         g = make_grid(2, 9.0, 32)
@@ -141,7 +139,8 @@ class TestApplyR:
         u = Field(g, rng.standard_normal(g.shape))
         v = Field(g, rng.standard_normal(g.shape))
         cfg = ResolventConfig(delta=1e-3)
-        assert bilinear_R(u, v, cfg) == pytest.approx(bilinear_R(v, u, cfg), rel=1e-12)
+        uv, vu = inner_product(u, apply_R(v, cfg)), inner_product(v, apply_R(u, cfg))
+        assert uv == pytest.approx(vu, rel=1e-12)
 
 
 class TestPlan:
@@ -156,22 +155,70 @@ class TestPlan:
         got = apply_R(f, ResolventConfig(delta=delta)).values
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
-    def test_built_once_per_grid_and_delta(self):
-        f = gaussian_bump(make_grid(2, 9.0, 32))
-        cfg = ResolventConfig(delta=1e-3)
-        _plan.cache_clear()
-        first = apply_R(f, cfg).values
-        np.testing.assert_array_equal(apply_R(f, cfg).values, first)
-        # an equal grid built again and an equal config share the plan
-        again = gaussian_bump(make_grid(2, 9.0, 32))
-        np.testing.assert_array_equal(apply_R(again, ResolventConfig(delta=1e-3)).values, first)
-        info = _plan.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-        # the plan holds the shift modulation M and the real symbol S, not conj M
-        modulation, symbol = _plan(f.grid, cfg.delta)
+
+class TestRoute:
+    """One route per grid and config: its arrays built once, shared read-only after."""
+
+    def test_oracle_pattern_hits_on_the_second_pass(self):
+        # both routes on two grids that every pass builds afresh: four entries, all kept
+        _build_route.cache_clear()
+        first = []
+        for misses, hits in ((4, 0), (4, 4)):
+            results = []
+            for n, half_length, delta in ((32, 30.0, 1e-3), (80, 60.0, 5e-4)):
+                f = gaussian_bump(make_grid(2, half_length, n))
+                results.append(apply_R(f, ResolventConfig(delta=delta)).values)
+                results.append(apply_R_direct(f, KernelSpec(2), max_nodes=n * n).values)
+            info = _build_route.cache_info()
+            assert (info.misses, info.hits) == (misses, hits)
+            first = first or results
+            assert all(np.array_equal(a, b) for a, b in zip(results, first, strict=True))
+
+    def test_equal_grids_and_configs_share_one_read_only_entry(self):
+        _build_route.cache_clear()
+        for cfg in (ResolventConfig(delta=1e-3), ResolventConfig(mode="direct_oracle")):
+            route = _route(make_grid(2, 9.0, 32), cfg)
+            assert _route(make_grid(2, 9.0, 32), ResolventConfig(cfg.delta, cfg.mode)) is route
+            assert all(not arr.flags.writeable for arr in route.args[1:])
+        assert _build_route.cache_info().currsize == 2
+        # the multiplier route holds the shift modulation M and the real symbol S, not conj M
+        g = make_grid(2, 9.0, 32)
+        modulation, symbol = _route(g, ResolventConfig(delta=1e-3)).args[1:]
         assert modulation.dtype == np.complex128 and symbol.dtype == np.float64
-        np.testing.assert_array_equal(symbol, multiplier_value(f.grid.xi_squared, cfg.delta))
-        assert not modulation.flags.writeable and not symbol.flags.writeable
+        np.testing.assert_array_equal(symbol, multiplier_value(g.xi_squared, 1e-3))
+
+    def test_singular_build_is_not_cached(self):
+        g = make_grid(2, np.pi / np.sqrt(2.0), 16)
+        _build_route.cache_clear()
+        for _ in range(2):
+            with pytest.raises(SingularLatticeError):
+                _route(g, ResolventConfig(delta=0.0))
+        info = _build_route.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+        # the free-space route has no lattice to be singular on
+        f = gaussian_bump(g, width=1.0)
+        np.testing.assert_array_equal(apply_R(f, ResolventConfig(mode="direct_oracle")).values,
+                                      apply_R_direct(f, KernelSpec(2)).values)
+
+    def test_config_route_guard(self):
+        g = make_grid(2, 240.0, 514)
+        assert g.num_nodes > DIRECT_GUARD[2]
+        with pytest.raises(GridTooLargeError):
+            apply_R(gaussian_bump(g), ResolventConfig(mode="direct_oracle"))
+
+    def test_max_nodes_overrides_the_guard(self, monkeypatch):
+        g = make_grid(2, 15.0, 16)
+        f = gaussian_bump(g)
+        expected = apply_R_direct(f, KernelSpec(2)).values
+        monkeypatch.setitem(DIRECT_GUARD, 2, g.num_nodes - 1)
+        with pytest.raises(GridTooLargeError):
+            apply_R(f, ResolventConfig(mode="direct_oracle"))
+        with pytest.raises(GridTooLargeError):
+            apply_R_direct(f, KernelSpec(2))
+        got = apply_R_direct(f, KernelSpec(2), max_nodes=g.num_nodes).values
+        np.testing.assert_array_equal(got, expected)
+        with pytest.raises(GridTooLargeError):
+            apply_R_direct(f, KernelSpec(2), max_nodes=64)
 
 
 class TestPairApplication:
@@ -188,7 +235,7 @@ class TestPairApplication:
         a = gaussian_bump(g, width=2.0).values
         b = ratio * rng.standard_normal(g.shape)
         cfg = ResolventConfig(delta=delta)
-        for got, field in zip(_apply(g, cfg, a, b), (a, b)):
+        for got, field in zip(_route(g, cfg)(a, b), (a, b)):
             alone = apply_R(Field(g, field), cfg).values
             assert np.max(np.abs(got - alone)) <= 1e-13 * np.max(np.abs(alone))
 
@@ -196,7 +243,7 @@ class TestPairApplication:
         g = make_grid(2, 15.0, 16)
         a, b = gaussian_bump(g).values, gaussian_bump(g, width=2.0).values
         cfg = ResolventConfig(mode="direct_oracle")
-        for got, field in zip(_apply(g, cfg, a, b), (a, b)):
+        for got, field in zip(_route(g, cfg)(a, b), (a, b)):
             np.testing.assert_array_equal(got, apply_R_direct(Field(g, field), KernelSpec(2)).values)
 
 
@@ -240,25 +287,6 @@ class TestDirectOracle:
         mult = apply_R(f, ResolventConfig(delta=1e-3))
         err = np.linalg.norm(direct.values - mult.values) / np.linalg.norm(mult.values)
         assert err <= 8e-2
-
-    def test_kernel_spectrum_built_once_per_grid_and_kernel(self):
-        f = gaussian_bump(make_grid(2, 15.0, 16))
-        _kernel_spectrum.cache_clear()
-        first = apply_R_direct(f, KernelSpec(2)).values
-        np.testing.assert_array_equal(apply_R_direct(f, KernelSpec(2)).values, first)
-        # an equal grid built again and an equal kernel share the spectrum
-        again = gaussian_bump(make_grid(2, 15.0, 16))
-        np.testing.assert_array_equal(apply_R_direct(again, KernelSpec(2)).values, first)
-        info = _kernel_spectrum.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-        # the uncorrected center weight is a separate entry
-        plain = apply_R_direct(f, KernelSpec(2, corrected=False)).values
-        assert not np.array_equal(plain, first)
-        info = _kernel_spectrum.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
-        key = (f.grid.dim, f.grid.points_per_axis, f.grid.spacing)
-        assert not _kernel_spectrum(*key, KernelSpec(2)).flags.writeable
-        assert not _kernel_spectrum(*key, KernelSpec(2, corrected=False)).flags.writeable
 
     def test_mode_dispatch(self):
         g = make_grid(2, 30.0, 32)

@@ -12,6 +12,7 @@ from helmdual.functional import (
     DualState,
     NotInPositiveCone,
     ProblemSpec,
+    _q_root,
     constant_coefficient,
     gradient,
 )
@@ -338,7 +339,7 @@ class TestConstantCoefficientRoot:
         for floor in (0.25, 0.359, 0.407, 0.658, 2.0):
             for p in (3.0, 4.5, 5.0, 8.0):
                 spec = ProblemSpec(p=p, epsilon=1.0, coefficient=constant_coefficient(floor))
-                root = solver._q_root(spec, grid)
+                root = _q_root(spec, grid)
                 assert np.ndim(root) == 0
                 assert same_bits(np.full(grid.shape, root), spec.q_root(grid).values)
 
