@@ -22,18 +22,7 @@ from .grid import Field, Grid, _squared_distance, inner_product, lp_norm
 from .kernels import lambda_p
 from .functional import DualState, ProblemSpec, pde_residual
 from .resolvent import ResolventConfig, apply_R
-from .solver import (
-    AllSeedsLeftCone,
-    NoConvergence,
-    SolverConfig,
-    _best_state,
-    _check_cutoffs_fit,
-    _solve_seeds,
-    _translates,
-    cutoff,
-    solve_ground_state,
-    solve_limit,
-)
+from .solver import SolverConfig, _ground_states, cutoff, solve_limit
 
 #: a sweep point is trusted when at most this share of ||v||_p'^p' lies in the box's outer shell
 EDGE_TRUST = 0.5
@@ -175,14 +164,13 @@ def _nearest_maximum(beta: np.ndarray, maxima) -> tuple[float, tuple[float, ...]
     return dists[i], tuple(float(c) for c in maxima[i])
 
 
-def sweep_point(spec: ProblemSpec, grid: Grid, outcomes, bary_cfg: BarycenterConfig,
+def sweep_point(spec: ProblemSpec, outcome, bary_cfg: BarycenterConfig,
                 limit_state: DualState) -> SweepRecord:
-    """Record of one epsilon from its seeds' outcomes; a failure becomes a flagged row."""
-    try:
-        state = _best_state(outcomes)
-    except (NoConvergence, AllSeedsLeftCone, ValueError) as err:
+    """Record of one epsilon from its outcome (a state or the error that ended the point)."""
+    if isinstance(outcome, Exception):
         return SweepRecord(spec.epsilon, False, None, None, None, None, None,
-                           None, None, False, None, failure=str(err))
+                           None, None, False, None, failure=str(outcome))
+    state, grid = outcome, outcome.v.grid
     pp = spec.p_prime
     beta = barycenter(state.v, spec.epsilon, pp, bary_cfg)
     dist, nearest = _nearest_maximum(beta, spec.coefficient.maximum_set)
@@ -227,27 +215,9 @@ def concentration_sweep(template: ProblemSpec, epsilon_list, grid: Grid,
     """
     eps = [float(e) for e in epsilon_list]
     check_sweep(template, eps, bary_cfg)
-    template.validate_for_grid(grid)
-    if limit_state is not None and limit_state.v.grid != grid:
-        raise ValueError("limit state lives on another grid")
-    if limit_state is None:
-        limit_state = solve_limit(template.coefficient.q_sup, template.p, grid,
-                                  solver_cfg, resolvent=template.resolvent)
-    specs = [replace(template, epsilon=e) for e in eps]
-    unfit = []  # per point: None, or the error that leaves it no seeds
-    for spec in specs:
-        try:
-            _check_cutoffs_fit(spec.coefficient.maximum_set, spec.epsilon, grid)
-            unfit.append(None)
-        except ValueError as err:
-            unfit.append(err)
-    maxima = template.coefficient.maximum_set
-    # every point's seeds in one solve; each translate is built as its slot opens
-    problems = _translates([spec for spec, err in zip(specs, unfit) if err is None], limit_state)
-    outcomes = iter(list(_solve_seeds(problems, solver_cfg)))
-    return [sweep_point(spec, grid, [next(outcomes) for _ in maxima] if err is None else [err],
-                        bary_cfg, limit_state)
-            for spec, err in zip(specs, unfit)]
+    limit_state, outcomes = _ground_states(template, eps, grid, solver_cfg, limit_state)
+    return [sweep_point(replace(template, epsilon=e), outcome, bary_cfg, limit_state)
+            for e, outcome in zip(eps, outcomes)]
 
 
 def sweep_to_csv(records) -> str:
@@ -361,17 +331,17 @@ class EnergyComparison:
 
 def energy_comparison(spec: ProblemSpec, grid: Grid, solver_cfg: SolverConfig) -> EnergyComparison:
     """Compute c_0 (at sup Q), c_inf (at the tail level of Q, if positive), c_eps."""
+    limit_state, [state] = _ground_states(spec, [spec.epsilon], grid, solver_cfg)
+    if isinstance(state, Exception):
+        raise state
+    # a constant Q is its own limit problem: no limit state is solved for it
+    c0 = state.energy if limit_state is None else limit_state.energy
     coef = spec.coefficient
-    _check_cutoffs_fit(coef.maximum_set, spec.epsilon, grid)  # before the limit solves
-    limit_state = solve_limit(coef.q_sup, spec.p, grid, solver_cfg,
-                              resolvent=spec.resolvent)
-    c0 = limit_state.energy
     if coef.q_infinity > 0.0:
         c_inf = solve_limit(coef.q_infinity, spec.p, grid, solver_cfg,
                             resolvent=spec.resolvent).energy
     else:
         c_inf = None
-    state = solve_ground_state(spec, grid, solver_cfg, limit_state=limit_state)
     return EnergyComparison(c_eps=state.energy, c_0=c0, c_inf=c_inf,
                             epsilon=spec.epsilon)
 

@@ -63,23 +63,24 @@ def _route(grid: Grid, cfg: ResolventConfig, max_nodes: int | None = None):
     guard = max_nodes if max_nodes is not None else DIRECT_GUARD[grid.dim]
     if cfg.mode == "direct_oracle" and grid.num_nodes > guard:
         raise GridTooLargeError(f"{grid.num_nodes} nodes exceeds direct-oracle guard {guard}")
-    return _build_route(grid, cfg)
+    # the free-space kernel reads no delta: a direct route is keyed without it
+    return _build_route(grid, cfg.mode, cfg.delta if cfg.mode == "multiplier" else 0.0)
 
 
 # bounded at 4 entries (M and S, or one kernel spectrum): two grids under both routes
 @functools.lru_cache(maxsize=4)
-def _build_route(grid: Grid, cfg: ResolventConfig) -> functools.partial:
-    """The route's arrays, built once per grid and config and shared read-only after."""
-    if cfg.mode == "direct_oracle":
+def _build_route(grid: Grid, mode: str, delta: float) -> functools.partial:
+    """The route's arrays, built once per grid, mode and delta and shared read-only after."""
+    if mode == "direct_oracle":
         apply = _convolve
         arrays = (_kernel_spectrum(grid.dim, grid.points_per_axis, grid.spacing),)
-    elif cfg.delta == 0.0 and grid.singular:
+    elif delta == 0.0 and grid.singular:
         raise SingularLatticeError(
             "frequency lattice contains |xi| = 1; change the box or use delta > 0"
         )
     else:
         apply = _multiply
-        arrays = (_shift_modulation(grid), multiplier_value(grid.xi_squared, cfg.delta))
+        arrays = (_shift_modulation(grid), multiplier_value(grid.xi_squared, delta))
     for arr in arrays:
         arr.flags.writeable = False
     return functools.partial(apply, grid, *arrays)

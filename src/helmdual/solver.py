@@ -17,7 +17,7 @@ same for every run.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -273,16 +273,17 @@ def solve_limit(q0: float, p: float, grid: Grid, cfg: SolverConfig,
 
 
 def _solve_seeds(problems, cfg: SolverConfig):
-    """Descend from every (seed, spec), two at a time; yields the outcomes in seed order."""
+    """Descend from every (seed, spec) on one grid and resolvent, two at a time, in seed order."""
     pending, opened = iter(problems), itertools.count()  # no enumerate: it keeps its last item
-    running: dict[int, list] = {}  # seed index -> [descent, (grid, resolvent), next g]
+    running: dict[int, list] = {}  # seed index -> [descent, next g]
     finished: dict[int, object] = {}  # seed index -> (DualState, iterations) or its exception
+    key = None  # the first seed's (grid, resolvent): a pair shares one transform
 
     def advance(i: int, answer) -> None:
-        running[i][2] = None  # the resolved g is spent: its descent reuses or drops it
+        running[i][1] = None  # the resolved g is spent: its descent reuses or drops it
         send = running[i][0].throw if isinstance(answer, Exception) else running[i][0].send
         try:
-            running[i][2] = send(answer)
+            running[i][1] = send(answer)
             return
         except StopIteration as stop:
             finished[i] = stop.value
@@ -293,18 +294,20 @@ def _solve_seeds(problems, cfg: SolverConfig):
     for index in itertools.count():
         while index not in finished:
             for seed, spec in itertools.islice(pending, 2 - len(running)):  # as slots open
+                key = key or (seed.grid, spec.resolvent)
+                if (seed.grid, spec.resolvent) != key:
+                    raise ValueError("seeds on different grids or resolvents")
                 i = next(opened)
-                running[i] = [_descend(seed, spec, cfg), (seed.grid, spec.resolvent), None]
+                running[i] = [_descend(seed, spec, cfg), None]
                 del seed
                 advance(i, None)
             if not running:
                 if index in finished:  # the seeds just opened ended before any application
                     break
                 return
-            key = next(iter(running.values()))[1]
-            batch = [i for i, slot in running.items() if slot[1] == key]
+            batch = list(running)
             try:
-                answers = _resolve(*key, *(running[i][2] for i in batch))
+                answers = _resolve(*key, *(running[i][1] for i in batch))
             except ValueError as err:  # a non-finite pairing ends every seed in it
                 answers = [err] * len(batch)
             while batch:  # each R g is dropped here once sent: its descent decides its life
@@ -368,41 +371,64 @@ def default_seeds(spec: ProblemSpec, limit_state: DualState) -> list[Field]:
     A constant Q has no maximum set, so it gets no seeds here; its solves start
     from ``SolverConfig.restart_seeds``.
     """
-    return [seed for seed, _ in _translates([spec], limit_state)]
+    return [make_test_function(y, spec.epsilon, limit_state.v)[0]
+            for y in spec.coefficient.maximum_set]
 
 
-def _translates(specs, limit_state: DualState):
-    """(seed, spec) for the default seeds of each spec in turn, each built when asked for.
+def _ground_states(template: ProblemSpec, epsilons, grid: Grid, cfg: SolverConfig,
+                   limit_state: DualState | None = None):
+    """(limit state, per epsilon its lowest-energy converged state or the error that ended it).
 
-    Given to _solve_seeds, a translate is built as its slot opens, and nothing here keeps it.
+    Points whose cutoffs fit the box share one batch of seeds, each built as its slot opens:
+    translates of the limit state (solved at sup Q if none was given), or restart seeds.
     """
-    for spec in specs:
-        for y in spec.coefficient.maximum_set:
-            yield make_test_function(y, spec.epsilon, limit_state.v)[0], spec
+    template.validate_for_grid(grid)
+    if limit_state is not None and limit_state.v.grid != grid:
+        raise ValueError("limit state lives on another grid")
+    maxima = template.coefficient.maximum_set
+    unfit = []  # per point: None, or the error that leaves it no seeds
+    for e in epsilons:
+        try:
+            _check_cutoffs_fit(maxima, e, grid)
+            unfit.append(None)
+        except ValueError as err:
+            unfit.append(err)
+    solved = [replace(template, epsilon=e) for e, err in zip(epsilons, unfit) if err is None]
+    if not solved:
+        return limit_state, unfit
+    if not maxima:
+        problems = ((s.build(grid), spec) for spec in solved for s in cfg.restart_seeds)
+    else:
+        if limit_state is None:
+            limit_state = solve_limit(template.coefficient.q_sup, template.p, grid, cfg,
+                                      resolvent=template.resolvent)
+        problems = ((make_test_function(y, spec.epsilon, limit_state.v)[0], spec)
+                    for spec in solved for y in maxima)
+    per_point = len(maxima) or len(cfg.restart_seeds)
+    outcomes = _solve_seeds(problems, cfg)
+    states = []
+    for outcome in unfit:  # None where the point is solved
+        if outcome is None:
+            point = list(itertools.islice(outcomes, per_point))  # whole: _best_state may raise
+            try:
+                outcome = _best_state(point)
+            except (NoConvergence, AllSeedsLeftCone, ValueError) as err:
+                outcome = err
+        states.append(outcome)
+    return limit_state, states
 
 
 def solve_ground_state(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
-                       limit_state: DualState | None = None,
-                       seeds: list[Field] | None = None) -> DualState:
+                       limit_state: DualState | None = None) -> DualState:
     """Minimize the dual energy over the Nehari manifold for one problem instance.
 
     The returned energy is the minimum over converged seeds; global
     optimality is not certified.
     """
-    spec.validate_for_grid(grid)
-    if limit_state is not None and limit_state.v.grid != grid:
-        raise ValueError("limit state lives on another grid")
-    if seeds is not None:
-        problems = ((seed, spec) for seed in seeds)
-    elif not spec.coefficient.maximum_set:  # restart seeds, each built as a slot opens
-        problems = ((s.build(grid), spec) for s in cfg.restart_seeds)
-    else:
-        _check_cutoffs_fit(spec.coefficient.maximum_set, spec.epsilon, grid)  # before a solve
-        if limit_state is None:
-            limit_state = solve_limit(spec.coefficient.q_sup, spec.p, grid, cfg,
-                                      resolvent=spec.resolvent)
-        problems = _translates([spec], limit_state)
-    return _best_state(_solve_seeds(problems, cfg))
+    [outcome] = _ground_states(spec, [spec.epsilon], grid, cfg, limit_state)[1]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def multistart(spec: ProblemSpec, cfg: SolverConfig, seeds: list[Field]) -> list[DualState]:
@@ -416,6 +442,8 @@ def multistart(spec: ProblemSpec, cfg: SolverConfig, seeds: list[Field]) -> list
     """
     if len(seeds) < 2:
         raise ValueError("multistart needs at least 2 seeds")
+    if any(seed.grid != seeds[0].grid for seed in seeds):  # before any seed is solved
+        raise ValueError("seeds live on different grids")
     pp = spec.p_prime
     distinct: list[DualState] = []
     for outcome in _solve_seeds(((seed, spec) for seed in seeds), cfg):

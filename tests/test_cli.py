@@ -178,6 +178,25 @@ class TestShippedConfigs:
         assert cfg.experiment in {experiment for experiment, _ in _COMMANDS.values()}
 
 
+    @pytest.mark.parametrize("experiment, pinned", [
+        ("limit", {("energies", "c_0"): 3.1510113831347706}),
+        ("sweep", {("energies", "c_0"): 3.1510113831347706,
+                   ("energies", "c_eps", "0.2"): 3.1633261190938677,
+                   ("energies", "c_eps", "0.1"): 3.1580842846917703,
+                   ("energies", "c_eps", "0.05"): 3.154738490092152}),
+        ("decay", {("diagnostics", "slope"): -0.28504429199599546}),
+        ("compare_energy", {("energies", "c_0"): 3.1510113831347706,
+                            ("energies", "c_eps"): 3.154738490092152,
+                            ("energies", "c_inf"): 5.001918784351909}),
+    ], ids=["limit", "sweep", "decay", "compare_energy"])
+    def test_same_numbers(self, tmp_path, capsys, experiment, pinned):
+        out = tmp_path / "o"
+        assert run(experiment.replace("_", "-"), str(CONFIGS / f"{experiment}.json"), out) == 0
+        record = json.loads((out / "run.json").read_text())
+        for keys, value in pinned.items():
+            assert reduce(dict.__getitem__, keys, record) == pytest.approx(value, rel=1e-12)
+
+
 class TestValidateCommand:
     def test_passes_and_prints_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path, experiment="validate", params={})
@@ -339,7 +358,7 @@ class TestCompareEnergyCommand:
         def no_solve(*args, **kwargs):
             raise AssertionError("a config error must not solve")
 
-        monkeypatch.setattr("helmdual.experiments.solve_limit", no_solve)
+        monkeypatch.setattr("helmdual.solver._solve_seeds", no_solve)
         out = tmp_path / "o"
         assert run("compare-energy", str(path), out) == 2
         assert "cutoff support exceeds the box" in capsys.readouterr().err

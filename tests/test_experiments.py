@@ -205,7 +205,7 @@ class TestConcentrationSweep:
         def no_solve(*args, **kwargs):
             raise AssertionError("an input error must not solve")
 
-        monkeypatch.setattr("helmdual.experiments.solve_limit", no_solve)
+        monkeypatch.setattr("helmdual.solver._solve_seeds", no_solve)
         coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),),
                                amplitudes=(0.75,), widths=(1.5,))
         template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
@@ -217,13 +217,27 @@ class TestConcentrationSweep:
         def no_solve(*args, **kwargs):
             raise AssertionError("an input error must not solve")
 
-        monkeypatch.setattr("helmdual.experiments.solve_limit", no_solve)
+        monkeypatch.setattr("helmdual.solver._solve_seeds", no_solve)
         coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4, 0.1),),
                                amplitudes=(0.75,), widths=(1.5,))
         template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
         with pytest.raises(ValueError, match="dimension"):
             concentration_sweep(template, [0.5, 0.25], grid, SolverConfig(),
                                 BarycenterConfig(rho=3.0, delta_nbhd=0.5))
+
+    def test_every_point_outgrowing_the_box_solves_nothing(self, grid, monkeypatch):
+        # no point fits, so neither the limit nor any point is solved
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a sweep with no point to solve must not solve")
+
+        monkeypatch.setattr("helmdual.solver._solve_seeds", no_solve)
+        coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),),
+                               amplitudes=(0.75,), widths=(1.5,))
+        template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
+        records = concentration_sweep(template, [0.05, 0.02], grid, SolverConfig(),
+                                      BarycenterConfig(rho=3.0, delta_nbhd=0.5))
+        assert [r.converged for r in records] == [False, False]
+        assert all("cutoff support exceeds the box" in r.failure for r in records)
 
     def test_limit_state_on_another_grid_rejected(self, grid, monkeypatch):
         def no_seeds(*args, **kwargs):
@@ -440,6 +454,14 @@ class TestEnergyComparison:
         assert rep.c_inf is None
         assert rep.upper_bound_holds  # vacuously
         assert "c_inf" not in rep.csv()
+
+
+    def test_constant_coefficient_is_its_own_limit(self):
+        # no limit state is solved for a constant Q: c_0 is its own level, as is c_inf
+        spec = ProblemSpec(p=8.0, epsilon=0.25, coefficient=constant_coefficient(1.0),
+                           resolvent=ResolventConfig(delta=1e-2))
+        rep = energy_comparison(spec, make_grid(2, 30.0, 32), SolverConfig(grad_tol=5e-8))
+        assert rep.c_0 == rep.c_eps == rep.c_inf
 
 
 class TestHomogeneityRatio:

@@ -187,6 +187,15 @@ class TestRoute:
         assert modulation.dtype == np.complex128 and symbol.dtype == np.float64
         np.testing.assert_array_equal(symbol, multiplier_value(g.xi_squared, 1e-3))
 
+    def test_direct_route_keyed_without_delta(self):
+        # the free-space kernel reads no delta: every direct config on a grid shares one entry
+        _build_route.cache_clear()
+        route = _route(make_grid(2, 15.0, 64), ResolventConfig(delta=0.01, mode="direct_oracle"))
+        assert _route(make_grid(2, 15.0, 64), ResolventConfig(mode="direct_oracle")) is route
+        apply_R_direct(gaussian_bump(make_grid(2, 15.0, 64)), KernelSpec(2))
+        info = _build_route.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
     def test_singular_build_is_not_cached(self):
         g = make_grid(2, np.pi / np.sqrt(2.0), 16)
         _build_route.cache_clear()

@@ -158,9 +158,6 @@ class TestSeedFailures:
     def test_no_seeds_is_not_a_cone_exit(self, small):
         with pytest.raises(ValueError, match="no seeds"):
             _best_state(iter([]))
-        spec = ProblemSpec(p=8.0, epsilon=1.0, coefficient=constant_coefficient(1.0))
-        with pytest.raises(ValueError, match="no seeds"):
-            solve_ground_state(spec, small, SolverConfig(), seeds=[])
 
     def test_every_seed_outside_the_cone(self, small):
         # a wide unmodulated bump has its spectrum inside |xi| < 1, where R < 0
@@ -237,17 +234,27 @@ class TestLockStep:
     def test_solve_after_two_zero_seeds_raises_their_error(self, small, spec, loose):
         good = InitialGuess(width=0.8).build(small)
         with pytest.raises(ValueError, match="zero seed"):
-            solve_ground_state(spec, small, loose, seeds=[0.0 * good, 0.0 * good, good])
+            _best_state(list(_solve_seeds([(0.0 * good, spec), (0.0 * good, spec), (good, spec)],
+                                          loose)))
 
-    def test_seeds_on_different_grids_are_not_paired(self, small, spec, loose):
+    def test_seeds_on_different_grids_are_refused_unsolved(self, small, spec, loose,
+                                                          monkeypatch):
         # a pair shares one transform, so it needs one grid and one resolvent
+        def no_resolve(*args):
+            raise AssertionError("mixed seeds must be refused before any application")
+
+        monkeypatch.setattr(solver, "_resolve", no_resolve)
         other = make_grid(2, 30.0, 48)
         seeds = [InitialGuess(width=0.8).build(g) for g in (small, other)]
-        outcomes = list(_solve_seeds([(seed, spec) for seed in seeds], loose))
-        for seed, (state, _) in zip(seeds, outcomes):
-            [(alone, _)] = _solve_seeds([(seed, spec)], loose)
-            assert state.v.grid == seed.grid
-            assert state.energy == alone.energy
+        with pytest.raises(ValueError, match="different grids"):
+            multistart(spec, loose, seeds)
+        with pytest.raises(ValueError, match="different grids"):
+            multistart(spec, loose, [seeds[0], seeds[0], seeds[1]])
+        with pytest.raises(ValueError, match="different grids or resolvents"):
+            list(_solve_seeds([(seed, spec) for seed in seeds], loose))
+        exact = ProblemSpec(p=8.0, epsilon=1.0, coefficient=constant_coefficient(1.0))
+        with pytest.raises(ValueError, match="different grids or resolvents"):
+            list(_solve_seeds([(seeds[0], spec), (seeds[0], exact)], loose))
 
     def test_collapsing_batch_raises_no_convergence(self, small, spec, monkeypatch):
         monkeypatch.setattr(solver, "SUFFICIENT_DECREASE", 1e6)
@@ -256,7 +263,7 @@ class TestLockStep:
         seeds.append(InitialGuess(width=3.0, modulation=0.0).build(small))
         # two collapses and one cone exit: not every seed left the cone
         with pytest.raises(NoConvergence, match="no seed converged"):
-            solve_ground_state(spec, small, strict, seeds=seeds)
+            _best_state(list(_solve_seeds([(seed, spec) for seed in seeds], strict)))
 
     def test_sweep_config_converges_well_inside_the_budget(self, monkeypatch):
         # every seed of configs/sweep.json converges in at most 25 iterations and
