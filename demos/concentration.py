@@ -15,7 +15,6 @@ from helmdual import (
     SolverConfig,
     concentration_sweep,
     make_grid,
-    solve_limit,
 )
 
 
@@ -31,14 +30,11 @@ def main():
                            resolvent=resolvent)
     cfg = SolverConfig(max_iters=20000, grad_tol=5e-8)
 
-    limit_state = solve_limit(1.0, 8.0, grid, cfg, resolvent=resolvent)
+    limit_state, records = concentration_sweep(
+        template, [0.2, 0.1, 0.05], grid, cfg, BarycenterConfig(rho=3.0, delta_nbhd=0.5),
+    )
     print(f"limit level c_0 = {limit_state.energy:.6f}")
     print(f"maximum of Q at y0 = {coefficient.maximum_set[0]}\n")
-
-    records = concentration_sweep(
-        template, [0.2, 0.1, 0.05], grid, cfg,
-        BarycenterConfig(rho=3.0, delta_nbhd=0.5), limit_state=limit_state,
-    )
 
     print(f"{'eps':>6} {'c_eps':>10} {'|beta - y0|':>12} {'profile dist':>13}")
     for r in records:

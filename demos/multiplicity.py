@@ -3,10 +3,9 @@
 When Q has several well-separated global maxima and epsilon is small, the
 energy landscape develops one low-lying critical point near each maximum:
 the topology of the maximum set forces multiplicity.  This script builds a
-coefficient with two equal Gaussian peaks, seeds the solver with a cutoff
-translate of the limit profile at each peak, and shows that multistart
-returns two genuinely distinct states whose barycenters sit on different
-peaks.
+coefficient with two equal Gaussian peaks; multistart seeds the solver with
+a cutoff translate of the limit profile at each peak and returns two
+genuinely distinct states whose barycenters sit on different peaks.
 """
 
 from helmdual import (
@@ -16,10 +15,8 @@ from helmdual import (
     ResolventConfig,
     SolverConfig,
     barycenter,
-    default_seeds,
     make_grid,
     multistart,
-    solve_limit,
 )
 
 
@@ -35,12 +32,10 @@ def main():
                        resolvent=resolvent)
     cfg = SolverConfig(max_iters=20000, grad_tol=5e-8)
 
-    limit_state = solve_limit(1.0, 8.0, grid, cfg, resolvent=resolvent)
-    seeds = default_seeds(spec, limit_state)
     print(f"maxima of Q: {coefficient.maximum_set}")
-    print(f"seeding {len(seeds)} cutoff translates of the limit profile\n")
+    print(f"seeding {len(coefficient.maximum_set)} cutoff translates of the limit profile\n")
 
-    states = multistart(spec, cfg, seeds)
+    states = multistart(spec, grid, cfg)
     print(f"multistart found {len(states)} distinct state(s):")
     bary_cfg = BarycenterConfig(rho=8.0, delta_nbhd=0.5)
     for i, s in enumerate(states):

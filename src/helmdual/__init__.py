@@ -24,7 +24,6 @@ from .solver import (
     AllSeedsLeftCone,
     NoConvergence,
     SolverConfig,
-    default_seeds,
     multistart,
     solve_ground_state,
     solve_limit,

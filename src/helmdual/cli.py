@@ -49,7 +49,6 @@ from .solver import (
 )
 from .experiments import (
     BarycenterConfig,
-    check_sweep,
     concentration_sweep,
     energy_comparison,
     interaction_decay,
@@ -135,21 +134,19 @@ def cmd_solve(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
 
 def cmd_sweep(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
     problem, params = cfg.problem, cfg.params
-    epsilon_list = params["epsilon_list"]
     bary = BarycenterConfig(**{key: params[key] for key in ("rho", "delta_nbhd") if key in params})
-    check_sweep(problem, epsilon_list, bary)  # a config error costs no limit solve
-    limit_state = solve_limit(problem.coefficient.q_sup, problem.p, cfg.grid,
-                              cfg.solver, resolvent=problem.resolvent)
-    records = concentration_sweep(problem, epsilon_list, cfg.grid, cfg.solver, bary,
-                                  limit_state=limit_state)
-    record.energies["c_0"] = limit_state.energy
+    limit_state, records = concentration_sweep(problem, params["epsilon_list"], cfg.grid,
+                                               cfg.solver, bary)
+    artifacts = [("sweep.csv", sweep_to_csv(records))]
+    if limit_state is not None:  # None when no epsilon fits the box
+        record.energies["c_0"] = limit_state.energy
+        artifacts.append(("limit_v.field", limit_state.v))
     record.energies["c_eps"] = {str(r.epsilon): r.energy for r in records}
     record.converged = all(r.converged for r in records)
     for r in records:
         status = f"c_eps={r.energy!r}" if r.converged else f"FAILED: {r.failure}"
         print(f"eps={r.epsilon}: {status}")
-    code = EXIT_OK if record.converged else EXIT_NUMERIC
-    return code, [("sweep.csv", sweep_to_csv(records)), ("limit_v.field", limit_state.v)]
+    return (EXIT_OK if record.converged else EXIT_NUMERIC), artifacts
 
 
 def cmd_decay(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:

@@ -189,35 +189,30 @@ def sweep_point(spec: ProblemSpec, outcome, bary_cfg: BarycenterConfig,
     )
 
 
-def check_sweep(template: ProblemSpec, epsilon_list, bary_cfg: BarycenterConfig) -> None:
-    """Raise ValueError for inputs no sweep can succeed on; epsilon_list is a sequence."""
-    if not epsilon_list:
+def concentration_sweep(template: ProblemSpec, epsilon_list, grid: Grid,
+                        solver_cfg: SolverConfig, bary_cfg: BarycenterConfig,
+                        limit_state: DualState | None = None):
+    """(limit state, one record per epsilon) of ground-state solves over a decreasing list.
+
+    Inputs that no sweep can succeed on raise ValueError before any solve.  The
+    seeds of every point are solved together, two at a time; per-point failures
+    (a cutoff outgrowing the box at small epsilon, a seed that fails) are recorded
+    as flagged rows.  The limit state is None when no point fits the box.
+    """
+    eps = [float(e) for e in epsilon_list]
+    if not eps:
         raise ValueError("epsilon list must not be empty")
-    if any(b >= a for a, b in zip(epsilon_list, epsilon_list[1:])):
+    if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
-    if any(not 0.0 < e < np.inf for e in epsilon_list):  # NaN fails too
+    if any(not 0.0 < e < np.inf for e in eps):  # NaN fails too
         raise ValueError("epsilon must be positive and finite")
     if not template.coefficient.maximum_set:
         raise ValueError("concentration sweep needs a coefficient with a "
                          "finite maximum set (not constant)")
     bary_cfg.validate_for(template.coefficient)
-
-
-def concentration_sweep(template: ProblemSpec, epsilon_list, grid: Grid,
-                        solver_cfg: SolverConfig, bary_cfg: BarycenterConfig,
-                        limit_state: DualState | None = None) -> list[SweepRecord]:
-    """Ground-state solves over a decreasing epsilon list, one record each.
-
-    The inputs pass check_sweep and fit the grid first.  The seeds of every
-    point are solved together, two at a time; per-point failures (a cutoff
-    outgrowing the box at small epsilon, a seed that fails) are recorded as
-    flagged rows.
-    """
-    eps = [float(e) for e in epsilon_list]
-    check_sweep(template, eps, bary_cfg)
     limit_state, outcomes = _ground_states(template, eps, grid, solver_cfg, limit_state)
-    return [sweep_point(replace(template, epsilon=e), outcome, bary_cfg, limit_state)
-            for e, outcome in zip(eps, outcomes)]
+    return limit_state, [sweep_point(replace(template, epsilon=e), outcome, bary_cfg,
+                                     limit_state) for e, outcome in zip(eps, outcomes)]
 
 
 def sweep_to_csv(records) -> str:
@@ -331,18 +326,18 @@ class EnergyComparison:
 
 def energy_comparison(spec: ProblemSpec, grid: Grid, solver_cfg: SolverConfig) -> EnergyComparison:
     """Compute c_0 (at sup Q), c_inf (at the tail level of Q, if positive), c_eps."""
+    coef = spec.coefficient
+    if not coef.has_strict_maximum:  # the window c_0 <= c_eps < c_inf needs one
+        raise ValueError("energy comparison needs sup Q above its limsup at infinity")
     limit_state, [state] = _ground_states(spec, [spec.epsilon], grid, solver_cfg)
     if isinstance(state, Exception):
         raise state
-    # a constant Q is its own limit problem: no limit state is solved for it
-    c0 = state.energy if limit_state is None else limit_state.energy
-    coef = spec.coefficient
     if coef.q_infinity > 0.0:
         c_inf = solve_limit(coef.q_infinity, spec.p, grid, solver_cfg,
                             resolvent=spec.resolvent).energy
     else:
         c_inf = None
-    return EnergyComparison(c_eps=state.energy, c_0=c0, c_inf=c_inf,
+    return EnergyComparison(c_eps=state.energy, c_0=limit_state.energy, c_inf=c_inf,
                             epsilon=spec.epsilon)
 
 

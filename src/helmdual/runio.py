@@ -236,7 +236,12 @@ def atomic_write(path, data: bytes) -> None:
 
 
 def refuse_rerun(out_dir, force: bool) -> str:
-    """Path of the manifest in out_dir; raises FileExistsError if it exists, unless forced."""
+    """Path of the manifest in out_dir; raises FileExistsError if it exists, unless forced.
+
+    An out_dir that is not a directory raises NotADirectoryError, forced or not.
+    """
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise NotADirectoryError(f"output path {out_dir} exists and is not a directory")
     path = os.path.join(out_dir, "run.json")
     if os.path.exists(path) and not force:
         raise FileExistsError(f"{path} exists; pass --force to overwrite")

@@ -335,18 +335,45 @@ def _best_state(outcomes) -> DualState:
     return best
 
 
+def _distinct(outcomes) -> list[DualState]:
+    """The converged states in seed order, deduplicated; raises a seed's other errors.
+
+    Two states are duplicates when their sign-aligned relative L^p' distance
+    is at most DISTINCT_LP_DISTANCE and their relative energy gap at most
+    DISTINCT_ENERGY_GAP (the functional is even, so v and -v are identified).
+    """
+    distinct: list[DualState] = []
+    for outcome in outcomes:
+        if isinstance(outcome, (NotInPositiveCone, NoConvergence)):
+            continue
+        if isinstance(outcome, Exception):
+            raise outcome
+        state, is_new = outcome[0], True
+        pp = state.spec.p_prime
+        for kept in distinct:
+            dist = min(
+                lp_norm(state.v - kept.v, pp),
+                lp_norm(state.v + kept.v, pp),
+            ) / max(lp_norm(state.v, pp), lp_norm(kept.v, pp))
+            energy_gap = abs(state.energy - kept.energy) / max(abs(kept.energy), 1e-300)
+            if dist <= DISTINCT_LP_DISTANCE and energy_gap <= DISTINCT_ENERGY_GAP:
+                is_new = False
+                break
+        if is_new:
+            distinct.append(state)
+    return distinct
+
+
 def _check_cutoffs_fit(points, epsilon: float, grid: Grid) -> None:
     """Raise unless each support of eta(eps x - y), radius 2/eps around y/eps, fits the box."""
     if any((abs(c) + 2.0) / epsilon > grid.half_length for y in points for c in y):
         raise ValueError("cutoff support exceeds the box: enlarge it or raise epsilon")
 
 
-def make_test_function(y: tuple[float, ...], epsilon: float,
-                       w: Field) -> tuple[Field, float]:
+def make_test_function(y: tuple[float, ...], epsilon: float, w: Field) -> Field:
     """Cutoff-localized translate of the limit state: eta(eps x - y) w(x - y/eps).
 
-    The translation y/eps is snapped to the nearest lattice vector; the snap
-    distance (in grid coordinates) is returned alongside the field.  Raises
+    The translation y/eps is snapped to the nearest lattice vector.  Raises
     if the support of the cutoff does not fit inside the box.
     """
     grid = w.grid
@@ -354,30 +381,17 @@ def make_test_function(y: tuple[float, ...], epsilon: float,
     if len(y) != grid.dim:
         raise ValueError("point dimension does not match the grid")
     _check_cutoffs_fit([y], epsilon, grid)
-    h = grid.spacing
-    shift_nodes = [int(round(c / (epsilon * h))) for c in y]
-    snapped = np.array([s * h for s in shift_nodes])
-    snap_distance = float(np.linalg.norm(np.array(y) / epsilon - snapped))
+    shift_nodes = [int(round(c / (epsilon * grid.spacing))) for c in y]
     r = _squared_distance(np.ix_(*(epsilon * grid.x_axis,) * grid.dim), y)
     eta = cutoff(np.sqrt(r, out=r))
     del r
     eta *= np.roll(w.values, shift_nodes, axis=tuple(range(grid.dim)))
-    return Field(grid, eta), snap_distance
-
-
-def default_seeds(spec: ProblemSpec, limit_state: DualState) -> list[Field]:
-    """Cutoff translates of the limit state at every maximum of Q, on the limit state's grid.
-
-    A constant Q has no maximum set, so it gets no seeds here; its solves start
-    from ``SolverConfig.restart_seeds``.
-    """
-    return [make_test_function(y, spec.epsilon, limit_state.v)[0]
-            for y in spec.coefficient.maximum_set]
+    return Field(grid, eta)
 
 
 def _ground_states(template: ProblemSpec, epsilons, grid: Grid, cfg: SolverConfig,
-                   limit_state: DualState | None = None):
-    """(limit state, per epsilon its lowest-energy converged state or the error that ended it).
+                   limit_state: DualState | None = None, reduce=_best_state):
+    """(limit state, per epsilon ``reduce`` of its seeds' outcomes or the error that ended it).
 
     Points whose cutoffs fit the box share one batch of seeds, each built as its slot opens:
     translates of the limit state (solved at sup Q if none was given), or restart seeds.
@@ -402,16 +416,16 @@ def _ground_states(template: ProblemSpec, epsilons, grid: Grid, cfg: SolverConfi
         if limit_state is None:
             limit_state = solve_limit(template.coefficient.q_sup, template.p, grid, cfg,
                                       resolvent=template.resolvent)
-        problems = ((make_test_function(y, spec.epsilon, limit_state.v)[0], spec)
+        problems = ((make_test_function(y, spec.epsilon, limit_state.v), spec)
                     for spec in solved for y in maxima)
     per_point = len(maxima) or len(cfg.restart_seeds)
     outcomes = _solve_seeds(problems, cfg)
     states = []
     for outcome in unfit:  # None where the point is solved
         if outcome is None:
-            point = list(itertools.islice(outcomes, per_point))  # whole: _best_state may raise
+            point = list(itertools.islice(outcomes, per_point))  # whole: reduce may raise
             try:
-                outcome = _best_state(point)
+                outcome = reduce(point)
             except (NoConvergence, AllSeedsLeftCone, ValueError) as err:
                 outcome = err
         states.append(outcome)
@@ -431,36 +445,13 @@ def solve_ground_state(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
     return outcome
 
 
-def multistart(spec: ProblemSpec, cfg: SolverConfig, seeds: list[Field]) -> list[DualState]:
-    """Solve from every seed and deduplicate the converged states.
+def multistart(spec: ProblemSpec, grid: Grid, cfg: SolverConfig) -> list[DualState]:
+    """Every distinct converged state (see _distinct) from the seeds of solve_ground_state.
 
-    Two states are duplicates when their sign-aligned relative L^p' distance
-    is at most DISTINCT_LP_DISTANCE and their relative energy gap at most
-    DISTINCT_ENERGY_GAP (the functional is even, so v and -v are identified).
-    Results are merged in seed order, so the output is deterministic for a
-    fixed configuration.
+    Its checks refuse a problem before any solve; the seeds are a cutoff translate of
+    the limit state at each maximum of Q, or the restart seeds of a constant Q.
     """
-    if len(seeds) < 2:
-        raise ValueError("multistart needs at least 2 seeds")
-    if any(seed.grid != seeds[0].grid for seed in seeds):  # before any seed is solved
-        raise ValueError("seeds live on different grids")
-    pp = spec.p_prime
-    distinct: list[DualState] = []
-    for outcome in _solve_seeds(((seed, spec) for seed in seeds), cfg):
-        if isinstance(outcome, (NotInPositiveCone, NoConvergence)):
-            continue
-        if isinstance(outcome, Exception):
-            raise outcome
-        state, is_new = outcome[0], True
-        for kept in distinct:
-            dist = min(
-                lp_norm(state.v - kept.v, pp),
-                lp_norm(state.v + kept.v, pp),
-            ) / max(lp_norm(state.v, pp), lp_norm(kept.v, pp))
-            energy_gap = abs(state.energy - kept.energy) / max(abs(kept.energy), 1e-300)
-            if dist <= DISTINCT_LP_DISTANCE and energy_gap <= DISTINCT_ENERGY_GAP:
-                is_new = False
-                break
-        if is_new:
-            distinct.append(state)
-    return distinct
+    [outcome] = _ground_states(spec, [spec.epsilon], grid, cfg, reduce=_distinct)[1]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -27,7 +27,6 @@ from helmdual.functional import (
 )
 from helmdual.solver import (
     SolverConfig,
-    default_seeds,
     multistart,
     solve_limit,
 )
@@ -74,9 +73,9 @@ def sweep():
                            resolvent=res)
     cfg = SolverConfig(max_iters=20000, grad_tol=5e-8)
     limit_state = solve_limit(1.0, 8.0, grid, cfg, resolvent=res)
-    records = concentration_sweep(template, list(SWEEP_EPSILONS), grid, cfg,
-                                  BarycenterConfig(rho=3.0, delta_nbhd=0.5),
-                                  limit_state=limit_state)
+    _, records = concentration_sweep(template, list(SWEEP_EPSILONS), grid, cfg,
+                                     BarycenterConfig(rho=3.0, delta_nbhd=0.5),
+                                     limit_state=limit_state)
     return limit_state, records
 
 
@@ -208,8 +207,7 @@ def test_8_multiplicity_two_maxima():
     res = ResolventConfig(delta=1e-2)
     spec = ProblemSpec(p=8.0, epsilon=0.2, coefficient=coef, resolvent=res)
     cfg = SolverConfig(max_iters=20000, grad_tol=5e-8)
-    lim = solve_limit(1.0, 8.0, grid, cfg, resolvent=res)
-    states = multistart(spec, cfg, default_seeds(spec, lim))
+    states = multistart(spec, grid, cfg)
     bary_cfg = BarycenterConfig(rho=8.0, delta_nbhd=0.5)
     matched = set()
     for s in states:

@@ -294,11 +294,32 @@ class TestSweepCommand:
         def no_solve(*args, **kwargs):
             raise AssertionError("a config error must not solve")
 
-        monkeypatch.setattr(cli, "solve_limit", no_solve)
+        monkeypatch.setattr("helmdual.solver._solve_seeds", no_solve)
         out = tmp_path / "o"
         assert run("sweep", str(path), out) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_no_epsilon_fitting_the_box_solves_nothing(self, tmp_path, capsys, monkeypatch):
+        # every cutoff outgrows the box, so not even the limit is solved: no c_0, no limit_v
+        cfg = json.loads((CONFIGS / "sweep.json").read_text())
+        cfg["params"]["epsilon_list"] = [0.02, 0.01]
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a sweep with no point to solve must not solve")
+
+        monkeypatch.setattr("helmdual.solver._solve_seeds", no_solve)
+        out = tmp_path / "o"
+        assert run("sweep", str(path), out) == 3
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(",False," in row and "cutoff support exceeds the box" in row for row in rows)
+        record = json.loads((out / "run.json").read_text())
+        assert "c_0" not in record["energies"]
+        assert record["artifacts"] == ["sweep.csv"]
+        assert not (out / "limit_v.field").exists()
 
 
 class TestSolveCommand:
@@ -363,6 +384,42 @@ class TestCompareEnergyCommand:
         assert run("compare-energy", str(path), out) == 2
         assert "cutoff support exceeds the box" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_constant_coefficient_is_config_error_before_any_solve(
+            self, tmp_path, capsys, monkeypatch):
+        # c_0 = c_eps = c_inf for a constant Q: the window c_0 <= c_eps < c_inf cannot hold
+        cfg = json.loads((CONFIGS / "compare_energy.json").read_text())
+        cfg["problem"]["coefficient"] = {"kind": "constant", "floor": 1.0}
+        path = tmp_path / "compare_energy.json"
+        path.write_text(json.dumps(cfg))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a config error must not solve")
+
+        monkeypatch.setattr("helmdual.solver._solve_seeds", no_solve)
+        out = tmp_path / "o"
+        assert run("compare-energy", str(path), out) == 2
+        assert "sup Q above its limsup" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("config", ["limit.json", "sweep.json"])
+    @pytest.mark.parametrize("force", [False, True], ids=["plain", "force"])
+    def test_existing_file_is_config_error_before_any_work(self, tmp_path, capsys,
+                                                           monkeypatch, config, force):
+        # --force overwrites a run record, never a file standing where the directory goes
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a refused output path must not solve")
+
+        monkeypatch.setattr("helmdual.solver._solve_seeds", no_solve)
+        out = tmp_path / "taken"
+        out.write_bytes(b"not a run directory")
+        experiment = json.loads((CONFIGS / config).read_text())["experiment"]
+        assert run(experiment, str(CONFIGS / config), out, *["--force"] * force) == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert out.read_bytes() == b"not a run directory"
 
 
 class TestSeedOverride:

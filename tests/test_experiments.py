@@ -234,8 +234,9 @@ class TestConcentrationSweep:
         coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),),
                                amplitudes=(0.75,), widths=(1.5,))
         template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
-        records = concentration_sweep(template, [0.05, 0.02], grid, SolverConfig(),
-                                      BarycenterConfig(rho=3.0, delta_nbhd=0.5))
+        limit, records = concentration_sweep(template, [0.05, 0.02], grid, SolverConfig(),
+                                             BarycenterConfig(rho=3.0, delta_nbhd=0.5))
+        assert limit is None
         assert [r.converged for r in records] == [False, False]
         assert all("cutoff support exceeds the box" in r.failure for r in records)
 
@@ -261,8 +262,8 @@ class TestConcentrationSweep:
         res = ResolventConfig(delta=1e-2)
         template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef, resolvent=res)
         cfg = SolverConfig(max_iters=8000, grad_tol=5e-8)
-        recs = concentration_sweep(template, [0.5, 0.25], grid, cfg,
-                                   BarycenterConfig(rho=3.0, delta_nbhd=0.5))
+        _, recs = concentration_sweep(template, [0.5, 0.25], grid, cfg,
+                                      BarycenterConfig(rho=3.0, delta_nbhd=0.5))
         assert len(recs) == 2
         assert all(r.converged for r in recs)
         assert all(r.edge_trusted for r in recs)
@@ -281,9 +282,9 @@ class TestConcentrationSweep:
         cfg = SolverConfig(max_iters=8000, grad_tol=5e-8)
         bary = BarycenterConfig(rho=3.0, delta_nbhd=0.5)
         limit = solve_limit(1.0, 8.0, grid, cfg, resolvent=res)
-        together = concentration_sweep(template, [0.5, 0.25, 0.05], grid, cfg, bary,
-                                       limit_state=limit)
-        alone = [concentration_sweep(template, [e], grid, cfg, bary, limit_state=limit)[0]
+        _, together = concentration_sweep(template, [0.5, 0.25, 0.05], grid, cfg, bary,
+                                          limit_state=limit)
+        alone = [concentration_sweep(template, [e], grid, cfg, bary, limit_state=limit)[1][0]
                  for e in (0.5, 0.25, 0.05)]
         assert [r.converged for r in together] == [r.converged for r in alone] == [True, True, False]
         for a, b in zip(together[:2], alone[:2]):
@@ -306,9 +307,9 @@ class TestConcentrationSweep:
             return lambda *fields: [np.full(g.shape, np.nan) for _ in fields]
 
         monkeypatch.setattr("helmdual.functional._route", non_finite_route)
-        records = concentration_sweep(template, [0.5, 0.25], grid, cfg,
-                                      BarycenterConfig(rho=3.0, delta_nbhd=0.5),
-                                      limit_state=limit)
+        _, records = concentration_sweep(template, [0.5, 0.25], grid, cfg,
+                                         BarycenterConfig(rho=3.0, delta_nbhd=0.5),
+                                         limit_state=limit)
         assert [r.converged for r in records] == [False, False]
         assert [r.failure for r in records] == ["field values must be finite"] * 2
 
@@ -355,8 +356,8 @@ class TestSweepMemory:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            records = concentration_sweep(problem, cfg.params["epsilon_list"], grid, cfg.solver,
-                                          bary, limit_state=limit)
+            _, records = concentration_sweep(problem, cfg.params["epsilon_list"], grid,
+                                             cfg.solver, bary, limit_state=limit)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
@@ -455,13 +456,16 @@ class TestEnergyComparison:
         assert rep.upper_bound_holds  # vacuously
         assert "c_inf" not in rep.csv()
 
+    def test_constant_coefficient_refused_before_any_solve(self, grid, monkeypatch):
+        # c_0 <= c_eps < c_inf needs sup Q > limsup Q: without it all three are one level
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a problem outside the window must not solve")
 
-    def test_constant_coefficient_is_its_own_limit(self):
-        # no limit state is solved for a constant Q: c_0 is its own level, as is c_inf
+        monkeypatch.setattr("helmdual.solver._solve_seeds", no_solve)
         spec = ProblemSpec(p=8.0, epsilon=0.25, coefficient=constant_coefficient(1.0),
                            resolvent=ResolventConfig(delta=1e-2))
-        rep = energy_comparison(spec, make_grid(2, 30.0, 32), SolverConfig(grad_tol=5e-8))
-        assert rep.c_0 == rep.c_eps == rep.c_inf
+        with pytest.raises(ValueError, match="sup Q above its limsup"):
+            energy_comparison(spec, grid, SolverConfig(grad_tol=5e-8))
 
 
 class TestHomogeneityRatio:

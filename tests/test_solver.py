@@ -24,9 +24,9 @@ from helmdual.solver import (
     NoConvergence,
     SolverConfig,
     _best_state,
+    _distinct,
     _solve_seeds,
     cutoff,
-    default_seeds,
     make_test_function,
     multistart,
     solve_from_seed,
@@ -246,10 +246,6 @@ class TestLockStep:
         monkeypatch.setattr(solver, "_resolve", no_resolve)
         other = make_grid(2, 30.0, 48)
         seeds = [InitialGuess(width=0.8).build(g) for g in (small, other)]
-        with pytest.raises(ValueError, match="different grids"):
-            multistart(spec, loose, seeds)
-        with pytest.raises(ValueError, match="different grids"):
-            multistart(spec, loose, [seeds[0], seeds[0], seeds[1]])
         with pytest.raises(ValueError, match="different grids or resolvents"):
             list(_solve_seeds([(seed, spec) for seed in seeds], loose))
         exact = ProblemSpec(p=8.0, epsilon=1.0, coefficient=constant_coefficient(1.0))
@@ -285,7 +281,8 @@ class TestLockStep:
         for eps in cfg.params["epsilon_list"]:
             spec = ProblemSpec(p=problem.p, epsilon=eps, coefficient=problem.coefficient,
                                resolvent=problem.resolvent)
-            seeds = default_seeds(spec, limit_state)
+            seeds = [make_test_function(y, eps, limit_state.v)
+                     for y in spec.coefficient.maximum_set]
             outcomes += _solve_seeds([(seed, spec) for seed in seeds], cfg.solver)
         assert len(outcomes) == 6
         assert all(not isinstance(o, Exception) and o[1] <= 25 for o in outcomes), outcomes
@@ -333,7 +330,7 @@ class TestOpenMeshSeeds:
         for d in range(grid.dim):
             r = r + (eps * grid.coords(d) - y[d]) ** 2
         expected = cutoff(np.sqrt(r)) * np.roll(w.values, shift, axis=tuple(range(grid.dim)))
-        assert same_bits(make_test_function(y, eps, w)[0].values, expected)
+        assert same_bits(make_test_function(y, eps, w).values, expected)
 
 
 class TestConstantCoefficientRoot:
@@ -361,8 +358,7 @@ class TestConstantCoefficientRoot:
 
 class TestTestFunction:
     def test_translate_and_cutoff(self, grid, limit_state):
-        phi, snap = make_test_function((0.8, 0.4), 0.5, limit_state.v)
-        assert snap <= grid.spacing  # snapped to a nearby lattice vector
+        phi = make_test_function((0.8, 0.4), 0.5, limit_state.v)
         # support is inside |eps x - y| <= 2
         r = np.sqrt((0.5 * grid.coords(0) - 0.8) ** 2
                     + (0.5 * grid.coords(1) - 0.4) ** 2)
@@ -419,26 +415,43 @@ class TestGroundState:
 
 
 class TestMultistart:
-    def test_needs_two_seeds(self, grid, cfg):
-        spec = ProblemSpec(p=8.0, epsilon=1.0, coefficient=constant_coefficient(1.0))
-        with pytest.raises(ValueError):
-            multistart(spec, cfg, [InitialGuess().build(grid)])
-
     def test_identical_seeds_deduplicate(self, grid, cfg):
         spec = ProblemSpec(p=8.0, epsilon=1.0, coefficient=constant_coefficient(1.0))
         seed = InitialGuess(width=0.8).build(grid)
-        states = multistart(spec, cfg, [seed, seed, -1.0 * seed])
+        states = _distinct(_solve_seeds([(seed, spec), (seed, spec), (-1.0 * seed, spec)], cfg))
         assert len(states) == 1  # sign flips identified
 
-    def test_two_maxima_give_two_states(self, grid, cfg):
+    def test_two_maxima_give_two_states(self, grid, cfg, monkeypatch):
         coef = CoefficientSpec(floor=0.25,
                                centers=((5.0, 0.0), (-5.0, 0.0)),
                                amplitudes=(0.75, 0.75), widths=(1.5, 1.5))
         res = ResolventConfig(delta=1e-2)
         spec = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef, resolvent=res)
         loose = SolverConfig(max_iters=8000, grad_tol=5e-8)
-        lim = solve_limit(1.0, 8.0, grid, loose, resolvent=res)
-        seeds = default_seeds(spec, lim)
+        seeds = []
+        monkeypatch.setattr(solver, "make_test_function",
+                            lambda *args: seeds.append(make_test_function(*args)) or seeds[-1])
+        states = multistart(spec, grid, loose)
         assert len(seeds) == 2
-        states = multistart(spec, loose, seeds)
         assert len(states) == 2
+
+    @pytest.mark.parametrize("spec, message", [
+        (ProblemSpec(p=5.0, epsilon=1.0, coefficient=constant_coefficient(1.0)),
+         "outside admissible range"),
+        (ProblemSpec(p=8.0, epsilon=0.5,
+                     coefficient=CoefficientSpec(floor=0.25, centers=((0.8, 0.4, 0.1),),
+                                                 amplitudes=(0.75,), widths=(1.5,))),
+         "center dimension"),
+        (ProblemSpec(p=8.0, epsilon=0.05,
+                     coefficient=CoefficientSpec(floor=0.25, centers=((0.8, 0.4),),
+                                                 amplitudes=(0.75,), widths=(1.5,))),
+         "cutoff support exceeds the box"),
+    ], ids=["inadmissible-exponent", "center-dimension", "cutoff-outgrows-box"])
+    def test_refused_before_any_application(self, grid, cfg, monkeypatch, spec, message):
+        # the checks of solve_ground_state: no limit solve and no seed runs first
+        def no_resolve(*args):
+            raise AssertionError("a refused problem must not apply the resolvent")
+
+        monkeypatch.setattr(solver, "_resolve", no_resolve)
+        with pytest.raises(ValueError, match=message):
+            multistart(spec, grid, cfg)

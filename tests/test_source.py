@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name or takes a parameter it never
-uses, the README and demos import only names the package has, the package namespace holds
-only names that programs read from it, and the README's config key tables list exactly
-the keys the schema accepts."""
+uses, the README and demos import only names the package has, the quick demos run, the
+package namespace holds only names that programs read from it, and the README's config
+key tables list exactly the keys the schema accepts."""
 
 import ast
 import importlib
@@ -170,11 +170,28 @@ def test_readme_solver_table_matches_schema():
     assert [key for key, *_ in rows] == list(runio._SOLVER)
 
 
+def package_env() -> dict:
+    """The environment with src/ first on PYTHONPATH, for a subprocess that imports helmdual."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+
+
+# interaction_decay.py is left out: its 3D grid makes it take about 4 s
+@pytest.mark.parametrize("demo, headline", [
+    ("limit_ground_state.py", "ground-state level     c_0 = "),
+    ("multiplicity.py", "multistart found 2 distinct state(s):"),
+    ("concentration.py", "limit level c_0 = "),
+])
+def test_quick_demo_runs(demo, headline):
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=package_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert headline in done.stdout
+
+
 def test_import_leaves_hashlib_unloaded():
     # hashlib maps OpenSSL; only RunConfig.config_hash, for a run record, imports it
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
     probe = "import sys, helmdual, helmdual.cli; print('hashlib' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=package_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
