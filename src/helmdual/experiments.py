@@ -22,7 +22,7 @@ from .grid import Field, Grid, _squared_distance, inner_product, lp_norm
 from .kernels import lambda_p
 from .functional import DualState, ProblemSpec, pde_residual
 from .resolvent import ResolventConfig, apply_R
-from .solver import SolverConfig, _ground_states, cutoff, solve_limit
+from .solver import SolverConfig, _ground_state, _ground_states, cutoff, solve_limit
 
 #: a sweep point is trusted when at most this share of ||v||_p'^p' lies in the box's outer shell
 EDGE_TRUST = 0.5
@@ -112,8 +112,8 @@ def aligned_distance(v: Field, w0: Field, p_prime: float) -> tuple[float, tuple[
     for off in offsets:
         shift = tuple(-(int(c) + int(o)) for c, o in zip(center, off))
         rolled = np.roll(v.values, shift, axis=tuple(range(grid.dim)))
-        for sign in (1.0, -1.0):
-            d = lp_norm(Field(grid, sign * rolled - w0.values), p_prime) / denom
+        for pair in (np.subtract, np.add):  # |(-r) - w| = |r + w|: the sign -1 candidate
+            d = lp_norm(Field(grid, pair(rolled, w0.values)), p_prime) / denom
             if d < best:
                 best = d
                 best_shift = shift
@@ -329,9 +329,7 @@ def energy_comparison(spec: ProblemSpec, grid: Grid, solver_cfg: SolverConfig) -
     coef = spec.coefficient
     if not coef.has_strict_maximum:  # the window c_0 <= c_eps < c_inf needs one
         raise ValueError("energy comparison needs sup Q above its limsup at infinity")
-    limit_state, [state] = _ground_states(spec, [spec.epsilon], grid, solver_cfg)
-    if isinstance(state, Exception):
-        raise state
+    limit_state, state = _ground_state(spec, grid, solver_cfg)
     if coef.q_infinity > 0.0:
         c_inf = solve_limit(coef.q_infinity, spec.p, grid, solver_cfg,
                             resolvent=spec.resolvent).energy

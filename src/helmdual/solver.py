@@ -17,11 +17,12 @@ same for every run.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Field, Grid, _l2, _squared_distance, lp_norm
+from .grid import Field, Grid, _squared_distance, lp_norm
 from .functional import (
     DualState,
     NotInPositiveCone,
@@ -151,7 +152,8 @@ def _mollifier(t: np.ndarray) -> np.ndarray:
 
 def _power(w: np.ndarray, q_root, p: float, cell: float):
     """|w|^(p-2), g = Q^(1/p) v and ||w||_p^p = int v w from one power (v = |w|^(p-2) w)."""
-    w_pow = np.abs(w) ** (p - 2.0)
+    w_pow = np.abs(w)
+    w_pow **= p - 2.0
     g = w_pow * w
     norm_p = cell * float(np.sum(g * w))
     g *= q_root
@@ -166,15 +168,15 @@ def _nehari(norm_p: float, quad: float, p: float) -> tuple[float, float, float]:
     return s, norm_p * s**p, quad * s ** (2.0 * (p - 1.0))
 
 
-def _two_point_step(w, grad, pg, shift: float, step: float) -> float:
+def _two_point_step(w, grad, pg, ww: float, pgpg: float, shift: float, step: float) -> float:
     """BB1 step <dw,dw>/<dw,dgrad> of the last move; INITIAL_STEP where the curvature is not positive.
 
     The move is dw = shift w - step pg (shift = 1 - 1/s) and dgrad = grad - pg, so both
     pairings expand into five inner products of w, grad and pg, and neither difference
-    is stored.  The products are pairwise np.sum, as every reduction of the descent.
+    is stored.  ww and pgpg are the descent's sums for its relative gradients; the others
+    are pairwise np.sum too, as every reduction of the descent.
     """
-    ww, pgpg, wp, gp, wg = (float(np.sum(a * b)) for a, b in
-                            ((w, w), (pg, pg), (w, pg), (grad, pg), (w, grad)))
+    wp, gp, wg = (float(np.sum(a * b)) for a, b in ((w, pg), (grad, pg), (w, grad)))
     dw_dw = shift * shift * ww - 2.0 * shift * step * wp + step * step * pgpg
     dw_dg = shift * (wg - wp) - step * (gp - pgpg)
     return dw_dw / dw_dg if dw_dg > 0.0 else INITIAL_STEP
@@ -211,7 +213,8 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
         rg *= s ** (p - 1.0)
         grad = np.multiply(rg, q_root, out=g)
         np.subtract(w, grad, out=grad)
-        rel_grad = _l2(grad) / _l2(w)
+        gg, ww = float(np.sum(grad * grad)), float(np.sum(w * w))
+        rel_grad = math.sqrt(gg) / math.sqrt(ww)  # the bits of _l2(grad) / _l2(w)
         if rel_grad <= cfg.grad_tol:
             return DualState(Field(grid, _dual_power(w, p)), spec, Field(grid, rg), en,
                              rel_grad, abs(norm_p - quad), quad), it
@@ -222,10 +225,10 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
         del w_pow
         if pg is not None:
             cap = MAX_STEP if slope > RESOLVABLE_ULPS * np.spacing(abs(en)) else INITIAL_STEP
-            step = min(_two_point_step(w, grad, pg, 1.0 - 1.0 / s, step), cap)
+            step = min(_two_point_step(w, grad, pg, ww, pgpg, 1.0 - 1.0 / s, step), cap)
         else:
             step = INITIAL_STEP
-        pg = grad
+        pg, pgpg = grad, gg
         while step >= MIN_STEP:
             trial = np.multiply(grad, step)
             np.subtract(w, trial, out=trial)
@@ -253,18 +256,12 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
 
 def solve_from_seed(seed: Field, spec: ProblemSpec, cfg: SolverConfig) -> tuple[DualState, int]:
     """Projected descent from one seed; raises NotInPositiveCone / NoConvergence."""
-    [outcome] = _solve_seeds([(seed, spec)], cfg)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return _raised(next(_solve_seeds([(seed, spec)], cfg)))
 
 
 def solve_limit(q0: float, p: float, grid: Grid, cfg: SolverConfig,
                 resolvent: ResolventConfig | None = None) -> DualState:
-    """Ground state of the constant-coefficient limit problem (Q_eps = q0 for every eps).
-
-    Returns the lowest-energy converged state over the restart seeds.
-    """
+    """solve_ground_state on the constant-coefficient limit problem (Q_eps = q0 for every eps)."""
     if not 0.0 < q0 < np.inf:
         raise ValueError(f"q0 must be positive and finite, got {q0}")
     spec = ProblemSpec(p, 1.0, constant_coefficient(q0),
@@ -315,40 +312,49 @@ def _solve_seeds(problems, cfg: SolverConfig):
         yield finished.pop(index)
 
 
-def _best_state(outcomes) -> DualState:
-    """Lowest-energy converged state (the first on ties); raises a seed's other errors."""
-    best, failures = None, []
+def _raised(outcome):
+    """The outcome of a seed or a point, raised instead if it is the error that ended it."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _converged(outcomes) -> list[DualState]:
+    """Converged states of a point's seed outcomes, in seed order: the one seed-failure rule.
+
+    A cone exit (a collapsed step too) or a spent budget is its seed's; other errors are raised.
+    No state raises AllSeedsLeftCone if every seed truly left the cone, else NoConvergence.
+    """
+    states, failures = [], []
     for outcome in outcomes:
         if isinstance(outcome, (NotInPositiveCone, NoConvergence)):
             failures.append(outcome)
-        elif isinstance(outcome, Exception):
-            raise outcome
-        elif best is None or outcome[0].energy < best.energy:
-            best = outcome[0]
-    if best is None:
+        else:
+            states.append(_raised(outcome)[0])
+    if not states:
         if not failures:
             raise ValueError("no seeds")
         if all(isinstance(err, NotInPositiveCone) and not isinstance(err, _StepCollapsed)
                for err in failures):
             raise AllSeedsLeftCone("every seed left the positive cone")
         raise NoConvergence(f"no seed converged: {failures[-1]}")
-    return best
+    return states
+
+
+def _best_state(outcomes) -> DualState:
+    """Lowest-energy converged state (the first on ties); raises as _converged does."""
+    return min(_converged(outcomes), key=lambda state: state.energy)
 
 
 def _distinct(outcomes) -> list[DualState]:
-    """The converged states in seed order, deduplicated; raises a seed's other errors.
+    """The converged states in seed order, deduplicated; raises as _converged does.
 
     Two states are duplicates when their sign-aligned relative L^p' distance
     is at most DISTINCT_LP_DISTANCE and their relative energy gap at most
     DISTINCT_ENERGY_GAP (the functional is even, so v and -v are identified).
     """
     distinct: list[DualState] = []
-    for outcome in outcomes:
-        if isinstance(outcome, (NotInPositiveCone, NoConvergence)):
-            continue
-        if isinstance(outcome, Exception):
-            raise outcome
-        state, is_new = outcome[0], True
+    for state in _converged(outcomes):
         pp = state.spec.p_prime
         for kept in distinct:
             dist = min(
@@ -357,17 +363,17 @@ def _distinct(outcomes) -> list[DualState]:
             ) / max(lp_norm(state.v, pp), lp_norm(kept.v, pp))
             energy_gap = abs(state.energy - kept.energy) / max(abs(kept.energy), 1e-300)
             if dist <= DISTINCT_LP_DISTANCE and energy_gap <= DISTINCT_ENERGY_GAP:
-                is_new = False
                 break
-        if is_new:
+        else:
             distinct.append(state)
     return distinct
 
 
-def _check_cutoffs_fit(points, epsilon: float, grid: Grid) -> None:
-    """Raise unless each support of eta(eps x - y), radius 2/eps around y/eps, fits the box."""
+def _cutoffs_misfit(points, epsilon: float, grid: Grid) -> ValueError | None:
+    """The error if a support of eta(eps x - y), radius 2/eps around y/eps, outgrows the box."""
     if any((abs(c) + 2.0) / epsilon > grid.half_length for y in points for c in y):
-        raise ValueError("cutoff support exceeds the box: enlarge it or raise epsilon")
+        return ValueError("cutoff support exceeds the box: enlarge it or raise epsilon")
+    return None
 
 
 def make_test_function(y: tuple[float, ...], epsilon: float, w: Field) -> Field:
@@ -380,7 +386,7 @@ def make_test_function(y: tuple[float, ...], epsilon: float, w: Field) -> Field:
     y = tuple(float(c) for c in y)
     if len(y) != grid.dim:
         raise ValueError("point dimension does not match the grid")
-    _check_cutoffs_fit([y], epsilon, grid)
+    _raised(_cutoffs_misfit([y], epsilon, grid))  # raises when the support outgrows the box
     shift_nodes = [int(round(c / (epsilon * grid.spacing))) for c in y]
     r = _squared_distance(np.ix_(*(epsilon * grid.x_axis,) * grid.dim), y)
     eta = cutoff(np.sqrt(r, out=r))
@@ -400,13 +406,7 @@ def _ground_states(template: ProblemSpec, epsilons, grid: Grid, cfg: SolverConfi
     if limit_state is not None and limit_state.v.grid != grid:
         raise ValueError("limit state lives on another grid")
     maxima = template.coefficient.maximum_set
-    unfit = []  # per point: None, or the error that leaves it no seeds
-    for e in epsilons:
-        try:
-            _check_cutoffs_fit(maxima, e, grid)
-            unfit.append(None)
-        except ValueError as err:
-            unfit.append(err)
+    unfit = [_cutoffs_misfit(maxima, e, grid) for e in epsilons]  # the errors that leave no seeds
     solved = [replace(template, epsilon=e) for e, err in zip(epsilons, unfit) if err is None]
     if not solved:
         return limit_state, unfit
@@ -432,6 +432,12 @@ def _ground_states(template: ProblemSpec, epsilons, grid: Grid, cfg: SolverConfi
     return limit_state, states
 
 
+def _ground_state(spec, grid, cfg, limit_state=None, reduce=_best_state):
+    """(limit state, ``reduce`` of the seeds' outcomes) at spec.epsilon; raises what ends it."""
+    limit_state, [outcome] = _ground_states(spec, [spec.epsilon], grid, cfg, limit_state, reduce)
+    return limit_state, _raised(outcome)
+
+
 def solve_ground_state(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
                        limit_state: DualState | None = None) -> DualState:
     """Minimize the dual energy over the Nehari manifold for one problem instance.
@@ -439,19 +445,13 @@ def solve_ground_state(spec: ProblemSpec, grid: Grid, cfg: SolverConfig,
     The returned energy is the minimum over converged seeds; global
     optimality is not certified.
     """
-    [outcome] = _ground_states(spec, [spec.epsilon], grid, cfg, limit_state)[1]
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return _ground_state(spec, grid, cfg, limit_state)[1]
 
 
 def multistart(spec: ProblemSpec, grid: Grid, cfg: SolverConfig) -> list[DualState]:
     """Every distinct converged state (see _distinct) from the seeds of solve_ground_state.
 
-    Its checks refuse a problem before any solve; the seeds are a cutoff translate of
+    It refuses and fails as solve_ground_state does; the seeds are a cutoff translate of
     the limit state at each maximum of Q, or the restart seeds of a constant Q.
     """
-    [outcome] = _ground_states(spec, [spec.epsilon], grid, cfg, reduce=_distinct)[1]
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return _ground_state(spec, grid, cfg, reduce=_distinct)[1]

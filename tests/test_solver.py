@@ -101,6 +101,16 @@ class TestLimitSolve:
         ratio = q0 ** (-(2.0 / 8.0) * pp / (2.0 - pp))
         assert other.energy == pytest.approx(ratio * limit_state.energy, rel=1e-6)
 
+    @pytest.mark.parametrize("q0", [0.658, 1.0, 2.0])
+    def test_every_default_seed_converges_well_inside_the_budget(self, grid, q0):
+        # these seeds take 51-58 iterations; a round-off change that stalls one would
+        # otherwise run out the 5000 of the cfg fixture unseen, as another seed still wins
+        tight = SolverConfig(max_iters=200)
+        spec = ProblemSpec(p=8.0, epsilon=1.0, coefficient=constant_coefficient(q0))
+        outcomes = list(_solve_seeds([(s.build(grid), spec) for s in tight.restart_seeds],
+                                     tight))
+        assert not any(isinstance(o, Exception) for o in outcomes), outcomes
+
     @pytest.mark.parametrize("q0", [0.0, np.nan, np.inf])
     def test_invalid_q0(self, grid, cfg, q0):
         with pytest.raises(ValueError, match="q0"):
@@ -158,6 +168,22 @@ class TestSeedFailures:
     def test_no_seeds_is_not_a_cone_exit(self, small):
         with pytest.raises(ValueError, match="no seeds"):
             _best_state(iter([]))
+
+    @pytest.mark.parametrize("reduce", [_best_state, _distinct])
+    @pytest.mark.parametrize("outcomes, error, message", [
+        ([], ValueError, "no seeds"),
+        ([NotInPositiveCone("a"), NotInPositiveCone("b")], AllSeedsLeftCone,
+         "every seed left the positive cone"),
+        ([NotInPositiveCone("a"), solver._StepCollapsed("b")], NoConvergence,
+         "no seed converged: b"),
+        ([NoConvergence("a"), NotInPositiveCone("b")], NoConvergence, "no seed converged: b"),
+        ([NotInPositiveCone("a"), ValueError("zero seed"), NoConvergence("c")], ValueError,
+         "zero seed"),
+    ], ids=["no-seeds", "cone-exits", "collapse", "budget", "other-error"])
+    def test_both_reductions_share_one_failure_rule(self, reduce, outcomes, error, message):
+        with pytest.raises(error) as err:
+            reduce(iter(outcomes))
+        assert type(err.value) is error and str(err.value) == message
 
     def test_every_seed_outside_the_cone(self, small):
         # a wide unmodulated bump has its spectrum inside |xi| < 1, where R < 0
@@ -434,6 +460,24 @@ class TestMultistart:
         states = multistart(spec, grid, loose)
         assert len(seeds) == 2
         assert len(states) == 2
+
+    # multistart once returned [] here, where solve_ground_state raises
+    def test_collapsing_seeds_raise_as_solve_ground_state(self, grid, monkeypatch):
+        monkeypatch.setattr(solver, "SUFFICIENT_DECREASE", 1e6)
+        spec = ProblemSpec(p=8.0, epsilon=1.0, coefficient=constant_coefficient(1.0))
+        strict = SolverConfig(max_iters=50)
+        for solve in (multistart, solve_ground_state):
+            with pytest.raises(NoConvergence) as err:
+                solve(spec, grid, strict)
+            assert str(err.value) == ("no seed converged: step collapsed without an "
+                                      "acceptable iterate")
+
+    def test_seeds_outside_the_cone_raise_as_solve_ground_state(self, grid):
+        spec = ProblemSpec(p=8.0, epsilon=1.0, coefficient=constant_coefficient(1.0))
+        flat = SolverConfig(restart_seeds=(InitialGuess(width=1.2, modulation=0.0),) * 2)
+        for solve in (multistart, solve_ground_state):
+            with pytest.raises(AllSeedsLeftCone, match="^every seed left the positive cone$"):
+                solve(spec, grid, flat)
 
     @pytest.mark.parametrize("spec, message", [
         (ProblemSpec(p=5.0, epsilon=1.0, coefficient=constant_coefficient(1.0)),
