@@ -32,6 +32,12 @@ BOUNDARY_WAVELENGTHS = 5.0
 BUMP_RADIUS = 2.0
 #: relative quadrature slack of the lower bound c_eps >= c_0
 LEVEL_SLACK = 1e-4
+#: half-width in nodes of the window around the peak of |w0| that bounds aligned_distance's
+#: candidates; 2 r + 1 = 7 nodes per axis stay distinct on every grid (n >= 8)
+WINDOW_RADIUS = 3
+#: relative slack of those bounds, far above the round-off between a window sum and the
+#: whole grid's pairwise sum, so a candidate that can win or tie is always evaluated
+BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -86,37 +92,75 @@ def edge_mass(v: Field, p_prime: float) -> float:
     outer = functools.reduce(np.logical_or,
                              (x > cut for x in np.ix_(*(np.abs(grid.x_axis),) * grid.dim)))
     weight = np.abs(v.values) ** p_prime
-    return float(weight[outer].sum() / weight.sum())
+    total = weight.sum()
+    if total == 0.0:
+        raise ValueError("cannot take the edge mass of the zero field")
+    return float(weight[outer].sum() / total)
 
 
 def aligned_distance(v: Field, w0: Field, p_prime: float) -> tuple[float, tuple[int, ...]]:
     """min over lattice shifts y of ||v(. + y) - w0||_p' / ||w0||_p' (signs identified).
 
     The candidate shift maximizes the periodic cross-correlation of the
-    |.|^p' profiles (computed by FFT); the distance is then evaluated
-    exactly at that shift and its 3^N neighborhood, for both signs.
+    |.|^p' profiles (computed by FFT); the distance is then taken at that
+    shift and its 3^N neighborhood, for both signs.  The terms of a candidate's
+    sum are >= 0, so its sum over a window around the peak of |w0| bounds it
+    from below: only the candidates whose bound does not exceed the distance of
+    the one with the least bound are evaluated on the whole grid, in the order
+    of the full scan, so the first least candidate of that scan is returned.
     """
     grid = v.grid
     if grid != w0.grid:
         raise ValueError("fields live on different grids")
-    a, b = (np.fft.rfftn(np.abs(f.values) ** p_prime) for f in (v, w0))
+    axes = tuple(range(grid.dim))
+    weight = np.abs(w0.values) ** p_prime
+    total = np.sum(weight)
+    if total == 0.0:
+        raise ValueError("cannot measure the distance to the zero field")
+    cell = grid.cell_volume
+    denom = float((cell * total) ** (1.0 / p_prime))  # lp_norm(w0, p_prime), same bits
+    peak = np.unravel_index(np.argmax(weight), grid.shape)
+    b = np.fft.rfftn(weight)
+    del weight
+    a = np.fft.rfftn(np.abs(v.values) ** p_prime)
     a *= np.conjugate(b, out=b)  # the correlation is real: half-size spectra carry it
-    corr = np.fft.irfftn(a, grid.shape, tuple(range(grid.dim)))
+    corr = np.fft.irfftn(a, grid.shape, axes)
     center = np.unravel_index(np.argmax(corr), corr.shape)
     del a, b, corr
-    denom = lp_norm(w0, p_prime)
-    best = np.inf
-    best_shift: tuple[int, ...] = (0,) * grid.dim
     offsets = np.stack(np.meshgrid(*([[-1, 0, 1]] * grid.dim), indexing="ij"),
                        axis=-1).reshape(-1, grid.dim)
+    pairs = (np.subtract, np.add)  # |(-r) - w| = |r + w|: the sign -1 candidate
+    # the candidates in scan order: (offset, pair), and the shift each rolls v by
+    candidates = [(tuple(-(int(c) + int(o)) for c, o in zip(center, off)), pair)
+                  for off in offsets for pair in pairs]
+    # the window's nodes m + k, |k_d| <= r, gathered with periodic indices; v around
+    # m + center with one node more per side covers every offset
+    n, r = grid.points_per_axis, WINDOW_RADIUS
+    w_win = w0.values[np.ix_(*((m + np.arange(-r, r + 1)) % n for m in peak))]
+    v_win = v.values[np.ix_(*((m + c + np.arange(-r - 1, r + 2)) % n
+                              for m, c in zip(peak, center)))]
+    bounds = []
     for off in offsets:
-        shift = tuple(-(int(c) + int(o)) for c, o in zip(center, off))
-        rolled = np.roll(v.values, shift, axis=tuple(range(grid.dim)))
-        for pair in (np.subtract, np.add):  # |(-r) - w| = |r + w|: the sign -1 candidate
-            d = lp_norm(Field(grid, pair(rolled, w0.values)), p_prime) / denom
-            if d < best:
-                best = d
-                best_shift = shift
+        part = v_win[tuple(slice(1 + o, 2 + 2 * r + o) for o in off)]
+        bounds += [float((cell * np.sum(np.abs(pair(part, w_win)) ** p_prime))
+                         ** (1.0 / p_prime)) / denom for pair in pairs]
+
+    def distance(i):
+        shift, pair = candidates[i]
+        rolled = np.roll(v.values, shift, axis=axes)
+        return lp_norm(Field(grid, pair(rolled, w0.values)), p_prime) / denom
+
+    first = int(np.argmin(bounds))
+    cap = distance(first)
+    best = np.inf
+    best_shift: tuple[int, ...] = (0,) * grid.dim
+    for i, bound in enumerate(bounds):
+        if bound * (1.0 - BOUND_SLACK) > cap:  # its distance exceeds cap: it cannot win
+            continue
+        d = cap if i == first else distance(i)
+        if d < best:
+            best = d
+            best_shift = candidates[i][0]
     return best, best_shift
 
 

@@ -388,8 +388,12 @@ def make_test_function(y: tuple[float, ...], epsilon: float, w: Field) -> Field:
         raise ValueError("point dimension does not match the grid")
     _raised(_cutoffs_misfit([y], epsilon, grid))  # raises when the support outgrows the box
     shift_nodes = [int(round(c / (epsilon * grid.spacing))) for c in y]
-    r = _squared_distance(np.ix_(*(epsilon * grid.x_axis,) * grid.dim), y)
-    eta = cutoff(np.sqrt(r, out=r))
+    # eta is +0.0 wherever some (eps x_d - y_d)^2 >= 4: it is evaluated on the box of the rest
+    scaled = epsilon * grid.x_axis
+    inside = [(scaled - c) ** 2 < 4.0 for c in y]
+    r = _squared_distance(np.ix_(*(scaled[m] for m in inside)), y)
+    eta = np.zeros(grid.shape)
+    eta[np.ix_(*inside)] = cutoff(np.sqrt(r, out=r))
     del r
     eta *= np.roll(w.values, shift_nodes, axis=tuple(range(grid.dim)))
     return Field(grid, eta)

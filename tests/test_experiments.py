@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helmdual import solver
-from helmdual.grid import Field, make_grid
+from helmdual import experiments, solver
+from helmdual.grid import Field, lp_norm, make_grid
 from helmdual.functional import CoefficientSpec, DualState, ProblemSpec, constant_coefficient
 from helmdual.resolvent import ResolventConfig
 from helmdual.runio import load_config
@@ -171,6 +171,113 @@ class TestAlignedDistance:
         with pytest.raises(ValueError):
             aligned_distance(gaussian(grid, (0, 0)), gaussian(other, (0, 0)), PP)
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_limit_state_rejected(self, grid):
+        with pytest.raises(ValueError, match="zero field"):
+            aligned_distance(gaussian(grid, (0, 0)), Field(grid, np.zeros(grid.shape)), PP)
+
+
+def scanned_distance(v, w0, p_prime):
+    """Every 3^N offset around the correlation peak and both signs, each on the whole grid."""
+    grid = v.grid
+    a, b = (np.fft.rfftn(np.abs(f.values) ** p_prime) for f in (v, w0))
+    a *= np.conjugate(b, out=b)
+    corr = np.fft.irfftn(a, grid.shape, tuple(range(grid.dim)))
+    center = np.unravel_index(np.argmax(corr), corr.shape)
+    denom = lp_norm(w0, p_prime)
+    best = np.inf
+    best_shift = (0,) * grid.dim
+    offsets = np.stack(np.meshgrid(*([[-1, 0, 1]] * grid.dim), indexing="ij"),
+                       axis=-1).reshape(-1, grid.dim)
+    for off in offsets:
+        shift = tuple(-(int(c) + int(o)) for c, o in zip(center, off))
+        rolled = np.roll(v.values, shift, axis=tuple(range(grid.dim)))
+        for pair in (np.subtract, np.add):
+            d = lp_norm(Field(grid, pair(rolled, w0.values)), p_prime) / denom
+            if d < best:
+                best = d
+                best_shift = shift
+    return best, best_shift
+
+
+def _two_bumps(grid):
+    w0 = gaussian(grid, (0.0, 0.0))
+    far = np.roll(w0.values, (20, 9), axis=(0, 1))  # 20 and 9 nodes off: outside the window
+    return Field(grid, np.roll(w0.values, (2, -1), axis=(0, 1)) + 0.9 * far), w0
+
+
+def _3d(_grid):
+    grid = make_grid(3, 16.0, 24)
+    return gaussian(grid, (1.0, -2.0, 0.5), width=1.2), gaussian(grid, (0.0, 0.0, 0.0))
+
+
+class TestPrunedScan:
+    """aligned_distance skips candidates by window lower bounds yet returns, bit for bit, the
+    distance and shift of the full scan, kept here as the reference."""
+
+    CASES = {
+        "identical": lambda g: (gaussian(g, (0.0, 0.0)),) * 2,
+        "translate": lambda g: (Field(g, np.roll(gaussian(g, (0.0, 0.0)).values, (5, -3),
+                                                 axis=(0, 1))), gaussian(g, (0.0, 0.0))),
+        "sign-flip": lambda g: (-1.0 * gaussian(g, (0.0, 0.0)), gaussian(g, (0.0, 0.0))),
+        # sign flipped and 1.5 nodes off on one axis: two neighbouring shifts agree to six
+        # digits, and the last bits pick the one a node away from the correlation peak
+        "off-by-one-flipped": lambda g: (-1.0 * gaussian(g, (1.5 * g.spacing, -g.spacing),
+                                                         width=1.3), gaussian(g, (0.0, 0.0))),
+        # a wider state a lattice vector away: the shape of a sweep point against w0
+        "wider": lambda g: (gaussian(g, (3 * g.spacing, -2 * g.spacing), width=1.1),
+                            gaussian(g, (0.0, 0.0))),
+        "two-bumps": _two_bumps,
+        "3d": _3d,
+        "zero-v": lambda g: (Field(g, np.zeros(g.shape)), gaussian(g, (0.0, 0.0))),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_full_scan(self, grid, case):
+        v, w0 = self.CASES[case](grid)
+        d, shift = aligned_distance(v, w0, PP)
+        ref_d, ref_shift = scanned_distance(v, w0, PP)
+        assert (d, shift) == (ref_d, ref_shift)
+
+    @staticmethod
+    def evaluated(monkeypatch, v, w0):
+        calls = []
+        monkeypatch.setattr(experiments, "lp_norm",
+                            lambda f, q: calls.append(f) or lp_norm(f, q))
+        aligned_distance(v, w0, PP)
+        return len(calls)
+
+    def test_concentrated_state_evaluates_one_candidate(self, grid, monkeypatch):
+        v, w0 = self.CASES["wider"](grid)
+        assert self.evaluated(monkeypatch, v, w0) == 1
+
+    def test_mass_outside_the_window_keeps_candidates(self, grid, monkeypatch):
+        # the far bump adds the same to every candidate's distance and nothing to its bound
+        v, w0 = self.CASES["two-bumps"](grid)
+        assert 1 < self.evaluated(monkeypatch, v, w0) < 18
+
+    def test_equal_bounds_prune_nothing(self, grid, monkeypatch):
+        # v = 0: every candidate is |w0|, so every bound and distance ties
+        v, w0 = self.CASES["zero-v"](grid)
+        assert self.evaluated(monkeypatch, v, w0) == 18
+        assert aligned_distance(v, w0, PP) == (1.0, (1, 1))  # the first candidate of the scan
+
+    def test_peak_in_grid_arrays(self):
+        # the two |.|^p' profiles and their half spectra; one candidate at a time after that
+        grid = make_grid(2, 60.0, 256)
+        v, w0 = gaussian(grid, (4.0, -2.0), width=1.3), gaussian(grid, (0.0, 0.0))
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            aligned_distance(v, w0, PP)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak / (grid.num_nodes * 8) <= 4.5
+
 
 class TestEdgeMass:
     def test_centered_bump_has_tiny_edge_mass(self, grid):
@@ -179,6 +286,11 @@ class TestEdgeMass:
     def test_boundary_bump_has_large_edge_mass(self, grid):
         v = gaussian(grid, (29.0, 29.0), width=0.5)
         assert edge_mass(v, PP) >= 0.5
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_field_rejected(self, grid):
+        with pytest.raises(ValueError, match="zero field"):
+            edge_mass(Field(grid, np.zeros(grid.shape)), PP)
 
 
 class TestConcentrationSweep:

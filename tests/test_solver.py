@@ -347,15 +347,21 @@ class TestOpenMeshSeeds:
         grid = make_grid(*dims)
         assert same_bits(guess.build(grid).values, self.coordinate_seed(grid, guess))
 
-    @pytest.mark.parametrize("dims, y", zip(GRIDS, [(0.8, 0.4), (0.8, -0.4, 0.3)]))
-    def test_translate(self, dims, y):
-        grid, eps = make_grid(*dims), 0.5
+    # the cutoff is evaluated on its support's index box only; at eps 0.094 and 0.18 the
+    # support reaches within a node of the box's edge
+    @pytest.mark.parametrize("dims, y, eps", [(GRIDS[0], (0.8, 0.4), 0.5),
+                                              (GRIDS[0], (0.8, 0.4), 0.094),
+                                              (GRIDS[1], (0.8, -0.4, 0.3), 0.5),
+                                              (GRIDS[1], (0.8, -0.4, 0.3), 0.18)])
+    def test_translate(self, dims, y, eps):
+        grid = make_grid(*dims)
         w = InitialGuess().build(grid)
         shift = [int(round(c / (eps * grid.spacing))) for c in y]
         r = np.zeros(grid.shape)
         for d in range(grid.dim):
             r = r + (eps * grid.coords(d) - y[d]) ** 2
         expected = cutoff(np.sqrt(r)) * np.roll(w.values, shift, axis=tuple(range(grid.dim)))
+        assert np.signbit(expected[expected == 0.0]).any()  # negative zeros are compared too
         assert same_bits(make_test_function(y, eps, w).values, expected)
 
 
