@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import Field, Grid, _l2, _squared_distance, lp_norm, spectral_laplacian
 from .kernels import check_exponent
-from .resolvent import ResolventConfig, _route, apply_R
+from .resolvent import ResolventConfig, _route
 
 
 class NotInPositiveCone(ValueError):
@@ -169,9 +169,15 @@ def _q_root(spec: ProblemSpec, grid: Grid):
 
 
 def _resolve(grid: Grid, cfg: ResolventConfig, *gs: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """R g and int g R g for one or two g = Q_eps^(1/p) v: where R meets the dual variable."""
-    rgs = [apply_R(Field(grid, gs[0]), cfg).values] if len(gs) == 1 else _route(grid, cfg)(*gs)
-    quads = [float(grid.cell_volume * np.sum(g * rg)) for g, rg in zip(gs, rgs)]  # inner_product
+    """R g and int g R g for one or two g = Q_eps^(1/p) v: where R meets the dual variable.
+
+    A non-finite g makes its pairing non-finite, which raises here for one or two g
+    alike, with the floating-point warnings of the way there silenced: no extra pass.
+    """
+    with np.errstate(all="ignore"):
+        rgs = _route(grid, cfg)(*gs)
+        # inner_product's expression
+        quads = [float(grid.cell_volume * np.sum(g * rg)) for g, rg in zip(gs, rgs)]
     if not np.isfinite(quads).all():
         raise ValueError("field values must be finite")
     return list(zip(rgs, quads))

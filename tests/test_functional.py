@@ -313,6 +313,32 @@ class TestOneQRootSite:
         assert calls == [grid]
 
 
+class TestNonFiniteG:
+    """A non-finite g ends in one ValueError, alone or in a pair, under either route."""
+
+    @pytest.mark.parametrize("mode", ["multiplier", "direct_oracle"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("position", ["alone", "first", "second"])
+    def test_raises_without_a_warning(self, mode, bad, position):
+        # the suite turns a RuntimeWarning into an error, so a warning on the way fails here
+        g = make_grid(2, 15.0, 32)
+        cfg = ResolventConfig(delta=1e-2 if mode == "multiplier" else 0.0, mode=mode)
+        ok = np.exp(-(g.coords(0) ** 2 + g.coords(1) ** 2))
+        x = ok.copy()
+        x[3, 4] = bad
+        gs = {"alone": (x,), "first": (x, ok), "second": (ok, x)}[position]
+        with pytest.raises(ValueError, match="field values must be finite"):
+            functional._resolve(g, cfg, *gs)
+
+    @pytest.mark.parametrize("mode", ["multiplier", "direct_oracle"])
+    def test_one_g_is_the_route_applied_once(self, grid, mode):
+        cfg = ResolventConfig(delta=1e-2 if mode == "multiplier" else 0.0, mode=mode)
+        x = cone_field(grid, np.random.default_rng(25)).values
+        [(rg, quad)] = functional._resolve(grid, cfg, x)
+        np.testing.assert_array_equal(rg, apply_R(Field(grid, x), cfg).values)
+        assert quad == inner_product(Field(grid, x), Field(grid, rg))
+
+
 class TestSolutionMap:
     def test_scaling_metadata(self):
         s = ProblemSpec(p=8.0, epsilon=0.25, coefficient=constant_coefficient(1.0))

@@ -1,5 +1,7 @@
 """Multiplier resolvent, its direct-space oracle, and the resolvent identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from helmdual.resolvent import (
     ResolventConfig,
     SingularLatticeError,
     _build_route,
+    _kernel_spectrum,
     _route,
     apply_R,
     apply_R_direct,
@@ -49,6 +52,20 @@ def _literal_sum(f, spec):
         flat = (strides[:, None, None] * offsets).sum(axis=0)
         out[start:stop] = kernel[flat] @ src
     return (grid.cell_volume * out).reshape(grid.shape)
+
+
+def _unpruned_convolve(grid, *fields):
+    """The free-space convolution as the full irfftn of the padded product, cropped after."""
+    n, dim = grid.points_per_axis, grid.dim
+    size, axes = (2 * n,) * dim, tuple(range(dim))
+    spectrum = _kernel_spectrum(dim, n, grid.spacing)
+    out = []
+    for x in fields:
+        padded = np.fft.rfftn(x, size, axes)
+        padded *= spectrum
+        window = np.fft.irfftn(padded, size, axes)[(slice(n - 1, 2 * n - 1),) * dim]
+        out.append(grid.cell_volume * window)
+    return out
 
 
 class TestMultiplierValue:
@@ -302,7 +319,46 @@ class TestDirectOracle:
         f = gaussian_bump(g)
         via_cfg = apply_R(f, ResolventConfig(mode="direct_oracle"))
         direct = apply_R_direct(f, KernelSpec(2))
-        np.testing.assert_allclose(via_cfg.values, direct.values)
+        np.testing.assert_array_equal(via_cfg.values, direct.values)
+
+    @pytest.mark.parametrize("dim, half_length, n", [
+        (2, 15.0, 16), (2, 15.0, 32), (2, 30.0, 80), (3, 8.0, 8), (3, 8.0, 16),
+    ])
+    def test_windowed_inverse_is_the_cropped_full_inverse_bit_for_bit(self, dim, half_length, n):
+        # unit impulses at opposite corners of the box pin the window's alignment
+        g = make_grid(dim, half_length, n)
+        rng = np.random.default_rng(n + dim)
+        first, last = np.zeros(g.shape), np.zeros(g.shape)
+        first[(0,) * dim] = 1.0
+        last[(-1,) * dim] = 1.0
+        route = _route(g, ResolventConfig(mode="direct_oracle"))
+        for fields in [(rng.standard_normal(g.shape),),
+                       (rng.standard_normal(g.shape), rng.standard_normal(g.shape)),
+                       (first,), (first, last)]:
+            got = route(*fields)
+            assert len(got) == len(fields)
+            for a, b in zip(got, _unpruned_convolve(g, *fields)):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dim, half_length, n, bound", [
+        (2, 30.0, 128, 8.6),  # 7.6 grid arrays; 9.6 with the full-box real inverse
+        (3, 16.0, 32, 14.5),  # 12.4; 17.5 with the full-box real inverse
+    ])
+    def test_one_application_working_set(self, dim, half_length, n, bound):
+        g = make_grid(dim, half_length, n)
+        route = _route(g, ResolventConfig(mode="direct_oracle"))  # its spectrum built before
+        x = np.random.default_rng(7).standard_normal(g.shape)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            route(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak / (g.num_nodes * 8) <= bound
 
     def test_linearity(self):
         g = make_grid(2, 15.0, 16)

@@ -138,6 +138,17 @@ class TestFreeSpaceLimit:
                         for half_length, n in ((15.0, 64), (30.0, 128)))
         assert small == pytest.approx(large, rel=1e-4)
 
+    def test_3d_level_independent_of_box_at_fixed_spacing(self):
+        # p = 5 at h = 0.5: L 4 -> 8 moves the level by 8.1e-5 (relative)
+        cfg = SolverConfig(grad_tol=5e-8)
+        free = ResolventConfig(mode="direct_oracle")
+        small, large = (solve_limit(1.0, 5.0, make_grid(3, half_length, n), cfg,
+                                    resolvent=free).energy
+                        for half_length, n in ((4.0, 16), (8.0, 32)))
+        assert small == pytest.approx(4.5671117, rel=1e-7)
+        assert large == pytest.approx(4.5667405, rel=1e-7)
+        assert small == pytest.approx(large, rel=1e-4)
+
     def test_every_default_seed_converges_at_the_default_tolerance(self):
         # at grad_tol 1e-8 the Armijo test runs at the float64 floor; with steps
         # capped at 1 one of these seeds collapsed its step and one used up the budget
