@@ -11,7 +11,7 @@ Schrodinger) regime.
 
 import numpy as np
 
-from helmdual import ResolventConfig, SolverConfig, make_grid, pde_residual, solve_limit
+from helmdual import ResolventConfig, SolverConfig, make_grid, solve_limit
 
 
 def main():
@@ -26,9 +26,6 @@ def main():
     print(f"ground-state level     c_0 = {state.energy:.8f}")
     print(f"relative gradient norm     = {state.grad_norm:.2e}")
     print(f"Nehari residual            = {state.nehari_residual:.2e}")
-    residual = pde_residual(state.u_rescaled, state.spec)
-    print(f"PDE residual of u          = {residual:.2e}  "
-          "(dominated by the absorption bias, O(delta))")
 
     u = state.u_rescaled.values
     r = np.sqrt(grid.coords(0) ** 2 + grid.coords(1) ** 2)

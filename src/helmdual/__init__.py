@@ -18,7 +18,6 @@ from .functional import (
     NotInPositiveCone,
     ProblemSpec,
     constant_coefficient,
-    pde_residual,
 )
 from .solver import (
     AllSeedsLeftCone,

@@ -30,7 +30,7 @@ from .resolvent import (
     apply_R_direct,
     resolvent_identity_residual,
 )
-from .functional import NotInPositiveCone, pde_residual
+from .functional import NotInPositiveCone
 from .fieldio import FieldFormatError, read_field, write_field
 from .runio import (
     EXPERIMENTS,
@@ -125,8 +125,7 @@ def cmd_solve(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
     record.energies["c_eps"] = state.energy
     record.diagnostics.update(
         grad_norm=state.grad_norm, nehari_residual=state.nehari_residual,
-        pde_residual=pde_residual(state.u_rescaled, problem), epsilon=problem.epsilon,
-        physical_amplitude=problem.amplitude,
+        epsilon=problem.epsilon, physical_amplitude=problem.amplitude,
     )
     print(f"c_eps = {state.energy!r} (grad {state.grad_norm:.2e})")
     return EXIT_OK, [("ground_v.field", state.v), ("ground_u.field", state.u_rescaled)]

@@ -14,13 +14,13 @@ falsifiable discrete form:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .grid import Field, Grid, _squared_distance, inner_product, lp_norm
 from .kernels import lambda_p
-from .functional import DualState, ProblemSpec, pde_residual
+from .functional import DualState, ProblemSpec
 from .resolvent import ResolventConfig, apply_R
 from .solver import SolverConfig, _ground_state, _ground_states, cutoff, solve_limit
 
@@ -166,7 +166,7 @@ def aligned_distance(v: Field, w0: Field, p_prime: float) -> tuple[float, tuple[
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Diagnostics of one concentration-sweep point."""
+    """Diagnostics of one concentration-sweep point; its fields, in order, are the CSV columns."""
 
     epsilon: float
     converged: bool
@@ -175,31 +175,26 @@ class SweepRecord:
     distance_to_maxima: float | None
     nearest_maximum: tuple[float, ...] | None
     limit_distance: float | None      # translation-aligned L^p' distance to w0
-    pde_residual: float | None
+    grad_norm: float | None           # the state's dual defect (DualState.grad_norm)
     edge_mass: float | None
     edge_trusted: bool
     solution_maximum: tuple[float, ...] | None  # argmax of |u| in original coords
     failure: str | None = None
 
-    CSV_HEADER = ("epsilon,converged,energy,barycenter,distance_to_maxima,"
-                  "nearest_maximum,limit_distance,pde_residual,edge_mass,"
-                  "edge_trusted,solution_maximum,failure")
-
     def csv_row(self) -> str:
-        def num(x):
-            return "" if x is None else repr(float(x))
+        """The fields in declaration order, each formatted by its annotation."""
+        return ",".join(_csv_cell(f.type, getattr(self, f.name)) for f in fields(self))
 
-        def pt(x):
-            return "" if x is None else "(" + " ".join(repr(float(c)) for c in x) + ")"
 
-        return ",".join([
-            repr(self.epsilon), str(self.converged), num(self.energy),
-            pt(self.barycenter), num(self.distance_to_maxima),
-            pt(self.nearest_maximum), num(self.limit_distance),
-            num(self.pde_residual), num(self.edge_mass),
-            str(self.edge_trusted), pt(self.solution_maximum),
-            self.failure or "",
-        ])
+def _csv_cell(kind: str, x) -> str:
+    """A point as "(x y)", a number as its repr, None as an empty cell, else str."""
+    if x is None:
+        return ""
+    if kind.startswith("tuple"):
+        return "(" + " ".join(repr(float(c)) for c in x) + ")"
+    if kind.startswith("float"):
+        return repr(float(x))
+    return str(x)
 
 
 def _nearest_maximum(beta: np.ndarray, maxima) -> tuple[float, tuple[float, ...]]:
@@ -220,14 +215,13 @@ def sweep_point(spec: ProblemSpec, outcome, bary_cfg: BarycenterConfig,
     dist, nearest = _nearest_maximum(beta, spec.coefficient.maximum_set)
     ldist, _ = aligned_distance(state.v, limit_state.v, pp)
     u = state.u_rescaled
-    resid = pde_residual(u, spec)
     em = edge_mass(state.v, pp)
     peak = np.unravel_index(np.argmax(np.abs(u.values)), grid.shape)
     sol_max = tuple(spec.epsilon * float(grid.x_axis[i]) for i in peak)
     return SweepRecord(
         epsilon=spec.epsilon, converged=True, energy=state.energy,
         barycenter=tuple(float(c) for c in beta), distance_to_maxima=dist,
-        nearest_maximum=nearest, limit_distance=ldist, pde_residual=resid,
+        nearest_maximum=nearest, limit_distance=ldist, grad_norm=state.grad_norm,
         edge_mass=em, edge_trusted=em <= EDGE_TRUST,
         solution_maximum=sol_max,
     )
@@ -260,7 +254,8 @@ def concentration_sweep(template: ProblemSpec, epsilon_list, grid: Grid,
 
 
 def sweep_to_csv(records) -> str:
-    return "\n".join([SweepRecord.CSV_HEADER] + [r.csv_row() for r in records]) + "\n"
+    header = ",".join(f.name for f in fields(SweepRecord))
+    return "\n".join([header] + [r.csv_row() for r in records]) + "\n"
 
 
 def compact_bump(grid: Grid, center, radius: float) -> Field:

@@ -13,12 +13,11 @@ physical solution is a declared pure rescaling of it (never materialized).
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, Grid, _l2, _squared_distance, lp_norm, spectral_laplacian
+from .grid import Field, Grid, _l2, _squared_distance, lp_norm
 from .kernels import check_exponent
 from .resolvent import ResolventConfig, _route
 
@@ -215,7 +214,7 @@ class DualState:
     spec: ProblemSpec
     u_rescaled: Field          # R(Q_eps^(1/p) v), the PDE solution before rescaling
     energy: float
-    grad_norm: float           # relative gradient norm (see from_field)
+    grad_norm: float           # ||w - Q_eps^(1/p) u|| / ||w||, w = |v|^(p'-2) v: the dual defect
     nehari_residual: float     # |J'(v) v|
     quadratic_term: float
 
@@ -259,20 +258,3 @@ def nehari_energy_identity(v: Field, spec: ProblemSpec) -> float:
     if abs(value - direct) > 1e-6 * abs(value):
         raise ValueError("Nehari energy identity violated beyond tolerance")
     return float(value)
-
-
-def pde_residual(u_eps: Field, spec: ProblemSpec) -> float:
-    """Relative L^2 residual of -Lap u - u = Q_eps |u|^(p-2) u on the grid.
-
-    Normalized by the L^2 norm of the right-hand side; if that vanishes the
-    absolute residual of the left-hand side is returned and a warning is
-    emitted.
-    """
-    qe = spec.coefficient.sample_rescaled(u_eps.grid, spec.epsilon)
-    rhs = qe.values * np.abs(u_eps.values) ** (spec.p - 2.0) * u_eps.values
-    lhs = -spectral_laplacian(u_eps).values - u_eps.values
-    denom = _l2(rhs)
-    if denom == 0.0:
-        warnings.warn("zero right-hand side: returning absolute residual", stacklevel=2)
-        return _l2(lhs)
-    return _l2(lhs - rhs) / denom

@@ -323,6 +323,16 @@ class TestSweepCommand:
 
 
 class TestSolveCommand:
+    def test_run_record_reports_the_dual_defect(self, tmp_path, capsys, bump_problem):
+        # grad_norm, the descent's dual defect, is the one residual the record carries
+        cfg = write_config(tmp_path, experiment="solve", problem=bump_problem,
+                           solver={"max_iters": 8000, "grad_tol": 5e-8}, params={})
+        out = tmp_path / "run"
+        assert run("solve", cfg, out) == 0
+        diagnostics = json.loads((out / "run.json").read_text())["diagnostics"]
+        assert "pde_residual" not in diagnostics
+        assert 0.0 < diagnostics["grad_norm"] <= 5e-8
+
     def test_cutoff_outgrowing_the_box_is_config_error_before_any_solve(
             self, tmp_path, capsys, monkeypatch):
         cfg = json.loads((CONFIGS / "sweep.json").read_text())

@@ -1,6 +1,7 @@
 """Barycenter map, concentration sweep, interaction decay, energy comparison."""
 
 import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,10 @@ from helmdual.grid import Field, lp_norm, make_grid
 from helmdual.functional import CoefficientSpec, DualState, ProblemSpec, constant_coefficient
 from helmdual.resolvent import ResolventConfig
 from helmdual.runio import load_config
-from helmdual.solver import InitialGuess, SolverConfig, cutoff, solve_limit
+from helmdual.solver import InitialGuess, SolverConfig, cutoff, solve_ground_state, solve_limit
 from helmdual.experiments import (
     BarycenterConfig,
+    SweepRecord,
     aligned_distance,
     barycenter,
     compact_bump,
@@ -22,6 +24,7 @@ from helmdual.experiments import (
     energy_comparison,
     homogeneity_ratio,
     interaction_decay,
+    sweep_point,
     sweep_to_csv,
 )
 
@@ -374,14 +377,40 @@ class TestConcentrationSweep:
         res = ResolventConfig(delta=1e-2)
         template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef, resolvent=res)
         cfg = SolverConfig(max_iters=8000, grad_tol=5e-8)
-        _, recs = concentration_sweep(template, [0.5, 0.25], grid, cfg,
-                                      BarycenterConfig(rho=3.0, delta_nbhd=0.5))
+        bary = BarycenterConfig(rho=3.0, delta_nbhd=0.5)
+        limit, recs = concentration_sweep(template, [0.5, 0.25], grid, cfg, bary)
         assert len(recs) == 2
         assert all(r.converged for r in recs)
         assert all(r.edge_trusted for r in recs)
         csv = sweep_to_csv(recs)
         assert csv.count("\n") == 3  # header + one row per epsilon
         assert csv.splitlines()[0].startswith("epsilon,converged")
+        # the columns are the record's fields, in order, for solved and flagged rows alike
+        header = csv.splitlines()[0].split(",")
+        assert header == [f.name for f in fields(SweepRecord)]
+        flagged = sweep_point(template, ValueError("cutoff support exceeds the box"), bary, limit)
+        assert len(flagged.csv_row().split(",")) == len(header)
+
+    @pytest.mark.parametrize("resolvent, half_length", [
+        (ResolventConfig(delta=1e-2), 30.0),
+        (ResolventConfig(mode="direct_oracle"), 15.0),
+    ], ids=["periodic", "free_space"])
+    def test_grad_norm_column_is_the_dual_defect(self, resolvent, half_length):
+        # every solved row reports the descent's dual defect, converged below grad_tol
+        # under either route; at eps = 0.05 the cutoff outgrows the box and the cell is empty
+        coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),), amplitudes=(0.75,),
+                               widths=(1.5,))
+        template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef, resolvent=resolvent)
+        cfg = SolverConfig(max_iters=8000, grad_tol=5e-8)
+        _, recs = concentration_sweep(template, [0.5, 0.25, 0.05], make_grid(2, half_length, 64),
+                                      cfg, BarycenterConfig(rho=3.0, delta_nbhd=0.5))
+        assert [r.converged for r in recs] == [True, True, False]
+        assert all(0.0 < r.grad_norm <= cfg.grad_tol for r in recs[:2])
+        assert recs[2].grad_norm is None
+        header, *rows = (line.split(",") for line in sweep_to_csv(recs).splitlines())
+        column = header.index("grad_norm")
+        assert [float(row[column]) for row in rows[:2]] == [r.grad_norm for r in recs[:2]]
+        assert rows[2][column] == ""
 
     def test_points_solved_together_match_points_solved_alone(self, grid):
         # all points' seeds run in one lock-stepped solve; at eps = 0.05 the
@@ -476,6 +505,29 @@ class TestSweepMemory:
                 tracemalloc.stop()
         assert all(r.converged for r in records)
         assert peak / (grid.num_nodes * 8) <= 19.1
+
+    def test_sweep_point_peak_in_grid_arrays(self):
+        # configs/sweep.json on a 128^2 grid: the post-processing of one solved point
+        # (barycenter, aligned distance, edge mass, argmax of |u|) peaks at 4.07 grid arrays
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "sweep.json")
+        problem, grid = cfg.problem, make_grid(2, cfg.grid.half_length, 128)
+        bary = BarycenterConfig(rho=cfg.params["rho"], delta_nbhd=cfg.params["delta_nbhd"])
+        limit = solve_limit(problem.coefficient.q_sup, problem.p, grid, cfg.solver,
+                            resolvent=problem.resolvent)
+        spec = replace(problem, epsilon=cfg.params["epsilon_list"][0])
+        state = solve_ground_state(spec, grid, cfg.solver, limit_state=limit)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            record = sweep_point(spec, state, bary, limit)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert record.converged
+        assert peak / (grid.num_nodes * 8) <= 5.0
 
 
 class TestOpenMeshGeometry:

@@ -21,7 +21,6 @@ from helmdual.functional import (
     gradient,
     nehari_energy_identity,
     nehari_t,
-    pde_residual,
     quadratic_term,
 )
 
@@ -148,17 +147,17 @@ class TestOpenMeshSampling:
         assert bumped.evaluate((x, y)).shape == (3, 4)
 
 
-#: pde_residual and a gradient norm of one fixed 256^2 field, printed by a fresh interpreter
+#: the gradient norm of one fixed 256^2 field, printed by a fresh interpreter
 BLAS_PROBE = """
 import numpy as np
 from helmdual.grid import Field, make_grid
-from helmdual.functional import CoefficientSpec, DualState, ProblemSpec, pde_residual
+from helmdual.functional import CoefficientSpec, DualState, ProblemSpec
 from helmdual.resolvent import ResolventConfig
 grid = make_grid(2, 60.0, 256)
 coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),), amplitudes=(0.75,), widths=(1.5,))
 spec = ProblemSpec(p=8.0, epsilon=0.2, coefficient=coef, resolvent=ResolventConfig(delta=0.01))
 v = Field(grid, np.random.default_rng(7).standard_normal(grid.shape))
-print(repr(pde_residual(v, spec)), repr(DualState.from_field(v, spec).grad_norm))
+print(repr(DualState.from_field(v, spec).grad_norm))
 """
 
 
@@ -355,10 +354,6 @@ class TestSolutionMap:
         state = DualState.from_field(v, spec)
         expected = apply_R(Field(grid, spec.q_root(grid).values * v.values), spec.resolvent)
         np.testing.assert_allclose(state.u_rescaled.values, expected.values, rtol=1e-12)
-
-    def test_pde_residual_zero_rhs_warns(self, grid, spec):
-        with pytest.warns(UserWarning):
-            pde_residual(Field(grid, np.zeros(grid.shape)), spec)
 
 
 class TestProblemSpec:

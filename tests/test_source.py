@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name or takes a parameter it never
 uses, the README and demos import only names the package has, the quick demos run, the
 package namespace holds only names that programs read from it, and the README's config
-key tables list exactly the keys the schema accepts."""
+key tables list exactly the keys the schema accepts and its sweep.csv table the columns
+the sweep writes."""
 
 import ast
 import importlib
@@ -11,12 +12,14 @@ import re
 import subprocess
 import sys
 import types
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import helmdual
 from helmdual import runio
+from helmdual.experiments import SweepRecord
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "helmdual"
@@ -168,6 +171,11 @@ def test_readme_params_table_matches_schema():
 def test_readme_solver_table_matches_schema():
     rows = readme_table("| key | type | default |")
     assert [key for key, *_ in rows] == list(runio._SOLVER)
+
+
+def test_readme_sweep_columns_match_the_record():
+    rows = readme_table("| column | meaning |")
+    assert [column for column, *_ in rows] == [f.name for f in fields(SweepRecord)]
 
 
 def package_env() -> dict:
