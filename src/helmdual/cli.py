@@ -52,7 +52,7 @@ from .experiments import (
     concentration_sweep,
     energy_comparison,
     interaction_decay,
-    sweep_to_csv,
+    to_csv,
 )
 
 EXIT_OK = 0
@@ -136,7 +136,7 @@ def cmd_sweep(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
     bary = BarycenterConfig(**{key: params[key] for key in ("rho", "delta_nbhd") if key in params})
     limit_state, records = concentration_sweep(problem, params["epsilon_list"], cfg.grid,
                                                cfg.solver, bary)
-    artifacts = [("sweep.csv", sweep_to_csv(records))]
+    artifacts = [("sweep.csv", to_csv(records))]
     if limit_state is not None:  # None when no epsilon fits the box
         record.energies["c_0"] = limit_state.energy
         artifacts.append(("limit_v.field", limit_state.v))
@@ -155,11 +155,10 @@ def cmd_decay(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
     record.converged = True
     record.diagnostics.update(slope=report.slope, lambda_p=report.lambda_p,
                               satisfies_bound=report.satisfies_bound)
-    csv = "r,interaction\n" + "".join(f"{rec.r!r},{rec.interaction!r}\n"
-                                      for rec in report.records)
     print(f"slope = {report.slope:.4f}, -lambda_p = {-report.lambda_p:.4f}, "
           f"bound {'satisfied' if report.satisfies_bound else 'VIOLATED'}")
-    return (EXIT_OK if report.satisfies_bound else EXIT_NUMERIC), [("decay.csv", csv)]
+    artifacts = [("decay.csv", to_csv(report.records))]
+    return (EXIT_OK if report.satisfies_bound else EXIT_NUMERIC), artifacts
 
 
 def cmd_compare_energy(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:

@@ -181,9 +181,14 @@ class SweepRecord:
     solution_maximum: tuple[float, ...] | None  # argmax of |u| in original coords
     failure: str | None = None
 
-    def csv_row(self) -> str:
-        """The fields in declaration order, each formatted by its annotation."""
-        return ",".join(_csv_cell(f.type, getattr(self, f.name)) for f in fields(self))
+
+def to_csv(records) -> str:
+    """A header of the records' field names, then one row per record, each cell formatted by
+    its field's annotation; the records share one dataclass type."""
+    columns = fields(records[0])
+    rows = [[f.name for f in columns]]
+    rows += [[_csv_cell(f.type, getattr(r, f.name)) for f in columns] for r in records]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def _csv_cell(kind: str, x) -> str:
@@ -242,8 +247,6 @@ def concentration_sweep(template: ProblemSpec, epsilon_list, grid: Grid,
         raise ValueError("epsilon list must not be empty")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
-    if any(not 0.0 < e < np.inf for e in eps):  # NaN fails too
-        raise ValueError("epsilon must be positive and finite")
     if not template.coefficient.maximum_set:
         raise ValueError("concentration sweep needs a coefficient with a "
                          "finite maximum set (not constant)")
@@ -251,11 +254,6 @@ def concentration_sweep(template: ProblemSpec, epsilon_list, grid: Grid,
     limit_state, outcomes = _ground_states(template, eps, grid, solver_cfg, limit_state)
     return limit_state, [sweep_point(replace(template, epsilon=e), outcome, bary_cfg,
                                      limit_state) for e, outcome in zip(eps, outcomes)]
-
-
-def sweep_to_csv(records) -> str:
-    header = ",".join(f.name for f in fields(SweepRecord))
-    return "\n".join([header] + [r.csv_row() for r in records]) + "\n"
 
 
 def compact_bump(grid: Grid, center, radius: float) -> Field:
@@ -276,8 +274,6 @@ class DecayRecord:
 
 @dataclass(frozen=True)
 class DecayReport:
-    dim: int
-    p: float
     lambda_p: float
     records: tuple[DecayRecord, ...]
     slope: float       # log-log least-squares slope over the largest decade
@@ -333,8 +329,7 @@ def interaction_decay(p: float, grid: Grid, r_list,
     logs = np.log(rl[-fitted:])
     vals = np.log([max(rec.interaction, 1e-300) for rec in records[-fitted:]])
     slope = float(np.polyfit(logs, vals, 1)[0])
-    return DecayReport(dim=dim, p=p, lambda_p=lam, records=tuple(records),
-                       slope=slope)
+    return DecayReport(lambda_p=lam, records=tuple(records), slope=slope)
 
 
 @dataclass(frozen=True)
@@ -344,7 +339,6 @@ class EnergyComparison:
     c_eps: float
     c_0: float
     c_inf: float | None     # omitted when Q vanishes at infinity
-    epsilon: float
 
     @property
     def lower_bound_holds(self) -> bool:
@@ -374,8 +368,7 @@ def energy_comparison(spec: ProblemSpec, grid: Grid, solver_cfg: SolverConfig) -
                             resolvent=spec.resolvent).energy
     else:
         c_inf = None
-    return EnergyComparison(c_eps=state.energy, c_0=limit_state.energy, c_inf=c_inf,
-                            epsilon=spec.epsilon)
+    return EnergyComparison(c_eps=state.energy, c_0=limit_state.energy, c_inf=c_inf)
 
 
 def homogeneity_ratio(p: float, q_ratio: float) -> float:

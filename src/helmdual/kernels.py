@@ -5,10 +5,10 @@ For unit wavenumber the free-space kernel is
     N = 3:  Re Phi(r) = cos(r) / (4 pi r)
     N = 2:  Re Phi(r) = -Y0(r) / 4
 
-J0 and Y0 are evaluated by the ascending series for moderate arguments and by
-the large-argument (Hankel) expansion beyond; the crossover at x = 13 keeps
-both branches below ~1e-11 absolute error in double precision.  The test
-suite validates them against independent integral-representation quadrature.
+Y0 is evaluated by the ascending series for moderate arguments and by the
+large-argument (Hankel) expansion beyond; the crossover at x = 13 keeps both
+branches below ~1e-11 absolute error in double precision.  The test suite
+validates it against scipy's Y0.
 
 The kernel's moment against a Gaussian window, which fixes the center weight of
 KernelSpec, has a closed form through Ei (N = 2) and Dawson's integral (N = 3);
@@ -33,17 +33,6 @@ _SINGULAR_WINDOW = 3.0
 _EPS = np.finfo(np.float64).eps
 #: x = -ln(eps): from here on the asymptotic series of the window moment reach round-off
 _MOMENT_ASYMPTOTIC = -math.log(_EPS)
-
-
-def _j0_series(x: np.ndarray) -> np.ndarray:
-    """sum_k (-1)^k (x^2/4)^k / (k!)^2."""
-    q = 0.25 * x * x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, _SERIES_TERMS):
-        term = term * (-q) / (k * k)
-        total = total + term
-    return total
 
 
 def _y0_series(x: np.ndarray) -> np.ndarray:
@@ -89,24 +78,11 @@ def _asymptotic_pq(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _j0_y0_large(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _y0_large(x: np.ndarray) -> np.ndarray:
+    """Y0 = Im H0^(1) from the large-argument expansion."""
     p, q = _asymptotic_pq(x)
-    amp = np.sqrt(2.0 / (np.pi * x))
     theta = x - 0.25 * np.pi
-    return (amp * (p * np.cos(theta) + q * np.sin(theta)),
-            amp * (p * np.sin(theta) - q * np.cos(theta)))
-
-
-def bessel_j0(x):
-    """Bessel function of the first kind, order zero."""
-    x = np.abs(np.asarray(x, dtype=np.float64))
-    small = x <= _SERIES_CUTOFF
-    out = np.empty_like(x)
-    if np.any(small):
-        out[small] = _j0_series(x[small])
-    if np.any(~small):
-        out[~small] = _j0_y0_large(x[~small])[0]
-    return out if out.ndim else float(out)
+    return np.sqrt(2.0 / (np.pi * x)) * (p * np.sin(theta) - q * np.cos(theta))
 
 
 def bessel_y0(x):
@@ -119,7 +95,7 @@ def bessel_y0(x):
     if np.any(small):
         out[small] = _y0_series(x[small])
     if np.any(~small):
-        out[~small] = _j0_y0_large(x[~small])[1]
+        out[~small] = _y0_large(x[~small])
     return out if out.ndim else float(out)
 
 

@@ -97,7 +97,7 @@ def _multiply(grid: Grid, modulation, symbol, *fields: np.ndarray) -> list[np.nd
     so R f is real.  alpha, beta are the max-norms, so a large field's round-off stays
     out of a small one.  Of the equivalent roundings, x / alpha then / (1/alpha) keeps
     every 64^2, delta = 0 limit seed converging: there the Armijo test runs below
-    round-off (ROADMAP item 4).
+    round-off (ROADMAP item 3).
     """
     packed = np.zeros(grid.shape, np.complex128)
     norms = [float(max(x.max(), -x.min())) or 1.0 for x in fields]  # max |x|, with no |x| copy

@@ -410,8 +410,9 @@ def _ground_states(template: ProblemSpec, epsilons, grid: Grid, cfg: SolverConfi
     if limit_state is not None and limit_state.v.grid != grid:
         raise ValueError("limit state lives on another grid")
     maxima = template.coefficient.maximum_set
-    unfit = [_cutoffs_misfit(maxima, e, grid) for e in epsilons]  # the errors that leave no seeds
-    solved = [replace(template, epsilon=e) for e, err in zip(epsilons, unfit) if err is None]
+    specs = [replace(template, epsilon=e) for e in epsilons]  # each refuses a bad epsilon
+    unfit = [_cutoffs_misfit(maxima, s.epsilon, grid) for s in specs]  # errors that leave no seeds
+    solved = [spec for spec, err in zip(specs, unfit) if err is None]
     if not solved:
         return limit_state, unfit
     if not maxima:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, artifacts, reproducibility."""
 
 import json
+from dataclasses import fields
 from functools import reduce
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from helmdual import cli
 from helmdual.cli import _COMMANDS, main
+from helmdual.experiments import DecayRecord
 from helmdual.fieldio import read_field, write_field
 from helmdual.grid import Field, make_grid
 from helmdual.runio import load_config
@@ -363,7 +365,10 @@ class TestDecayCommand:
         out = tmp_path / "run"
         assert run("decay", cfg, out) == 0
         assert "slope" in capsys.readouterr().out
-        assert (out / "decay.csv").read_text().startswith("r,interaction")
+        header, *rows = (out / "decay.csv").read_text().splitlines()
+        # the columns are DecayRecord's fields, as sweep.csv's are SweepRecord's
+        assert header.split(",") == [f.name for f in fields(DecayRecord)] == ["r", "interaction"]
+        assert len(rows) == 6
 
 
 class TestCompareEnergyCommand:

@@ -25,7 +25,7 @@ from helmdual.experiments import (
     homogeneity_ratio,
     interaction_decay,
     sweep_point,
-    sweep_to_csv,
+    to_csv,
 )
 
 PP = 8.0 / 7.0
@@ -313,8 +313,9 @@ class TestConcentrationSweep:
             concentration_sweep(template, [0.25, 0.5], grid, SolverConfig(),
                                 BarycenterConfig(rho=3.0, delta_nbhd=0.5))
 
-    @pytest.mark.parametrize("epsilon_list", [[0.5, np.nan], [np.inf, 0.5]],
-                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("epsilon_list",
+                             [[0.5, np.nan], [np.inf, 0.5], [0.5, 0.0], [0.5, -0.1]],
+                             ids=["nan", "inf", "zero", "negative"])
     def test_non_finite_epsilon_raises_before_the_limit_solve(self, grid, monkeypatch,
                                                                epsilon_list):
         def no_solve(*args, **kwargs):
@@ -382,14 +383,15 @@ class TestConcentrationSweep:
         assert len(recs) == 2
         assert all(r.converged for r in recs)
         assert all(r.edge_trusted for r in recs)
-        csv = sweep_to_csv(recs)
+        csv = to_csv(recs)
         assert csv.count("\n") == 3  # header + one row per epsilon
         assert csv.splitlines()[0].startswith("epsilon,converged")
         # the columns are the record's fields, in order, for solved and flagged rows alike
         header = csv.splitlines()[0].split(",")
         assert header == [f.name for f in fields(SweepRecord)]
         flagged = sweep_point(template, ValueError("cutoff support exceeds the box"), bary, limit)
-        assert len(flagged.csv_row().split(",")) == len(header)
+        header_again, row = to_csv([flagged]).splitlines()
+        assert header_again.split(",") == header and len(row.split(",")) == len(header)
 
     @pytest.mark.parametrize("resolvent, half_length", [
         (ResolventConfig(delta=1e-2), 30.0),
@@ -407,7 +409,7 @@ class TestConcentrationSweep:
         assert [r.converged for r in recs] == [True, True, False]
         assert all(0.0 < r.grad_norm <= cfg.grad_tol for r in recs[:2])
         assert recs[2].grad_norm is None
-        header, *rows = (line.split(",") for line in sweep_to_csv(recs).splitlines())
+        header, *rows = (line.split(",") for line in to_csv(recs).splitlines())
         column = header.index("grad_norm")
         assert [float(row[column]) for row in rows[:2]] == [r.grad_norm for r in recs[:2]]
         assert rows[2][column] == ""

@@ -19,7 +19,6 @@ from helmdual.functional import (
     constant_coefficient,
     energy,
     gradient,
-    nehari_energy_identity,
     nehari_t,
     quadratic_term,
 )
@@ -235,15 +234,9 @@ class TestNehari:
         v = cone_field(grid, rng)
         tv = nehari_t(v, spec) * v
         pp = spec.p_prime
-        value = nehari_energy_identity(tv, spec)
-        assert value == pytest.approx((1 / pp - 0.5) * lp_norm(tv, pp) ** pp)
-        assert value == pytest.approx(energy(tv, spec), rel=1e-9)
-
-    def test_energy_identity_rejects_off_manifold(self, grid, spec):
-        rng = np.random.default_rng(17)
-        v = cone_field(grid, rng)
-        with pytest.raises(ValueError):
-            nehari_energy_identity(3.0 * nehari_t(v, spec) * v, spec)
+        # on the Nehari manifold J(v) = (1/p' - 1/2) ||v||_p'^p'
+        assert energy(tv, spec) == pytest.approx((1 / pp - 0.5) * lp_norm(tv, pp) ** pp,
+                                                 rel=1e-9)
 
     def test_outside_cone_rejected(self, grid, spec):
         # low-frequency field has negative quadratic term

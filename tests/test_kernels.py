@@ -1,4 +1,4 @@
-"""Bessel implementations against independent oracles; kernel and exponents."""
+"""The Y0 implementation against independent oracles; kernel and exponents."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,7 @@ from helmdual.kernels import (
     KernelSpec,
     _SERIES_TERMS,
     _gaussian_moment,
-    _j0_series,
     _y0_series,
-    bessel_j0,
     bessel_y0,
     check_exponent,
     exponent_bounds,
@@ -21,45 +19,15 @@ from helmdual.kernels import (
 from helmdual.resolvent import _kernel_spectrum
 
 
-def j0_integral_oracle(x):
-    """J0(x) = (1/pi) int_0^pi cos(x sin theta) d theta, by dense trapezoid."""
-    theta = np.linspace(0.0, np.pi, 20001)
-    return np.trapezoid(np.cos(x * np.sin(theta)), theta) / np.pi
-
-
-def y0_integral_oracle(x):
-    """Y0(x) = -(2/pi) int_0^inf cos(x cosh t) dt is slowly convergent; use the
-    scipy implementation as the independent oracle instead."""
-    import scipy.special
-
-    return scipy.special.y0(x)
-
-
-class TestBesselJ0:
-    def test_against_integral_representation(self):
-        for x in np.linspace(0.05, 50.0, 173):
-            assert bessel_j0(x) == pytest.approx(j0_integral_oracle(x), abs=5e-11)
-
-    def test_against_scipy_grid(self):
-        scipy_special = pytest.importorskip("scipy.special")
-        x = np.linspace(1e-6, 60.0, 50000)
-        err = np.max(np.abs(bessel_j0(x) - scipy_special.j0(x)))
-        assert err <= 1e-11
-
-    def test_first_zero(self):
-        # bisection on our implementation against the classical value
-        lo, hi = 2.0, 3.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if bessel_j0(lo) * bessel_j0(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        assert 0.5 * (lo + hi) == pytest.approx(2.404825557695773, abs=1e-12)
-
-    def test_at_zero_and_symmetry(self):
-        assert bessel_j0(0.0) == pytest.approx(1.0)
-        assert bessel_j0(-3.7) == pytest.approx(bessel_j0(3.7))
+def _j0_series(x):
+    """J0's ascending series sum_k (-1)^k (x^2/4)^k / (k!)^2, summed on its own."""
+    q = 0.25 * x * x
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for k in range(1, _SERIES_TERMS):
+        term = term * (-q) / (k * k)
+        total = total + term
+    return total
 
 
 class TestBesselY0:

@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name or takes a parameter it never
-uses, the README and demos import only names the package has, the quick demos run, the
-package namespace holds only names that programs read from it, and the README's config
-key tables list exactly the keys the schema accepts and its sweep.csv table the columns
-the sweep writes."""
+uses, every public function has a reader, the README and demos import only names the
+package has, the quick demos run, the package namespace holds only names that programs read
+from it, and the README's config key tables list exactly the keys the schema accepts and
+its sweep.csv table the columns the sweep writes."""
 
 import ast
 import importlib
@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import types
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -113,6 +114,80 @@ DOCUMENTS["README.md"] = readme_python()
 @pytest.mark.parametrize("name", DOCUMENTS)
 def test_documents_import_existing_names(name):
     assert missing_helmdual_names(DOCUMENTS[name]) == []
+
+
+def names_read(tree: ast.AST) -> Counter:
+    """How often each name is read under tree, as a variable or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load))
+
+
+def public_functions(tree: ast.Module):
+    """(qualified name, definition) of each public module-level function and public method."""
+    for node in tree.body:
+        is_class = isinstance(node, ast.ClassDef)
+        for f in node.body if is_class else [node]:
+            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):
+                yield (f"{node.name}.{f.name}" if is_class else f.name), f
+
+
+def unread_functions(package: list[str], readers: list[str], keyed: list[str]) -> list[str]:
+    """Qualified names of the package's public functions that nothing reads.
+
+    A function is read where any package source outside its own body, a reader or a keyed
+    source names it as a variable or an attribute, or where a word of a string constant of a
+    keyed source spells it (the benchmark's tracer keys its wrappers by strings such as
+    "solver.solve_from_seed").  The cmd_* commands are exempt: cli.main looks them up by name.
+    """
+    trees = [ast.parse(source) for source in package]
+    read = sum(map(names_read, trees + [ast.parse(source) for source in readers + keyed]),
+               Counter())
+    words = {word for source in keyed for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             for word in re.findall(r"\w+", node.value)}
+    return [qualname for tree in trees for qualname, f in public_functions(tree)
+            if not f.name.startswith("cmd_") and f.name not in words
+            and read[f.name] <= names_read(f)[f.name]]
+
+
+def test_detector_flags_unread_functions():
+    package = ["def used():\n    return 1\n"
+               "def recursive(n):\n    return recursive(n - 1) + used()\n"
+               "def by_demo():\n    pass\n"
+               "def by_key():\n    pass\n"
+               "def cmd_run():\n    pass\n"
+               "def _private():\n    pass\n"
+               "class A:\n    def read(self):\n        pass\n    def unread(self):\n        pass\n",
+               "from m import A\nA().read()\n"]
+    readers = ["import m\nm.by_demo()\n"]
+    keyed = ["WRAPPED = ('m.by_key',)\n"]
+    assert unread_functions(package, readers, keyed) == ["recursive", "A.unread"]
+
+
+#: public functions that no program reads, each kept as the reference of the tests listed
+TEST_REFERENCES = {
+    "gradient": ["test_acceptance.py::test_3_gradient_matches_finite_differences"],
+    "nehari_t": ["test_acceptance.py::test_4_nehari_contract"],
+    "homogeneity_ratio": ["test_acceptance.py::test_5_energy_ordering",
+                          "test_acceptance.py::test_9_constant_q_homogeneity"],
+    "KernelSpec.singular_cell_value": [
+        "test_kernels.py::TestKernelSpec::test_corrected_weight_matches_singular_scale"],
+}
+
+
+def test_every_public_function_has_a_reader():
+    # programs: the package itself, the demos and the README quick start, and the benchmark
+    package = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    perfbench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    unread = unread_functions(package, list(DOCUMENTS.values()), perfbench)
+    assert sorted(unread) == sorted(TEST_REFERENCES)
+    for qualname, tests in TEST_REFERENCES.items():
+        for test in tests:
+            path, *_, name = test.split("::")
+            [body] = [node for node in ast.walk(ast.parse((ROOT / "tests" / path).read_text()))
+                      if isinstance(node, ast.FunctionDef) and node.name == name]
+            assert names_read(body)[qualname.split(".")[-1]] > 0, test
 
 
 def package_names_read(source: str) -> set[str]:
