@@ -30,9 +30,41 @@ def _j0_series(x):
     return total
 
 
+def y0_integral_oracle(x):
+    """Y0(x) = (1/pi) int_0^pi sin(x sin theta) d theta - (2/pi) int_0^inf exp(-x sinh t) dt,
+    both by 400-node Gauss-Legendre; the tail is cut where x sinh t = 40."""
+    nodes, weights = np.polynomial.legendre.leggauss(400)
+    theta = 0.5 * np.pi * (nodes + 1.0)
+    oscillatory = 0.5 * np.pi * weights @ np.sin(x * np.sin(theta))
+    top = np.arcsinh(40.0 / x)
+    t = 0.5 * top * (nodes + 1.0)
+    decaying = 0.5 * top * weights @ np.exp(-x * np.sinh(t))
+    return (oscillatory - 2.0 * decaying) / np.pi
+
+
 class TestBesselY0:
     def test_known_value_at_one(self):
         assert bessel_y0(1.0) == pytest.approx(0.08825696421567696, abs=1e-13)
+
+    def test_against_integral_representation(self):
+        # spans the ascending series and the asymptotic expansion past _SERIES_CUTOFF
+        for x in np.linspace(0.05, 50.0, 173):
+            assert bessel_y0(x) == pytest.approx(y0_integral_oracle(x), abs=5e-11)
+
+    @pytest.mark.parametrize("bracket, tabulated", [
+        ((0.5, 1.5), 0.8935769663),  # first zero, on the series branch
+        ((13.0, 14.0), 13.3610974739),  # fifth zero, on the asymptotic branch
+    ], ids=["series", "asymptotic"])
+    def test_zero(self, bracket, tabulated):
+        # bisection on our implementation against Abramowitz & Stegun table 9.5
+        lo, hi = bracket
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if bessel_y0(lo) * bessel_y0(mid) <= 0:
+                hi = mid
+            else:
+                lo = mid
+        assert 0.5 * (lo + hi) == pytest.approx(tabulated, abs=5e-11)
 
     def test_against_scipy_grid(self):
         scipy_special = pytest.importorskip("scipy.special")
