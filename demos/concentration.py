@@ -8,7 +8,6 @@ This script runs a short epsilon sweep and prints both trends.
 """
 
 from helmdual import (
-    BarycenterConfig,
     CoefficientSpec,
     ProblemSpec,
     ResolventConfig,
@@ -30,9 +29,7 @@ def main():
                            resolvent=resolvent)
     cfg = SolverConfig(max_iters=20000, grad_tol=5e-8)
 
-    limit_state, records = concentration_sweep(
-        template, [0.2, 0.1, 0.05], grid, cfg, BarycenterConfig(rho=3.0, delta_nbhd=0.5),
-    )
+    limit_state, records = concentration_sweep(template, [0.2, 0.1, 0.05], grid, cfg, rho=3.0)
     print(f"limit level c_0 = {limit_state.energy:.6f}")
     print(f"maximum of Q at y0 = {coefficient.maximum_set[0]}\n")
 

@@ -9,7 +9,6 @@ genuinely distinct states whose barycenters sit on different peaks.
 """
 
 from helmdual import (
-    BarycenterConfig,
     CoefficientSpec,
     ProblemSpec,
     ResolventConfig,
@@ -37,9 +36,8 @@ def main():
 
     states = multistart(spec, grid, cfg)
     print(f"multistart found {len(states)} distinct state(s):")
-    bary_cfg = BarycenterConfig(rho=8.0, delta_nbhd=0.5)
     for i, s in enumerate(states):
-        beta = barycenter(s.v, spec.epsilon, spec.p_prime, bary_cfg)
+        beta = barycenter(s.v, spec.epsilon, spec.p_prime, rho=8.0)
         print(f"  state {i}: energy {s.energy:.6f}, "
               f"barycenter ({beta[0]: .3f}, {beta[1]: .3f})")
 

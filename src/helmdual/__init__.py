@@ -27,10 +27,5 @@ from .solver import (
     solve_ground_state,
     solve_limit,
 )
-from .experiments import (
-    BarycenterConfig,
-    barycenter,
-    concentration_sweep,
-    interaction_decay,
-)
+from .experiments import barycenter, concentration_sweep, interaction_decay
 from .fieldio import FieldFormatError

@@ -48,7 +48,6 @@ from .solver import (
     solve_limit,
 )
 from .experiments import (
-    BarycenterConfig,
     concentration_sweep,
     energy_comparison,
     interaction_decay,
@@ -132,10 +131,9 @@ def cmd_solve(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
 
 
 def cmd_sweep(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
-    problem, params = cfg.problem, cfg.params
-    bary = BarycenterConfig(**{key: params[key] for key in ("rho", "delta_nbhd") if key in params})
-    limit_state, records = concentration_sweep(problem, params["epsilon_list"], cfg.grid,
-                                               cfg.solver, bary)
+    # the params keys, epsilon_list and an optional rho, are concentration_sweep's own
+    limit_state, records = concentration_sweep(cfg.problem, grid=cfg.grid,
+                                               solver_cfg=cfg.solver, **cfg.params)
     artifacts = [("sweep.csv", to_csv(records))]
     if limit_state is not None:  # None when no epsilon fits the box
         record.energies["c_0"] = limit_state.energy
@@ -164,12 +162,10 @@ def cmd_decay(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
 def cmd_compare_energy(cfg: RunConfig, record: RunRecord) -> tuple[int, list]:
     report = energy_comparison(cfg.problem, cfg.grid, cfg.solver)
     record.converged = True
-    record.energies.update(c_0=report.c_0, c_eps=report.c_eps)
-    if report.c_inf is not None:
-        record.energies["c_inf"] = report.c_inf
+    record.energies.update((row.level, row.value) for row in report.levels)
     record.diagnostics.update(lower_bound_holds=report.lower_bound_holds,
                               upper_bound_holds=report.upper_bound_holds)
-    csv = report.csv()
+    csv = to_csv(report.levels)
     print(csv, end="")
     holds = report.lower_bound_holds and report.upper_bound_holds
     return (EXIT_OK if holds else EXIT_NUMERIC), [("energies.csv", csv)]

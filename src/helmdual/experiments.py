@@ -26,6 +26,9 @@ from .solver import SolverConfig, _ground_state, _ground_states, cutoff, solve_l
 
 #: a sweep point is trusted when at most this share of ||v||_p'^p' lies in the box's outer shell
 EDGE_TRUST = 0.5
+#: radius of the neighborhood of each maximum of Q that a sweep's truncation radius must
+#: contain; a barycenter within it counts as localized at that maximum
+NEIGHBORHOOD = 0.5
 #: wavelengths (2 pi each) between the decay bumps' supports and the box boundary
 BOUNDARY_WAVELENGTHS = 5.0
 #: support radius of both decay bumps
@@ -40,38 +43,19 @@ WINDOW_RADIUS = 3
 BOUND_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class BarycenterConfig:
-    """Truncation data for the rescaled barycenter map.
-
-    ``rho`` is the truncation radius; the map uses Xi(y) = y for |y| < rho
-    and the radial projection rho * y/|y| beyond, so far-field mass cannot
-    drag the barycenter arbitrarily.  ``delta_nbhd`` is the neighborhood
-    radius within which a barycenter counts as localized at a maximum.
-    """
-
-    rho: float = 3.0
-    delta_nbhd: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 < self.rho < np.inf and 0.0 < self.delta_nbhd < np.inf):  # NaN fails too
-            raise ValueError("rho and delta_nbhd must be positive and finite")
-
-    def validate_for(self, coefficient) -> None:
-        for y in coefficient.maximum_set:
-            if np.linalg.norm(y) + self.delta_nbhd > self.rho:
-                raise ValueError(
-                    "truncation radius must contain the delta-neighborhood "
-                    "of every maximum of Q"
-                )
+def _check_radius(rho: float) -> None:
+    if not 0.0 < rho < np.inf:  # NaN fails too
+        raise ValueError(f"rho must be positive and finite, got {rho}")
 
 
-def barycenter(v: Field, epsilon: float, p_prime: float,
-               cfg: BarycenterConfig) -> np.ndarray:
+def barycenter(v: Field, epsilon: float, p_prime: float, rho: float) -> np.ndarray:
     """Truncated first moment of |v|^p' in original (unscaled) coordinates.
 
-    beta(v) = ||v||_p'^(-p') * int Xi(eps x) |v(x)|^p' dx.
+    beta(v) = ||v||_p'^(-p') * int Xi(eps x) |v(x)|^p' dx, with the truncation radius rho:
+    Xi(y) = y for |y| < rho and the radial projection rho * y/|y| beyond, so far-field
+    mass cannot drag the barycenter arbitrarily.
     """
+    _check_radius(rho)
     weight = np.abs(v.values) ** p_prime
     total = weight.sum()
     if total == 0.0:
@@ -80,8 +64,8 @@ def barycenter(v: Field, epsilon: float, p_prime: float,
     axes = np.ix_(*(epsilon * grid.x_axis,) * grid.dim)
     scale = _squared_distance(axes, (0.0,) * grid.dim)  # a new array: worked on in place
     np.sqrt(scale, out=scale)
-    np.maximum(scale, cfg.rho, out=scale)
-    weight *= np.divide(cfg.rho, scale, out=scale)  # Xi(y) = (rho/|y|) y beyond rho, else y
+    np.maximum(scale, rho, out=scale)
+    weight *= np.divide(rho, scale, out=scale)  # Xi(y) = (rho/|y|) y beyond rho, else y
     return np.array([np.sum(weight * x) for x in axes]) / total
 
 
@@ -208,15 +192,14 @@ def _nearest_maximum(beta: np.ndarray, maxima) -> tuple[float, tuple[float, ...]
     return dists[i], tuple(float(c) for c in maxima[i])
 
 
-def sweep_point(spec: ProblemSpec, outcome, bary_cfg: BarycenterConfig,
-                limit_state: DualState) -> SweepRecord:
+def sweep_point(spec: ProblemSpec, outcome, rho: float, limit_state: DualState) -> SweepRecord:
     """Record of one epsilon from its outcome (a state or the error that ended the point)."""
     if isinstance(outcome, Exception):
         return SweepRecord(spec.epsilon, False, None, None, None, None, None,
                            None, None, False, None, failure=str(outcome))
     state, grid = outcome, outcome.v.grid
     pp = spec.p_prime
-    beta = barycenter(state.v, spec.epsilon, pp, bary_cfg)
+    beta = barycenter(state.v, spec.epsilon, pp, rho)
     dist, nearest = _nearest_maximum(beta, spec.coefficient.maximum_set)
     ldist, _ = aligned_distance(state.v, limit_state.v, pp)
     u = state.u_rescaled
@@ -233,9 +216,12 @@ def sweep_point(spec: ProblemSpec, outcome, bary_cfg: BarycenterConfig,
 
 
 def concentration_sweep(template: ProblemSpec, epsilon_list, grid: Grid,
-                        solver_cfg: SolverConfig, bary_cfg: BarycenterConfig,
+                        solver_cfg: SolverConfig, rho: float = 3.0,
                         limit_state: DualState | None = None):
     """(limit state, one record per epsilon) of ground-state solves over a decreasing list.
+
+    ``rho`` is the barycenter's truncation radius; it must contain the NEIGHBORHOOD of
+    every maximum of Q.
 
     Inputs that no sweep can succeed on raise ValueError before any solve.  The
     seeds of every point are solved together, two at a time; per-point failures
@@ -250,10 +236,13 @@ def concentration_sweep(template: ProblemSpec, epsilon_list, grid: Grid,
     if not template.coefficient.maximum_set:
         raise ValueError("concentration sweep needs a coefficient with a "
                          "finite maximum set (not constant)")
-    bary_cfg.validate_for(template.coefficient)
+    _check_radius(rho)
+    if any(np.linalg.norm(y) + NEIGHBORHOOD > rho for y in template.coefficient.maximum_set):
+        raise ValueError("truncation radius must contain the neighborhood of radius "
+                         f"{NEIGHBORHOOD} of every maximum of Q")
     limit_state, outcomes = _ground_states(template, eps, grid, solver_cfg, limit_state)
-    return limit_state, [sweep_point(replace(template, epsilon=e), outcome, bary_cfg,
-                                     limit_state) for e, outcome in zip(eps, outcomes)]
+    return limit_state, [sweep_point(replace(template, epsilon=e), outcome, rho, limit_state)
+                         for e, outcome in zip(eps, outcomes)]
 
 
 def compact_bump(grid: Grid, center, radius: float) -> Field:
@@ -333,6 +322,12 @@ def interaction_decay(p: float, grid: Grid, r_list,
 
 
 @dataclass(frozen=True)
+class LevelRecord:
+    level: str
+    value: float
+
+
+@dataclass(frozen=True)
 class EnergyComparison:
     """Ground-state levels of one problem against its two constant-Q anchors."""
 
@@ -350,11 +345,13 @@ class EnergyComparison:
         """c_eps < c_inf (the compactness window); vacuous without c_inf."""
         return self.c_inf is None or self.c_eps < self.c_inf
 
-    def csv(self) -> str:
-        rows = [f"level,value", f"c_0,{self.c_0!r}", f"c_eps,{self.c_eps!r}"]
+    @property
+    def levels(self) -> tuple[LevelRecord, ...]:
+        """c_0, c_eps and, when present, c_inf: the rows of energies.csv."""
+        levels = [LevelRecord("c_0", self.c_0), LevelRecord("c_eps", self.c_eps)]
         if self.c_inf is not None:
-            rows.append(f"c_inf,{self.c_inf!r}")
-        return "\n".join(rows) + "\n"
+            levels.append(LevelRecord("c_inf", self.c_inf))
+        return tuple(levels)
 
 
 def energy_comparison(spec: ProblemSpec, grid: Grid, solver_cfg: SolverConfig) -> EnergyComparison:

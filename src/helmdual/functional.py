@@ -102,10 +102,6 @@ class CoefficientSpec:
             out += bump
         return out
 
-    def sample_rescaled(self, grid: Grid, epsilon: float) -> Field:
-        """Q_eps on the grid: Q evaluated analytically at eps * x (never interpolated)."""
-        return Field(grid, self.evaluate(np.ix_(*(epsilon * grid.x_axis,) * grid.dim)))
-
 
 def constant_coefficient(value: float) -> CoefficientSpec:
     return CoefficientSpec(floor=value)
@@ -145,8 +141,8 @@ class ProblemSpec:
             raise ValueError("coefficient center dimension does not match the grid")
 
     def q_root(self, grid: Grid) -> Field:
-        """Q_eps^(1/p) sampled on the grid."""
-        qe = self.coefficient.sample_rescaled(grid, self.epsilon).values
+        """Q_eps^(1/p) on the grid, Q evaluated analytically at eps * x (never interpolated)."""
+        qe = self.coefficient.evaluate(np.ix_(*(self.epsilon * grid.x_axis,) * grid.dim))
         return Field(grid, np.power(qe, 1.0 / self.p, out=qe))
 
 

@@ -81,8 +81,7 @@ _PARAMS = {
     "validate": {"input_field": (_string, False)},
     "solve": {},
     "limit": {},
-    "sweep": {"epsilon_list": (_number_list, True), "rho": (_number, False),
-              "delta_nbhd": (_number, False)},
+    "sweep": {"epsilon_list": (_number_list, True), "rho": (_number, False)},
     "decay": {"r_list": (_number_list, True)},
     "compare_energy": {},
 }
@@ -109,20 +108,13 @@ class RunConfig:
         return hashlib.sha256(self.raw_bytes).hexdigest()
 
 
-_COEFFICIENT = {"kind": _string, "floor": _number, "centers": _point_list,
-                "amplitudes": _number_list, "widths": _number_list}
+#: Gaussian bumps when centers, amplitudes and widths are set, else the constant floor
+_COEFFICIENT = {"floor": _number, "centers": _point_list, "amplitudes": _number_list,
+                "widths": _number_list}
 
 
 def _parse_coefficient(obj, context: str) -> CoefficientSpec:
-    _require(obj, context, required=("kind",), optional=_COEFFICIENT)
-    kind = _string(obj["kind"], f"{context}.kind")
-    if kind not in ("constant", "gaussian_bumps"):
-        raise ConfigError(f"{context}.kind must be 'constant' or 'gaussian_bumps', "
-                          f"got {kind!r} (expression coefficients are library-only)")
-    keys = ("kind", "floor") if kind == "constant" else tuple(_COEFFICIENT)
-    kwargs = _typed(obj, context, {key: _COEFFICIENT[key] for key in keys}, required=keys)
-    if kwargs.pop("kind") == "gaussian_bumps" and not kwargs["centers"]:
-        raise ConfigError(f"{context}: gaussian_bumps needs at least one bump")
+    kwargs = _typed(obj, context, _COEFFICIENT, required=("floor",))
     try:
         return CoefficientSpec(**kwargs)
     except ValueError as err:

@@ -376,17 +376,13 @@ def _cutoffs_misfit(points, epsilon: float, grid: Grid) -> ValueError | None:
     return None
 
 
-def make_test_function(y: tuple[float, ...], epsilon: float, w: Field) -> Field:
+def _make_test_function(y: tuple[float, ...], epsilon: float, w: Field) -> Field:
     """Cutoff-localized translate of the limit state: eta(eps x - y) w(x - y/eps).
 
-    The translation y/eps is snapped to the nearest lattice vector.  Raises
-    if the support of the cutoff does not fit inside the box.
+    The translation y/eps is snapped to the nearest lattice vector.  The caller has checked
+    that y has the grid's dimension and that the cutoff's support fits inside the box.
     """
     grid = w.grid
-    y = tuple(float(c) for c in y)
-    if len(y) != grid.dim:
-        raise ValueError("point dimension does not match the grid")
-    _raised(_cutoffs_misfit([y], epsilon, grid))  # raises when the support outgrows the box
     shift_nodes = [int(round(c / (epsilon * grid.spacing))) for c in y]
     # eta is +0.0 wherever some (eps x_d - y_d)^2 >= 4: it is evaluated on the box of the rest
     scaled = epsilon * grid.x_axis
@@ -421,7 +417,7 @@ def _ground_states(template: ProblemSpec, epsilons, grid: Grid, cfg: SolverConfi
         if limit_state is None:
             limit_state = solve_limit(template.coefficient.q_sup, template.p, grid, cfg,
                                       resolvent=template.resolvent)
-        problems = ((make_test_function(y, spec.epsilon, limit_state.v), spec)
+        problems = ((_make_test_function(y, spec.epsilon, limit_state.v), spec)
                     for spec in solved for y in maxima)
     per_point = len(maxima) or len(cfg.restart_seeds)
     outcomes = _solve_seeds(problems, cfg)

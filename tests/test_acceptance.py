@@ -31,7 +31,7 @@ from helmdual.solver import (
     solve_limit,
 )
 from helmdual.experiments import (
-    BarycenterConfig,
+    NEIGHBORHOOD,
     barycenter,
     concentration_sweep,
     homogeneity_ratio,
@@ -73,8 +73,7 @@ def sweep():
                            resolvent=res)
     cfg = SolverConfig(max_iters=20000, grad_tol=5e-8)
     limit_state = solve_limit(1.0, 8.0, grid, cfg, resolvent=res)
-    _, records = concentration_sweep(template, list(SWEEP_EPSILONS), grid, cfg,
-                                     BarycenterConfig(rho=3.0, delta_nbhd=0.5),
+    _, records = concentration_sweep(template, list(SWEEP_EPSILONS), grid, cfg, rho=3.0,
                                      limit_state=limit_state)
     return limit_state, records
 
@@ -208,12 +207,11 @@ def test_8_multiplicity_two_maxima():
     spec = ProblemSpec(p=8.0, epsilon=0.2, coefficient=coef, resolvent=res)
     cfg = SolverConfig(max_iters=20000, grad_tol=5e-8)
     states = multistart(spec, grid, cfg)
-    bary_cfg = BarycenterConfig(rho=8.0, delta_nbhd=0.5)
     matched = set()
     for s in states:
-        beta = barycenter(s.v, spec.epsilon, spec.p_prime, bary_cfg)
+        beta = barycenter(s.v, spec.epsilon, spec.p_prime, rho=8.0)
         d = [float(np.linalg.norm(beta - np.array(m))) for m in coef.maximum_set]
-        if min(d) <= bary_cfg.delta_nbhd:
+        if min(d) <= NEIGHBORHOOD:
             matched.add(int(np.argmin(d)))
     ok = len(states) >= 2 and matched == {0, 1}
     report(8, "multiplicity", ok,

@@ -27,7 +27,7 @@ def write_config(tmp_path, name="cfg.json", **overrides):
             "p": 8.0,
             "epsilon": 1.0,
             "delta": 0.0,
-            "coefficient": {"kind": "constant", "floor": 1.0},
+            "coefficient": {"floor": 1.0},
         },
         "solver": {"max_iters": 5000},
         "seed": 0,
@@ -68,7 +68,7 @@ class TestLimitCommand:
         first = {path.name: path.read_bytes() for path in out.iterdir()}
         second = write_config(tmp_path, "second.json",
                               problem={"p": 8.0, "epsilon": 1.0, "delta": 0.0,
-                                       "coefficient": {"kind": "constant", "floor": 2.0}})
+                                       "coefficient": {"floor": 2.0}})
 
         def no_solve(*args, **kwargs):
             raise AssertionError("a refused rerun must not solve")
@@ -144,10 +144,14 @@ class TestLimitCommand:
         ("limit.json", ("params", "q0"), 1.0),
         ("limit.json", ("solver", "seed_widths"), [0.5, 0.8]),
         ("limit.json", ("solver", "seed_modulation"), 1.1),
-    ], ids=["freq_shift", "bump_radius", "q0", "seed_widths", "seed_modulation"])
+        ("sweep.json", ("params", "delta_nbhd"), 0.5),
+        ("compare_energy.json", ("problem", "coefficient", "kind"), "gaussian_bumps"),
+    ], ids=["freq_shift", "bump_radius", "q0", "seed_widths", "seed_modulation", "delta_nbhd",
+            "kind"])
     def test_removed_key_is_config_error_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                            config, keys, value):
-        # the limit level is sup Q of problem.coefficient; runs use the default restart seeds
+        # the limit level is sup Q of problem.coefficient; runs use the default restart seeds;
+        # rho contains the constant NEIGHBORHOOD; centers, set or not, say whether Q has bumps
         cfg = json.loads((CONFIGS / config).read_text())
         *parents, key = keys
         reduce(lambda section, name: section.setdefault(name, {}), parents, cfg)[key] = value
@@ -157,11 +161,12 @@ class TestLimitCommand:
         def no_solve(*args, **kwargs):
             raise AssertionError("a config error must not solve")
 
+        monkeypatch.setattr("helmdual.solver._solve_seeds", no_solve)
         for name in ("solve_limit", "interaction_decay"):
             monkeypatch.setattr(cli, name, no_solve)
         out = tmp_path / "o"
-        assert run(cfg["experiment"], str(path), out) == 2
-        assert f"{parents[0]}: unknown keys ['{key}']" in capsys.readouterr().err
+        assert run(cfg["experiment"].replace("_", "-"), str(path), out) == 2
+        assert f"{'.'.join(parents)}: unknown keys ['{key}']" in capsys.readouterr().err
         assert not out.exists()
 
     def test_singular_lattice_is_numeric_failure(self, tmp_path, capsys):
@@ -224,7 +229,7 @@ class TestValidateCommand:
         # |xi| = 1 on this lattice: the multiplier route at delta = 0 is singular there, the
         # free-space route never sees the lattice
         problem = {"p": 8.0, "epsilon": 1.0, "delta": 0.0, "resolvent_mode": mode,
-                   "coefficient": {"kind": "constant", "floor": 1.0}}
+                   "coefficient": {"floor": 1.0}}
         grid = {"dim": 2, "half_length": float(np.pi / np.sqrt(2.0)), "points_per_axis": 16}
         cfg = write_config(tmp_path, experiment="validate", params={}, grid=grid,
                            problem=problem)
@@ -248,7 +253,7 @@ def bump_problem():
         "p": 8.0,
         "epsilon": 0.5,
         "delta": 0.01,
-        "coefficient": {"kind": "gaussian_bumps", "floor": 0.25,
+        "coefficient": {"floor": 0.25,
                         "centers": [[0.8, 0.4]], "amplitudes": [0.75],
                         "widths": [1.5]},
     }
@@ -359,7 +364,7 @@ class TestDecayCommand:
             tmp_path, experiment="decay",
             grid={"dim": 2, "half_length": 80.0, "points_per_axis": 256},
             problem={"p": 8.0, "epsilon": 1.0, "delta": 0.01,
-                     "coefficient": {"kind": "constant", "floor": 1.0}},
+                     "coefficient": {"floor": 1.0}},
             params={"r_list": [5 + 2 * np.pi * j for j in range(6)]},
         )
         out = tmp_path / "run"
@@ -405,7 +410,7 @@ class TestCompareEnergyCommand:
             self, tmp_path, capsys, monkeypatch):
         # c_0 = c_eps = c_inf for a constant Q: the window c_0 <= c_eps < c_inf cannot hold
         cfg = json.loads((CONFIGS / "compare_energy.json").read_text())
-        cfg["problem"]["coefficient"] = {"kind": "constant", "floor": 1.0}
+        cfg["problem"]["coefficient"] = {"floor": 1.0}
         path = tmp_path / "compare_energy.json"
         path.write_text(json.dumps(cfg))
 

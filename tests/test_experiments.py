@@ -14,7 +14,7 @@ from helmdual.resolvent import ResolventConfig
 from helmdual.runio import load_config
 from helmdual.solver import InitialGuess, SolverConfig, cutoff, solve_ground_state, solve_limit
 from helmdual.experiments import (
-    BarycenterConfig,
+    NEIGHBORHOOD,
     SweepRecord,
     aligned_distance,
     barycenter,
@@ -41,44 +41,32 @@ def gaussian(grid, center, width=1.0):
     return Field(grid, np.exp(-r_sq / (2 * width**2)))
 
 
-def stacked_barycenter(v, epsilon, p_prime, cfg):
+def stacked_barycenter(v, epsilon, p_prime, rho):
     """The barycenter from an (n^N x N) stack of the points eps x and its projection."""
     weight = np.abs(v.values) ** p_prime
     grid = v.grid
     pts = np.stack([epsilon * grid.coords(d) for d in range(grid.dim)], axis=-1)
     norms = np.linalg.norm(pts, axis=-1)
-    outside = norms > cfg.rho
+    outside = norms > rho
     scale = np.ones_like(norms)
-    scale[outside] = cfg.rho / norms[outside]
+    scale[outside] = rho / norms[outside]
     return np.tensordot(weight, pts * scale[..., None], axes=grid.dim) / weight.sum()
 
 
 class TestBarycenter:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BarycenterConfig(rho=0.0, delta_nbhd=0.5)
-        cfg = BarycenterConfig(rho=1.0, delta_nbhd=0.5)
-        coef = CoefficientSpec(floor=0.0,
-                               centers=((5.0, 0.0),), amplitudes=(1.0,), widths=(0.5,))
-        with pytest.raises(ValueError):
-            cfg.validate_for(coef)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("field", ["rho", "delta_nbhd"])
-    def test_config_rejects_non_finite(self, field, bad):
-        with pytest.raises(ValueError, match="finite"):
-            BarycenterConfig(**{field: bad})
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
+    def test_rho_must_be_positive_and_finite(self, grid, rho):
+        with pytest.raises(ValueError, match="positive and finite"):
+            barycenter(gaussian(grid, (0.0, 0.0)), 0.5, PP, rho)
 
     def test_even_field_centered(self, grid):
-        cfg = BarycenterConfig(rho=100.0, delta_nbhd=1.0)
-        beta = barycenter(gaussian(grid, (0.0, 0.0)), 0.5, PP, cfg)
+        beta = barycenter(gaussian(grid, (0.0, 0.0)), 0.5, PP, rho=100.0)
         np.testing.assert_allclose(beta, 0.0, atol=1e-12)
 
     def test_translated_bump_against_direct_summation(self, grid):
-        cfg = BarycenterConfig(rho=100.0, delta_nbhd=1.0)
         eps = 0.25
         v = gaussian(grid, (4.0, -2.0))
-        beta = barycenter(v, eps, PP, cfg)
+        beta = barycenter(v, eps, PP, rho=100.0)
         # independent re-implementation by explicit loops over flat indices
         w = np.abs(v.values) ** PP
         num = np.zeros(2)
@@ -90,31 +78,29 @@ class TestBarycenter:
     def test_translation_equivariance(self, grid):
         # shifting by a lattice vector shifts beta by eps * a when the
         # truncation is inactive
-        cfg = BarycenterConfig(rho=1000.0, delta_nbhd=1.0)
+        rho = 1000.0
         eps = 0.5
         v = gaussian(grid, (0.0, 0.0), width=0.8)
         shifted = Field(grid, np.roll(v.values, (4, -6), axis=(0, 1)))
-        b0 = barycenter(v, eps, PP, cfg)
-        b1 = barycenter(shifted, eps, PP, cfg)
+        b0 = barycenter(v, eps, PP, rho)
+        b1 = barycenter(shifted, eps, PP, rho)
         h = grid.spacing
         np.testing.assert_allclose(b1 - b0, eps * h * np.array([4, -6]), atol=1e-8)
 
     def test_scale_and_sign_invariance(self, grid):
-        cfg = BarycenterConfig(rho=10.0, delta_nbhd=1.0)
+        rho = 10.0
         v = gaussian(grid, (2.0, 1.0))
-        b = barycenter(v, 0.5, PP, cfg)
-        np.testing.assert_allclose(barycenter(-3.0 * v, 0.5, PP, cfg), b, atol=1e-12)
+        b = barycenter(v, 0.5, PP, rho)
+        np.testing.assert_allclose(barycenter(-3.0 * v, 0.5, PP, rho), b, atol=1e-12)
 
     def test_truncation_active(self, grid):
         # all mass far outside rho projects onto the sphere of radius rho
-        cfg = BarycenterConfig(rho=1.0, delta_nbhd=0.5)
-        beta = barycenter(gaussian(grid, (20.0, 0.0), 0.5), 1.0, PP, cfg)
+        beta = barycenter(gaussian(grid, (20.0, 0.0), 0.5), 1.0, PP, rho=1.0)
         assert np.linalg.norm(beta) <= 1.0 + 1e-12
 
     def test_zero_field_rejected(self, grid):
-        cfg = BarycenterConfig(rho=10.0, delta_nbhd=1.0)
         with pytest.raises(ValueError):
-            barycenter(Field(grid, np.zeros(grid.shape)), 1.0, PP, cfg)
+            barycenter(Field(grid, np.zeros(grid.shape)), 1.0, PP, rho=10.0)
 
     @pytest.mark.parametrize("rho", [1.0, 100.0], ids=["rho-active", "rho-inactive"])
     @pytest.mark.parametrize("dims, center", [((2, 30.0, 64), (4.0, -2.0)),
@@ -123,13 +109,12 @@ class TestBarycenter:
     def test_open_mesh_matches_stacked_points(self, dims, center, rho):
         grid = make_grid(*dims)
         v = gaussian(grid, center, width=1.5)
-        cfg = BarycenterConfig(rho=rho, delta_nbhd=0.5)
-        expected = stacked_barycenter(v, 0.5, PP, cfg)
+        expected = stacked_barycenter(v, 0.5, PP, rho)
         weight = np.abs(v.values) ** PP
         beyond = sum((0.5 * grid.coords(d)) ** 2 for d in range(grid.dim)) > rho**2
         share = weight[beyond].sum() / weight.sum()
         assert share > 0.5 if rho == 1.0 else share == 0.0  # the cut acts, or it does not
-        beta = barycenter(v, 0.5, PP, cfg)
+        beta = barycenter(v, 0.5, PP, rho)
         assert np.linalg.norm(beta - expected) <= 1e-14 * np.linalg.norm(expected)
 
     def test_peak_in_grid_arrays(self):
@@ -137,13 +122,12 @@ class TestBarycenter:
         # Stacks of the points eps x and of their projection took 7.25.
         grid = make_grid(2, 60.0, 256)
         v = gaussian(grid, (4.0, -2.0), width=3.0)
-        cfg = BarycenterConfig(rho=1.0, delta_nbhd=0.5)
         started = not tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            barycenter(v, 0.5, PP, cfg)
+            barycenter(v, 0.5, PP, rho=1.0)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
@@ -301,8 +285,7 @@ class TestConcentrationSweep:
         template = ProblemSpec(p=8.0, epsilon=0.5,
                                coefficient=constant_coefficient(1.0))
         with pytest.raises(ValueError):
-            concentration_sweep(template, [0.5, 0.25], grid, SolverConfig(),
-                                BarycenterConfig(rho=3.0, delta_nbhd=0.5))
+            concentration_sweep(template, [0.5, 0.25], grid, SolverConfig())
 
     def test_nondecreasing_list_rejected(self, grid):
         coef = CoefficientSpec(floor=0.25,
@@ -310,8 +293,7 @@ class TestConcentrationSweep:
                                widths=(1.5,))
         template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
         with pytest.raises(ValueError):
-            concentration_sweep(template, [0.25, 0.5], grid, SolverConfig(),
-                                BarycenterConfig(rho=3.0, delta_nbhd=0.5))
+            concentration_sweep(template, [0.25, 0.5], grid, SolverConfig())
 
     @pytest.mark.parametrize("epsilon_list",
                              [[0.5, np.nan], [np.inf, 0.5], [0.5, 0.0], [0.5, -0.1]],
@@ -326,8 +308,24 @@ class TestConcentrationSweep:
                                amplitudes=(0.75,), widths=(1.5,))
         template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
         with pytest.raises(ValueError, match="positive and finite"):
-            concentration_sweep(template, epsilon_list, grid, SolverConfig(),
-                                BarycenterConfig(rho=3.0, delta_nbhd=0.5))
+            concentration_sweep(template, epsilon_list, grid, SolverConfig())
+
+    @pytest.mark.parametrize("rho, message", [
+        (0.0, "positive and finite"), (np.nan, "positive and finite"),
+        (np.inf, "positive and finite"), (1.0, "neighborhood of radius"),
+    ], ids=["zero", "nan", "inf", "short-of-the-maximum"])
+    def test_bad_rho_raises_before_the_limit_solve(self, grid, monkeypatch, rho, message):
+        # |(0.8, 0.4)| + NEIGHBORHOOD = 1.39 > 1: rho = 1 leaves part of the neighborhood out
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an input error must not solve")
+
+        monkeypatch.setattr("helmdual.solver._solve_seeds", no_solve)
+        coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),),
+                               amplitudes=(0.75,), widths=(1.5,))
+        template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
+        assert np.hypot(0.8, 0.4) + NEIGHBORHOOD > 1.0
+        with pytest.raises(ValueError, match=message):
+            concentration_sweep(template, [0.5, 0.25], grid, SolverConfig(), rho)
 
     def test_center_dimension_mismatch_raises_before_the_limit_solve(self, grid, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -338,8 +336,7 @@ class TestConcentrationSweep:
                                amplitudes=(0.75,), widths=(1.5,))
         template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
         with pytest.raises(ValueError, match="dimension"):
-            concentration_sweep(template, [0.5, 0.25], grid, SolverConfig(),
-                                BarycenterConfig(rho=3.0, delta_nbhd=0.5))
+            concentration_sweep(template, [0.5, 0.25], grid, SolverConfig())
 
     def test_every_point_outgrowing_the_box_solves_nothing(self, grid, monkeypatch):
         # no point fits, so neither the limit nor any point is solved
@@ -350,8 +347,7 @@ class TestConcentrationSweep:
         coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),),
                                amplitudes=(0.75,), widths=(1.5,))
         template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
-        limit, records = concentration_sweep(template, [0.05, 0.02], grid, SolverConfig(),
-                                             BarycenterConfig(rho=3.0, delta_nbhd=0.5))
+        limit, records = concentration_sweep(template, [0.05, 0.02], grid, SolverConfig())
         assert limit is None
         assert [r.converged for r in records] == [False, False]
         assert all("cutoff support exceeds the box" in r.failure for r in records)
@@ -360,16 +356,14 @@ class TestConcentrationSweep:
         def no_seeds(*args, **kwargs):
             raise AssertionError("no seed may be built")
 
-        monkeypatch.setattr("helmdual.solver.make_test_function", no_seeds)
+        monkeypatch.setattr("helmdual.solver._make_test_function", no_seeds)
         coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),),
                                amplitudes=(0.75,), widths=(1.5,))
         template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
         other = make_grid(2, 30.0, 48)
         foreign = DualState.from_field(InitialGuess().build(other), template)
         with pytest.raises(ValueError, match="limit state lives on another grid"):
-            concentration_sweep(template, [0.5], grid, SolverConfig(),
-                                BarycenterConfig(rho=3.0, delta_nbhd=0.5),
-                                limit_state=foreign)
+            concentration_sweep(template, [0.5], grid, SolverConfig(), limit_state=foreign)
 
     def test_small_sweep_runs_and_serializes(self, grid):
         coef = CoefficientSpec(floor=0.25,
@@ -378,8 +372,7 @@ class TestConcentrationSweep:
         res = ResolventConfig(delta=1e-2)
         template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef, resolvent=res)
         cfg = SolverConfig(max_iters=8000, grad_tol=5e-8)
-        bary = BarycenterConfig(rho=3.0, delta_nbhd=0.5)
-        limit, recs = concentration_sweep(template, [0.5, 0.25], grid, cfg, bary)
+        limit, recs = concentration_sweep(template, [0.5, 0.25], grid, cfg)
         assert len(recs) == 2
         assert all(r.converged for r in recs)
         assert all(r.edge_trusted for r in recs)
@@ -389,7 +382,7 @@ class TestConcentrationSweep:
         # the columns are the record's fields, in order, for solved and flagged rows alike
         header = csv.splitlines()[0].split(",")
         assert header == [f.name for f in fields(SweepRecord)]
-        flagged = sweep_point(template, ValueError("cutoff support exceeds the box"), bary, limit)
+        flagged = sweep_point(template, ValueError("cutoff support exceeds the box"), 3.0, limit)
         header_again, row = to_csv([flagged]).splitlines()
         assert header_again.split(",") == header and len(row.split(",")) == len(header)
 
@@ -405,7 +398,7 @@ class TestConcentrationSweep:
         template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef, resolvent=resolvent)
         cfg = SolverConfig(max_iters=8000, grad_tol=5e-8)
         _, recs = concentration_sweep(template, [0.5, 0.25, 0.05], make_grid(2, half_length, 64),
-                                      cfg, BarycenterConfig(rho=3.0, delta_nbhd=0.5))
+                                      cfg)
         assert [r.converged for r in recs] == [True, True, False]
         assert all(0.0 < r.grad_norm <= cfg.grad_tol for r in recs[:2])
         assert recs[2].grad_norm is None
@@ -423,11 +416,10 @@ class TestConcentrationSweep:
         res = ResolventConfig(delta=1e-2)
         template = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef, resolvent=res)
         cfg = SolverConfig(max_iters=8000, grad_tol=5e-8)
-        bary = BarycenterConfig(rho=3.0, delta_nbhd=0.5)
         limit = solve_limit(1.0, 8.0, grid, cfg, resolvent=res)
-        _, together = concentration_sweep(template, [0.5, 0.25, 0.05], grid, cfg, bary,
+        _, together = concentration_sweep(template, [0.5, 0.25, 0.05], grid, cfg,
                                           limit_state=limit)
-        alone = [concentration_sweep(template, [e], grid, cfg, bary, limit_state=limit)[1][0]
+        alone = [concentration_sweep(template, [e], grid, cfg, limit_state=limit)[1][0]
                  for e in (0.5, 0.25, 0.05)]
         assert [r.converged for r in together] == [r.converged for r in alone] == [True, True, False]
         for a, b in zip(together[:2], alone[:2]):
@@ -450,9 +442,7 @@ class TestConcentrationSweep:
             return lambda *fields: [np.full(g.shape, np.nan) for _ in fields]
 
         monkeypatch.setattr("helmdual.functional._route", non_finite_route)
-        _, records = concentration_sweep(template, [0.5, 0.25], grid, cfg,
-                                         BarycenterConfig(rho=3.0, delta_nbhd=0.5),
-                                         limit_state=limit)
+        _, records = concentration_sweep(template, [0.5, 0.25], grid, cfg, limit_state=limit)
         assert [r.converged for r in records] == [False, False]
         assert [r.failure for r in records] == ["field values must be finite"] * 2
 
@@ -467,8 +457,8 @@ class TestSweepMemory:
                                resolvent=ResolventConfig(delta=1e-2))
         limit = DualState.from_field(InitialGuess().build(grid), template)
         built, at_first_resolve = [], []
-        make = solver.make_test_function
-        monkeypatch.setattr(solver, "make_test_function",
+        make = solver._make_test_function
+        monkeypatch.setattr(solver, "_make_test_function",
                             lambda *args: built.append(args) or make(*args))
 
         class FirstResolve(Exception):
@@ -481,7 +471,7 @@ class TestSweepMemory:
         monkeypatch.setattr(solver, "_resolve", first_resolve)
         with pytest.raises(FirstResolve):
             concentration_sweep(template, [0.5, 0.25, 0.2], grid, SolverConfig(),
-                                BarycenterConfig(rho=3.0, delta_nbhd=0.5), limit_state=limit)
+                                limit_state=limit)
         assert at_first_resolve == [2]  # one per open slot, not one per point
 
     def test_warm_sweep_peak_in_grid_arrays(self):
@@ -491,7 +481,6 @@ class TestSweepMemory:
         # and u.  The pin allows one array more.
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "sweep.json")
         problem, grid = cfg.problem, make_grid(2, cfg.grid.half_length, 128)
-        bary = BarycenterConfig(rho=cfg.params["rho"], delta_nbhd=cfg.params["delta_nbhd"])
         limit = solve_limit(problem.coefficient.q_sup, problem.p, grid, cfg.solver,
                             resolvent=problem.resolvent)
         started = not tracemalloc.is_tracing()
@@ -500,7 +489,7 @@ class TestSweepMemory:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             _, records = concentration_sweep(problem, cfg.params["epsilon_list"], grid,
-                                             cfg.solver, bary, limit_state=limit)
+                                             cfg.solver, cfg.params["rho"], limit_state=limit)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
@@ -513,7 +502,6 @@ class TestSweepMemory:
         # (barycenter, aligned distance, edge mass, argmax of |u|) peaks at 4.07 grid arrays
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "sweep.json")
         problem, grid = cfg.problem, make_grid(2, cfg.grid.half_length, 128)
-        bary = BarycenterConfig(rho=cfg.params["rho"], delta_nbhd=cfg.params["delta_nbhd"])
         limit = solve_limit(problem.coefficient.q_sup, problem.p, grid, cfg.solver,
                             resolvent=problem.resolvent)
         spec = replace(problem, epsilon=cfg.params["epsilon_list"][0])
@@ -523,7 +511,7 @@ class TestSweepMemory:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            record = sweep_point(spec, state, bary, limit)
+            record = sweep_point(spec, state, cfg.params["rho"], limit)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
@@ -608,7 +596,8 @@ class TestEnergyComparison:
         assert rep.upper_bound_holds
         assert rep.c_inf / rep.c_0 == pytest.approx(homogeneity_ratio(8.0, 0.25),
                                                     rel=1e-6)
-        assert "c_inf" in rep.csv()
+        assert to_csv(rep.levels) == (f"level,value\nc_0,{rep.c_0!r}\nc_eps,{rep.c_eps!r}\n"
+                                      f"c_inf,{rep.c_inf!r}\n")
 
     def test_c_inf_omitted_for_vanishing_tail(self, grid):
         coef = CoefficientSpec(floor=0.0,
@@ -620,7 +609,7 @@ class TestEnergyComparison:
         rep = energy_comparison(spec, grid, cfg)
         assert rep.c_inf is None
         assert rep.upper_bound_holds  # vacuously
-        assert "c_inf" not in rep.csv()
+        assert [row.level for row in rep.levels] == ["c_0", "c_eps"]
 
     def test_constant_coefficient_refused_before_any_solve(self, grid, monkeypatch):
         # c_0 <= c_eps < c_inf needs sup Q > limsup Q: without it all three are one level

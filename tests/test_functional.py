@@ -90,13 +90,13 @@ class TestCoefficientSpec:
         q = CoefficientSpec(floor=0.5,
                             centers=((2.0, 0.0),), amplitudes=(1.0,), widths=(1.5,))
         eps = 0.25
-        sampled = q.sample_rescaled(grid, eps)
-        # spot check: the sample at node j equals Q(eps x_j) analytically
+        root = ProblemSpec(p=8.0, epsilon=eps, coefficient=q).q_root(grid)
+        # spot check: the sample at node j equals Q(eps x_j)^(1/p) analytically
         x = np.array([grid.x_axis[5], grid.x_axis[20]])
         expected = 0.5 + 1.0 * np.exp(
             -((eps * x[0] - 2.0) ** 2 + (eps * x[1]) ** 2) / (2 * 1.5**2)
         )
-        assert sampled.values[5, 20] == pytest.approx(expected)
+        assert root.values[5, 20] == pytest.approx(expected ** (1.0 / 8.0))
 
     def test_floor_without_bumps_is_constant(self, grid):
         q = CoefficientSpec(floor=2.0)
@@ -127,7 +127,7 @@ class TestOpenMeshSampling:
         q = CoefficientSpec(floor=0.25 if bumps else 1.3, centers=tuple(centers),
                             amplitudes=(0.75, 0.6)[:bumps], widths=(1.5, 0.7)[:bumps])
         for eps in (1.0, 0.3):
-            sampled = q.sample_rescaled(grid, eps).values
+            sampled = q.evaluate(np.ix_(*(eps * grid.x_axis,) * grid.dim))
             expected = self.stacked_points_sample(q, grid, eps)
             assert sampled.shape == expected.shape
             assert sampled.tobytes() == expected.tobytes()

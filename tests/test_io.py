@@ -33,7 +33,7 @@ def base_config(**overrides):
             "p": 8.0,
             "epsilon": 1.0,
             "delta": 0.0,
-            "coefficient": {"kind": "constant", "floor": 1.0},
+            "coefficient": {"floor": 1.0},
         },
         "solver": {"max_iters": 500},
         "seed": 3,
@@ -189,14 +189,7 @@ class TestParseConfig:
     def test_expression_coefficient_rejected(self):
         obj = json.loads(base_config())
         obj["problem"]["coefficient"] = {"kind": "expression"}
-        with pytest.raises(ConfigError):
-            parse_config(json.dumps(obj).encode())
-
-    def test_bumps_without_a_bump_rejected(self):
-        obj = json.loads(base_config())
-        obj["problem"]["coefficient"] = {"kind": "gaussian_bumps", "floor": 0.25,
-                                         "centers": [], "amplitudes": [], "widths": []}
-        with pytest.raises(ConfigError, match="needs at least one bump"):
+        with pytest.raises(ConfigError, match=r"problem.coefficient: unknown keys \['kind'\]"):
             parse_config(json.dumps(obj).encode())
 
     def test_type_errors(self):
@@ -225,7 +218,7 @@ FULL_PARAMS = {
     "validate": {"input_field": "input.field"},
     "solve": {},
     "limit": {},
-    "sweep": {"epsilon_list": [0.5, 0.25], "rho": 3.0, "delta_nbhd": 0.5},
+    "sweep": {"epsilon_list": [0.5, 0.25], "rho": 3.0},
     "decay": {"r_list": [5.0, 11.0, 17.0]},
     "compare_energy": {},
 }
@@ -238,8 +231,7 @@ def full_config(experiment):
         "grid": {"dim": 2, "half_length": 30.0, "points_per_axis": 16},
         "problem": {
             "p": 8.0, "epsilon": 0.5, "delta": 0.01, "resolvent_mode": "multiplier",
-            "coefficient": {"kind": "gaussian_bumps", "floor": 0.25,
-                            "centers": [[0.8, 0.4]], "amplitudes": [0.75],
+            "coefficient": {"floor": 0.25, "centers": [[0.8, 0.4]], "amplitudes": [0.75],
                             "widths": [1.5]},
         },
         "solver": {"max_iters": 100, "grad_tol": 5e-8},

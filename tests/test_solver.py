@@ -25,9 +25,9 @@ from helmdual.solver import (
     SolverConfig,
     _best_state,
     _distinct,
+    _make_test_function,
     _solve_seeds,
     cutoff,
-    make_test_function,
     multistart,
     solve_from_seed,
     solve_ground_state,
@@ -318,7 +318,7 @@ class TestLockStep:
         for eps in cfg.params["epsilon_list"]:
             spec = ProblemSpec(p=problem.p, epsilon=eps, coefficient=problem.coefficient,
                                resolvent=problem.resolvent)
-            seeds = [make_test_function(y, eps, limit_state.v)
+            seeds = [_make_test_function(y, eps, limit_state.v)
                      for y in spec.coefficient.maximum_set]
             outcomes += _solve_seeds([(seed, spec) for seed in seeds], cfg.solver)
         assert len(outcomes) == 6
@@ -373,7 +373,7 @@ class TestOpenMeshSeeds:
             r = r + (eps * grid.coords(d) - y[d]) ** 2
         expected = cutoff(np.sqrt(r)) * np.roll(w.values, shift, axis=tuple(range(grid.dim)))
         assert np.signbit(expected[expected == 0.0]).any()  # negative zeros are compared too
-        assert same_bits(make_test_function(y, eps, w).values, expected)
+        assert same_bits(_make_test_function(y, eps, w).values, expected)
 
 
 class TestConstantCoefficientRoot:
@@ -399,21 +399,34 @@ class TestConstantCoefficientRoot:
         assert (number.energy, number.grad_norm) == (sampled.energy, sampled.grad_norm)
 
 
+def no_seed(*args, **kwargs):
+    raise AssertionError("no seed may be built")
+
+
 class TestTestFunction:
     def test_translate_and_cutoff(self, grid, limit_state):
-        phi = make_test_function((0.8, 0.4), 0.5, limit_state.v)
+        phi = _make_test_function((0.8, 0.4), 0.5, limit_state.v)
         # support is inside |eps x - y| <= 2
         r = np.sqrt((0.5 * grid.coords(0) - 0.8) ** 2
                     + (0.5 * grid.coords(1) - 0.4) ** 2)
         assert np.all(np.abs(phi.values[r > 2.0]) == 0.0)
 
-    def test_box_too_small(self, grid, limit_state):
-        with pytest.raises(ValueError):
-            make_test_function((0.8, 0.4), 0.05, limit_state.v)
+    # the test function trusts its caller: the solve refuses these before building one
+    def test_box_too_small(self, grid, cfg, limit_state, monkeypatch):
+        monkeypatch.setattr(solver, "_make_test_function", no_seed)
+        coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),), amplitudes=(0.75,),
+                               widths=(1.5,))
+        spec = ProblemSpec(p=8.0, epsilon=0.05, coefficient=coef)
+        with pytest.raises(ValueError, match="cutoff support exceeds the box"):
+            solve_ground_state(spec, grid, cfg, limit_state=limit_state)
 
-    def test_dimension_mismatch(self, grid, limit_state):
-        with pytest.raises(ValueError):
-            make_test_function((0.8,), 0.5, limit_state.v)
+    def test_dimension_mismatch(self, grid, cfg, limit_state, monkeypatch):
+        monkeypatch.setattr(solver, "_make_test_function", no_seed)
+        coef = CoefficientSpec(floor=0.25, centers=((0.8,),), amplitudes=(0.75,),
+                               widths=(1.5,))
+        spec = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
+        with pytest.raises(ValueError, match="dimension does not match"):
+            solve_ground_state(spec, grid, cfg, limit_state=limit_state)
 
 
 class TestGroundState:
@@ -439,10 +452,7 @@ class TestGroundState:
             assert np.max(np.abs(u - u_fresh)) <= 1e-13 * np.max(np.abs(u_fresh))
 
     def test_limit_state_on_another_grid_rejected(self, grid, cfg, monkeypatch):
-        def no_seeds(*args, **kwargs):
-            raise AssertionError("no seed may be built")
-
-        monkeypatch.setattr("helmdual.solver.make_test_function", no_seeds)
+        monkeypatch.setattr(solver, "_make_test_function", no_seed)
         coef = CoefficientSpec(floor=0.25, centers=((0.8, 0.4),),
                                amplitudes=(0.75,), widths=(1.5,))
         spec = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef)
@@ -472,8 +482,8 @@ class TestMultistart:
         spec = ProblemSpec(p=8.0, epsilon=0.5, coefficient=coef, resolvent=res)
         loose = SolverConfig(max_iters=8000, grad_tol=5e-8)
         seeds = []
-        monkeypatch.setattr(solver, "make_test_function",
-                            lambda *args: seeds.append(make_test_function(*args)) or seeds[-1])
+        monkeypatch.setattr(solver, "_make_test_function",
+                            lambda *args: seeds.append(_make_test_function(*args)) or seeds[-1])
         states = multistart(spec, grid, loose)
         assert len(seeds) == 2
         assert len(states) == 2

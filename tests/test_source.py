@@ -243,6 +243,15 @@ def test_readme_params_table_matches_schema():
         (experiment, key) for experiment, keys in runio._PARAMS.items() for key in keys}
 
 
+@pytest.mark.parametrize("header, schema", [
+    ("| problem key | type | required | default |", runio._PROBLEM),
+    ("| coefficient key | type | required | default |", runio._COEFFICIENT),
+], ids=["problem", "coefficient"])
+def test_readme_problem_tables_match_schema(header, schema):
+    rows = readme_table(header)
+    assert [key for key, *_ in rows] == list(schema)
+
+
 def test_readme_solver_table_matches_schema():
     rows = readme_table("| key | type | default |")
     assert [key for key, *_ in rows] == list(runio._SOLVER)
