@@ -94,15 +94,14 @@ def _multiply(grid: Grid, modulation, symbol, *fields: np.ndarray) -> list[np.nd
     The frequency-side phase and the cell volume of dft_forward/dft_inverse cancel
     between the two transforms, so R f = conj(M) ifftn(S fftn(M f)) with the node-side
     shift modulation M and the real symbol S.  The half shift pairs every xi with -xi,
-    so R f is real.  alpha, beta are the max-norms, so a large field's round-off stays
-    out of a small one.  Of the equivalent roundings, x / alpha then / (1/alpha) keeps
-    every 64^2, delta = 0 limit seed converging: there the Armijo test runs below
-    round-off (ROADMAP item 3).
+    so R f is real.  alpha, beta are the max-norms, so a field 1e8 times larger keeps its
+    round-off out of the smaller one: each part is scaled by 1/alpha on the way in and by
+    alpha on the way out.
     """
     packed = np.zeros(grid.shape, np.complex128)
     norms = [float(max(x.max(), -x.min())) or 1.0 for x in fields]  # max |x|, with no |x| copy
     for part, x, norm in zip((packed.real, packed.imag), fields, norms):
-        np.divide(x, norm, out=part)
+        np.multiply(x, 1.0 / norm, out=part)
     packed *= modulation
     np.fft.fftn(packed, out=packed)  # in place: out= needs numpy >= 2.0
     packed *= symbol
@@ -110,7 +109,7 @@ def _multiply(grid: Grid, modulation, symbol, *fields: np.ndarray) -> list[np.nd
     # conj(M) z as conj(conj(z) M), bit for bit; the outer conj is the sign -1 below
     np.conjugate(packed, out=packed)
     packed *= modulation
-    return [part / (sign / norm)
+    return [part * (sign * norm)
             for part, sign, norm in zip((packed.real, packed.imag), (1.0, -1.0), norms)]
 
 
@@ -136,6 +135,12 @@ def _convolve(grid: Grid, spectrum, *fields: np.ndarray) -> list[np.ndarray]:
     O((2n)^N log n).  Non-periodic: no images and no delta, which is exactly
     what makes it an independent check of the periodic multiplier route.
 
+    The forward is rfftn's, into one zeroed (2n)^(N-1) x (n+1) array: the rfft of
+    the last axis fills its leading n-blocks, then each other axis is transformed in
+    place in rfftn's order, over the slabs that the axes before it have filled (past
+    n they are still zero).  Each line holds the data rfftn's would, so the spectrum
+    is rfftn's bit for bit, and no axis's output is allocated anew.
+
     The inverse is irfftn's, one axis at a time in its order, each leading axis
     cropped to the window right after its inverse: the next inverse and the final
     irfft see only kept lines.  1-D transforms per field: 4n+2 in 2D and 8n^2+6n
@@ -144,11 +149,15 @@ def _convolve(grid: Grid, spectrum, *fields: np.ndarray) -> list[np.ndarray]:
     transformed from the same data as by irfftn, so the window is irfftn's bit for bit.
     """
     n = grid.points_per_axis
-    size, axes = (2 * n,) * grid.dim, tuple(range(grid.dim))
+    axes = tuple(range(grid.dim))
     keep = slice(n - 1, 2 * n - 1)
     out = []
     for x in fields:
-        padded = np.fft.rfftn(x, size, axes)
+        padded = np.zeros((2 * n,) * (grid.dim - 1) + (n + 1,), np.complex128)
+        np.fft.rfft(x, 2 * n, axis=-1, out=padded[(slice(n),) * (grid.dim - 1)])
+        for axis in axes[-2::-1]:  # rfftn's order; slabs past n of the axes before are zero
+            block = padded[(slice(n),) * axis]
+            np.fft.fft(block, axis=axis, out=block)
         padded *= spectrum
         for axis in axes[:-1]:
             np.fft.ifft(padded, axis=axis, out=padded)  # in place: one temporary fewer

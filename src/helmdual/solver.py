@@ -4,14 +4,18 @@ The minimization runs projected descent: a negative-gradient trial step with
 backtracking on the dual energy, followed by re-projection onto the Nehari
 manifold.  The first trial of each iteration is the two-point step of
 Barzilai and Borwein (IMA J. Numer. Anal. 8, 1988) from the last move, kept
-monotone by the Armijo test as in Raydan (SIAM J. Optim. 7, 1997); it may
-exceed INITIAL_STEP only while that test can resolve the decrease against
-the energy's round-off.  Because the resolvent is indefinite, trial iterates
-can leave the positive cone; those trigger step shrinking, and a seed whose
-step collapses is abandoned.  Seeds descend two at a time, so one complex FFT
-pair serves both descents' resolvent applications (R maps real fields to real
-fields).  The line search constants (INITIAL_STEP ... RESOLVABLE_ULPS) are the
-same for every run.
+monotone by the Armijo test as in Raydan (SIAM J. Optim. 7, 1997) up to a
+round-off floor of RESOLVABLE_ULPS ulps of the energy, which makes a seed's
+fate independent of the last bits of R; the step may exceed INITIAL_STEP only
+while that test can resolve the decrease above the floor.  Each iteration
+forms three grid sums and takes ||w||^2 and <w, pg> from the last iteration's,
+and for integer p the power |w|^(p-2) is a few multiplications, not np.power.
+Because the resolvent is indefinite, trial iterates can leave the positive
+cone; those trigger step shrinking, and a seed whose step collapses is
+abandoned.  Seeds descend two at a time, so one complex FFT pair serves both
+descents' resolvent applications (R maps real fields to real fields).  The
+line search constants (INITIAL_STEP ... RESOLVABLE_ULPS) are the same for
+every run.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ SUFFICIENT_DECREASE = 1e-4
 MIN_STEP = 1e-14
 #: the two-point step's upper clip (with 2.0 or 8.0, 5 of 51 64^2 delta = 0 limit seeds
 #: fail; with 4.0 none), allowed only while the Armijo slope exceeds RESOLVABLE_ULPS ulps
-#: of the energy; below that the cap is INITIAL_STEP
+#: of the energy; below that the cap is INITIAL_STEP.  The Armijo test forgives as many
+#: ulps: its round-off floor
 MAX_STEP = 4.0
 RESOLVABLE_ULPS = 1e4
 
@@ -150,11 +155,34 @@ def _mollifier(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _abs_power(w: np.ndarray, p: float, spare: np.ndarray) -> np.ndarray:
+    """|w|^(p-2) as a new array; spare, of w's shape, may be overwritten.
+
+    For integer p by binary powering of w^2 (even p-2) or |w| (odd p-2): within a few
+    ulps of np.power and several times cheaper.  np.power serves only a non-integer p.
+    """
+    k = p - 2.0
+    if not k.is_integer():
+        out = np.abs(w)
+        out **= k
+        return out
+    k = int(k)
+    base, e = (np.square(w), k // 2) if k % 2 == 0 else (np.abs(w), k)
+    out = None
+    while True:
+        if e & 1:
+            out = base if out is None else np.multiply(out, base, out=out)
+        e >>= 1
+        if not e:
+            return out
+        base = np.multiply(base, base, out=spare if base is out else base)
+
+
 def _power(w: np.ndarray, q_root, p: float, cell: float):
     """|w|^(p-2), g = Q^(1/p) v and ||w||_p^p = int v w from one power (v = |w|^(p-2) w)."""
-    w_pow = np.abs(w)
-    w_pow **= p - 2.0
-    g = w_pow * w
+    g = np.empty_like(w)  # the power's scratch first
+    w_pow = _abs_power(w, p, g)
+    np.multiply(w_pow, w, out=g)
     norm_p = cell * float(np.sum(g * w))
     g *= q_root
     return w_pow, g, norm_p
@@ -168,15 +196,15 @@ def _nehari(norm_p: float, quad: float, p: float) -> tuple[float, float, float]:
     return s, norm_p * s**p, quad * s ** (2.0 * (p - 1.0))
 
 
-def _two_point_step(w, grad, pg, ww: float, pgpg: float, shift: float, step: float) -> float:
+def _two_point_step(ww: float, wp: float, wg: float, gp: float, pgpg: float,
+                    shift: float, step: float) -> float:
     """BB1 step <dw,dw>/<dw,dgrad> of the last move; INITIAL_STEP where the curvature is not positive.
 
     The move is dw = shift w - step pg (shift = 1 - 1/s) and dgrad = grad - pg, so both
-    pairings expand into five inner products of w, grad and pg, and neither difference
-    is stored.  ww and pgpg are the descent's sums for its relative gradients; the others
-    are pairwise np.sum too, as every reduction of the descent.
+    pairings expand into the five sums of w, grad and pg that the descent holds: ww = <w,w>,
+    wp = <w,pg>, wg = <w,grad>, gp = <grad,pg> and pgpg = <pg,pg>.  Neither difference is
+    stored.
     """
-    wp, gp, wg = (float(np.sum(a * b)) for a, b in ((w, pg), (grad, pg), (w, grad)))
     dw_dw = shift * shift * ww - 2.0 * shift * step * wp + step * step * pgpg
     dw_dg = shift * (wg - wp) - step * (gp - pgpg)
     return dw_dw / dw_dg if dw_dg > 0.0 else INITIAL_STEP
@@ -188,11 +216,18 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
     In w = |v|^(p'-2) v the energy's first term is (1/p') ||w||_p^p with p > 2,
     so backtracking sees bounded curvature.  Each iteration first tries the
     two-point (Barzilai-Borwein) step of its last move, INITIAL_STEP on the
-    first, and halves it until the Armijo test passes.  Above INITIAL_STEP the
-    step is clipped at MAX_STEP, and only while the Armijo threshold can still
-    resolve the decrease against the energy's round-off (RESOLVABLE_ULPS); near
-    the float64 floor steps stay at most INITIAL_STEP.  Returns (DualState,
-    iterations); the state is built from the descent's own last R g.
+    first, and halves it until the Armijo test passes.  That test forgives
+    RESOLVABLE_ULPS ulps of the energy, its round-off floor: near the float64
+    floor a trial the energy cannot tell from the iterate is accepted, so the
+    last bits of R or of this arithmetic do not decide whether a seed
+    converges.  Above INITIAL_STEP the step is clipped at MAX_STEP, and only
+    while the Armijo threshold can still resolve the decrease against the same
+    round-off; near the floor steps stay at most INITIAL_STEP.
+
+    Each iteration forms three grid sums, ||grad||^2, <w,grad> and <grad,pg>, each
+    a pairwise np.sum.  The move is w = s (w_prev - step pg), so ||w||^2 and <w,pg>
+    follow from the last iteration's sums.  Returns (DualState, iterations); the
+    state is built from the descent's own last power and R g.
     """
     grid, p, pp = seed.grid, spec.p, spec.p_prime
     cell, q_root = grid.cell_volume, _q_root(spec, grid)
@@ -213,21 +248,33 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
         rg *= s ** (p - 1.0)
         grad = np.multiply(rg, q_root, out=g)
         np.subtract(w, grad, out=grad)
-        gg, ww = float(np.sum(grad * grad)), float(np.sum(w * w))
-        rel_grad = math.sqrt(gg) / math.sqrt(ww)  # the bits of _l2(grad) / _l2(w)
+        if pg is None:
+            ww = float(np.sum(w * w))
+        else:  # w = s (w_prev - step pg), and wg, pgpg are w_prev's and pg's sums
+            wp = s * (wg - step * pgpg)
+            ww = s * s * (ww - 2.0 * step * wg + step * step * pgpg)
+        prod = np.multiply(w, grad)  # each grid sum's product, in one array
+        wg = float(np.sum(prod))
+        gg = float(np.sum(np.multiply(grad, grad, out=prod)))
+        rel_grad = math.sqrt(gg) / math.sqrt(ww)  # ||grad|| / ||w||
         if rel_grad <= cfg.grad_tol:
-            return DualState(Field(grid, _dual_power(w, p)), spec, Field(grid, rg), en,
+            # v = |w|^(p-2) w, where w_pow is the power of w before its scaling by s
+            v = np.multiply(w_pow, s ** (p - 2.0), out=w_pow)
+            v *= w
+            return DualState(Field(grid, v), spec, Field(grid, rg), en,
                              rel_grad, abs(norm_p - quad), quad), it
         del rg  # only a converged state keeps u
-        w_pow *= grad  # spent once the slope is formed: an accepted trial brings its own
-        w_pow *= grad
-        slope = (p - 1.0) * cell * s ** (p - 2.0) * float(np.sum(w_pow))
+        prod *= w_pow  # w_pow is spent once the slope is formed: a trial brings its own
+        slope = (p - 1.0) * cell * s ** (p - 2.0) * float(np.sum(prod))
         del w_pow
+        floor = RESOLVABLE_ULPS * np.spacing(abs(en))  # the energy's round-off
         if pg is not None:
-            cap = MAX_STEP if slope > RESOLVABLE_ULPS * np.spacing(abs(en)) else INITIAL_STEP
-            step = min(_two_point_step(w, grad, pg, ww, pgpg, 1.0 - 1.0 / s, step), cap)
+            cap = MAX_STEP if slope > floor else INITIAL_STEP
+            gp = float(np.sum(np.multiply(grad, pg, out=prod)))
+            step = min(_two_point_step(ww, wp, wg, gp, pgpg, 1.0 - 1.0 / s, step), cap)
         else:
             step = INITIAL_STEP
+        del prod
         pg, pgpg = grad, gg
         while step >= MIN_STEP:
             trial = np.multiply(grad, step)
@@ -237,7 +284,7 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
             if t_quad > 0.0:
                 t_s, t_norm, t_quad = _nehari(t_norm, t_quad, p)
                 t_en = t_norm / pp - 0.5 * t_quad
-                if t_en <= en - SUFFICIENT_DECREASE * step * slope:
+                if t_en <= en - SUFFICIENT_DECREASE * step * slope + floor:
                     w, w_pow, rg, s, en = trial, t_pow, t_rg, t_s, t_en
                     norm_p, quad = t_norm, t_quad
                     break

@@ -342,7 +342,7 @@ class TestDirectOracle:
 
     @pytest.mark.parametrize("dim, half_length, n, bound", [
         (2, 30.0, 128, 8.6),  # 7.6 grid arrays; 9.6 with the full-box real inverse
-        (3, 16.0, 32, 14.5),  # 12.4; 17.5 with the full-box real inverse
+        (3, 16.0, 32, 12.0),  # 11.5; 12.4 with rfftn's forward, 17.5 with the full-box inverse
     ])
     def test_one_application_working_set(self, dim, half_length, n, bound):
         g = make_grid(dim, half_length, n)

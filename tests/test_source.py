@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name or takes a parameter it never
-uses, every public function has a reader, the README and demos import only names the
-package has, the quick demos run, the package namespace holds only names that programs read
-from it, and the README's config key tables list exactly the keys the schema accepts and
-its sweep.csv table the columns the sweep writes."""
+uses or calls a BLAS reduction, every public function has a reader, the README and demos
+import only names the package has, the quick demos run, the package namespace holds only
+names that programs read from it, and the README's config key tables list exactly the keys
+the schema accepts and its sweep.csv table the columns the sweep writes."""
 
 import ast
 import importlib
@@ -83,6 +83,38 @@ def test_detector_flags_unused_parameters():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+#: reductions that numpy hands to BLAS, whose bits depend on the thread count
+BLAS_REDUCTIONS = {"dot", "vdot", "inner", "einsum", "matmul", "tensordot", "vecdot"}
+
+
+def blas_reductions(source: str) -> list[str]:
+    """'line N: name' for every use of a BLAS reduction, as a name or an attribute, and of @."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_REDUCTIONS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in BLAS_REDUCTIONS:
+            found.append((node.lineno, node.id))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_detector_flags_blas_reductions():
+    source = ("import numpy as np\nfrom numpy import einsum\n"
+              "a = np.dot(x, y)\nb = x @ y\nx @= y\nc = x.dot(y)\nd = einsum('i,i', x, y)\n"
+              "e = float(np.sum(x * y))\nf = np.linalg.vecdot\n")
+    assert blas_reductions(source) == ["line 3: dot", "line 4: @", "line 5: @", "line 6: dot",
+                                       "line 7: einsum", "line 9: vecdot"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_reduction_is_a_pairwise_sum(path):
+    # np.sum sums pairwise with the same bits on any thread count; the 64^2 delta = 0
+    # seeds once collapsed under np.dot's
+    assert blas_reductions(path.read_text()) == []
 
 
 def readme_python() -> str:
