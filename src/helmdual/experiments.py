@@ -35,12 +35,6 @@ BOUNDARY_WAVELENGTHS = 5.0
 BUMP_RADIUS = 2.0
 #: relative quadrature slack of the lower bound c_eps >= c_0
 LEVEL_SLACK = 1e-4
-#: half-width in nodes of the window around the peak of |w0| that bounds aligned_distance's
-#: candidates; 2 r + 1 = 7 nodes per axis stay distinct on every grid (n >= 8)
-WINDOW_RADIUS = 3
-#: relative slack of those bounds, far above the round-off between a window sum and the
-#: whole grid's pairwise sum, so a candidate that can win or tie is always evaluated
-BOUND_SLACK = 1e-12
 
 
 def _check_radius(rho: float) -> None:
@@ -82,70 +76,69 @@ def edge_mass(v: Field, p_prime: float) -> float:
     return float(weight[outer].sum() / total)
 
 
-def aligned_distance(v: Field, w0: Field, p_prime: float) -> tuple[float, tuple[int, ...]]:
-    """min over lattice shifts y of ||v(. + y) - w0||_p' / ||w0||_p' (signs identified).
+def aligned_distance(v: Field, w0: Field, p_prime: float) -> tuple[float, tuple[float, ...]]:
+    """||v(. + y) - s w0||_p' / ||w0||_p' at the shift y (in nodes) and sign s best in L^2.
 
-    The candidate shift maximizes the periodic cross-correlation of the
-    |.|^p' profiles (computed by FFT); the distance is then taken at that
-    shift and its 3^N neighborhood, for both signs.  The terms of a candidate's
-    sum are >= 0, so its sum over a window around the peak of |w0| bounds it
-    from below: only the candidates whose bound does not exceed the distance of
-    the one with the least bound are evaluated on the whole grid, in the order
-    of the full scan, so the first least candidate of that scan is returned.
+    As ||v(. + y) - s w0||_2^2 = ||v||^2 + ||w0||^2 - 2 s C(y) for C(y) = <v(. + y), w0>,
+    they maximize |C|: its lattice peak (by FFT) is refined by Newton steps of at most a
+    node on C's trigonometric interpolant, unless its Hessian is not negative definite
+    there (v = 0).  v is shifted band-limited.  Returns the distance and -y, the shift that
+    rolls v onto s w0 (np.roll's sign).
     """
     grid = v.grid
     if grid != w0.grid:
         raise ValueError("fields live on different grids")
-    axes = tuple(range(grid.dim))
-    weight = np.abs(w0.values) ** p_prime
-    total = np.sum(weight)
-    if total == 0.0:
+    denom = lp_norm(w0, p_prime)
+    if denom == 0.0:
         raise ValueError("cannot measure the distance to the zero field")
-    cell = grid.cell_volume
-    denom = float((cell * total) ** (1.0 / p_prime))  # lp_norm(w0, p_prime), same bits
-    peak = np.unravel_index(np.argmax(weight), grid.shape)
-    b = np.fft.rfftn(weight)
-    del weight
-    a = np.fft.rfftn(np.abs(v.values) ** p_prime)
-    a *= np.conjugate(b, out=b)  # the correlation is real: half-size spectra carry it
-    corr = np.fft.irfftn(a, grid.shape, axes)
-    center = np.unravel_index(np.argmax(corr), corr.shape)
-    del a, b, corr
-    offsets = np.stack(np.meshgrid(*([[-1, 0, 1]] * grid.dim), indexing="ij"),
-                       axis=-1).reshape(-1, grid.dim)
-    pairs = (np.subtract, np.add)  # |(-r) - w| = |r + w|: the sign -1 candidate
-    # the candidates in scan order: (offset, pair), and the shift each rolls v by
-    candidates = [(tuple(-(int(c) + int(o)) for c, o in zip(center, off)), pair)
-                  for off in offsets for pair in pairs]
-    # the window's nodes m + k, |k_d| <= r, gathered with periodic indices; v around
-    # m + center with one node more per side covers every offset
-    n, r = grid.points_per_axis, WINDOW_RADIUS
-    w_win = w0.values[np.ix_(*((m + np.arange(-r, r + 1)) % n for m in peak))]
-    v_win = v.values[np.ix_(*((m + c + np.arange(-r - 1, r + 2)) % n
-                              for m, c in zip(peak, center)))]
-    bounds = []
-    for off in offsets:
-        part = v_win[tuple(slice(1 + o, 2 + 2 * r + o) for o in off)]
-        bounds += [float((cell * np.sum(np.abs(pair(part, w_win)) ** p_prime))
-                         ** (1.0 / p_prime)) / denom for pair in pairs]
+    n, dim, axes = grid.points_per_axis, grid.dim, tuple(range(grid.dim))
+    spectrum = np.fft.rfftn(v.values)
+    cross = np.conjugate(np.fft.rfftn(w0.values)) * spectrum  # C's half spectrum
+    c = np.fft.irfftn(cross, grid.shape, axes)
+    top, bottom = np.argmax(c), np.argmin(c)
+    sign = 1.0 if c.flat[top] >= -c.flat[bottom] else -1.0
+    peak = np.unravel_index(top if sign > 0 else bottom, grid.shape)
+    y = (np.array(peak) + n // 2) % n - n / 2  # the lattice peak, in [-n/2, n/2) nodes
+    del c
+    cross[..., 1:n // 2] *= 2.0  # an interior last-axis bin stands for its mirror too
+    for _ in range(10):  # from a lattice peak two steps reach round-off on a sweep's points
+        # C's interpolant is Re sum cross * prod_d phase_d(y_d); contracting the axes last
+        # first gives its derivatives, keyed by their order in each y_d
+        sums = {(): cross}
+        for d in reversed(axes):
+            phases = _phases(n, cross.shape[d], y[d])
+            sums = {(o, *key): np.sum(part * phases[o], axis=-1)
+                    for key, part in sums.items() for o in range(3 - sum(key))}
+        # the gradient and Hessian of sign C, which has a maximum there
+        grad = np.array([sign * sums[tuple(int(a == d) for a in axes)].real for d in axes])
+        hess = np.array([[sign * sums[tuple((a == d) + (a == e) for a in axes)].real
+                          for e in axes] for d in axes])
+        if not np.all(np.linalg.eigvalsh(hess) < 0.0):
+            break
+        step = -np.linalg.solve(hess, grad)
+        step /= max(1.0, float(np.max(np.abs(step))))
+        y += step
+        if np.max(np.abs(step)) <= 1e-9:
+            break
+    del cross
+    for d in axes:  # the band-limited shift v(. + y)
+        spectrum *= _phases(n, spectrum.shape[d], y[d])[0].reshape((-1,) + (1,) * (dim - 1 - d))
+    shifted = np.fft.irfftn(spectrum, grid.shape, axes)
+    del spectrum
+    (np.subtract if sign > 0 else np.add)(shifted, w0.values, out=shifted)
+    return lp_norm(Field(grid, shifted), p_prime) / denom, tuple(float(-yd) for yd in y)
 
-    def distance(i):
-        shift, pair = candidates[i]
-        rolled = np.roll(v.values, shift, axis=axes)
-        return lp_norm(Field(grid, pair(rolled, w0.values)), p_prime) / denom
 
-    first = int(np.argmin(bounds))
-    cap = distance(first)
-    best = np.inf
-    best_shift: tuple[int, ...] = (0,) * grid.dim
-    for i, bound in enumerate(bounds):
-        if bound * (1.0 - BOUND_SLACK) > cap:  # its distance exceeds cap: it cannot win
-            continue
-        d = cap if i == first else distance(i)
-        if d < best:
-            best = d
-            best_shift = candidates[i][0]
-    return best, best_shift
+def _phases(n: int, size: int, t: float) -> np.ndarray:
+    """exp(i k t) and its first two derivatives in t (rows 0-2) at the first ``size`` DFT
+    wavenumbers k of an n-node axis, in radians per node.  The Nyquist bin takes cos(pi t),
+    the part of exp(+-i pi t) that a real field keeps, so a whole-node shift is np.roll."""
+    k = 2.0 * np.pi * np.fft.fftfreq(n)[:size]
+    phase = np.exp(1j * k * t)
+    rows = np.array([phase, 1j * k * phase, -k * k * phase])
+    c, s = np.cos(np.pi * t), np.sin(np.pi * t)
+    rows[:, n // 2] = c, -np.pi * s, -np.pi ** 2 * c
+    return rows
 
 
 @dataclass(frozen=True)

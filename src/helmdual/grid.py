@@ -141,11 +141,9 @@ def _check_same_grid(f: Field, g: Field) -> None:
 
 
 def lp_norm(f: Field, q: float) -> float:
-    """Midpoint-quadrature L^q norm, (h^N sum |f_j|^q)^(1/q); q = inf gives the max norm."""
-    if q == np.inf:
-        return float(np.max(np.abs(f.values)))
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    """Midpoint-quadrature L^q norm, (h^N sum |f_j|^q)^(1/q), for finite q >= 1."""
+    if not 1 <= q < np.inf:  # NaN fails too
+        raise ValueError(f"q must be finite and >= 1, got {q}")
     return float((f.grid.cell_volume * np.sum(np.abs(f.values) ** q)) ** (1.0 / q))
 
 

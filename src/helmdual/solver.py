@@ -448,10 +448,18 @@ def _ground_states(template: ProblemSpec, epsilons, grid: Grid, cfg: SolverConfi
 
     Points whose cutoffs fit the box share one batch of seeds, each built as its slot opens:
     translates of the limit state (solved at sup Q if none was given), or restart seeds.
+    A given limit state must be the template's limit problem: same grid, p and resolvent,
+    and a constant coefficient at sup Q.
     """
     template.validate_for_grid(grid)
-    if limit_state is not None and limit_state.v.grid != grid:
-        raise ValueError("limit state lives on another grid")
+    if limit_state is not None:
+        if limit_state.v.grid != grid:
+            raise ValueError("limit state lives on another grid")
+        lim, q_sup = limit_state.spec, template.coefficient.q_sup
+        if (lim.p != template.p or lim.resolvent != template.resolvent
+                or lim.coefficient.maximum_set  # a constant Q at sup Q, up to round-off
+                or abs(lim.coefficient.q_sup - q_sup) > 1e-12 * q_sup):
+            raise ValueError("limit state solves another problem than the limit at sup Q")
     maxima = template.coefficient.maximum_set
     specs = [replace(template, epsilon=e) for e in epsilons]  # each refuses a bad epsilon
     unfit = [_cutoffs_misfit(maxima, s.epsilon, grid) for s in specs]  # errors that leave no seeds

@@ -121,7 +121,7 @@ class TestLpNorm:
     def test_zero_field(self):
         g = make_grid(2, 7.0, 32)
         zero = Field(g, np.zeros(g.shape))
-        for q in (1.0, 2.0, 8 / 7, np.inf):
+        for q in (1.0, 2.0, 8 / 7):
             assert lp_norm(zero, q) == 0.0
 
     def test_gaussian_l2_value(self):
@@ -136,18 +136,19 @@ class TestLpNorm:
     def test_homogeneity(self):
         g = make_grid(2, 5.0, 16)
         f = random_field(g, np.random.default_rng(1))
-        for q in (1.0, 8 / 7, 2.0, 5.0, np.inf):
+        for q in (1.0, 8 / 7, 2.0, 5.0):
             assert lp_norm(-3.0 * f, q) == pytest.approx(3.0 * lp_norm(f, q))
-
-    def test_max_norm(self):
-        g = make_grid(2, 5.0, 16)
-        f = random_field(g, np.random.default_rng(2))
-        assert lp_norm(f, np.inf) == np.max(np.abs(f.values))
 
     def test_q_below_one_rejected(self):
         g = make_grid(2, 5.0, 16)
         with pytest.raises(ValueError):
             lp_norm(Field(g, np.ones(g.shape)), 0.5)
+
+    @pytest.mark.parametrize("q", [np.inf, np.nan])
+    def test_q_not_finite_rejected(self, q):
+        g = make_grid(2, 5.0, 16)
+        with pytest.raises(ValueError, match="finite"):
+            lp_norm(Field(g, np.ones(g.shape)), q)
 
 
 class TestInnerProduct:

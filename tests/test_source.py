@@ -222,6 +222,47 @@ def test_every_public_function_has_a_reader():
             assert names_read(body)[qualname.split(".")[-1]] > 0, test
 
 
+def tracer_misses(source: str) -> list[str]:
+    """The benchmark tracer's hooks that name nothing it can wrap.
+
+    A (class, method) of its METHODS absent from the class's __dict__ makes entering the
+    tracer raise KeyError, so every traced run fails; a key of its ``special`` wrappers that
+    names no public function of its module is never installed, so its counter reads 0.
+    """
+    tree = ast.parse(source)
+    assigned = {target.id: node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    missing = []
+    for layer, cls_name, names in ast.literal_eval(assigned["METHODS"]):
+        cls = vars(importlib.import_module(f"helmdual.{layer}")).get(cls_name)
+        missing += [f"{layer}.{cls_name}.{name}" for name in names
+                    if cls is None or name not in vars(cls)]
+    for key in map(ast.literal_eval, assigned["special"].keys):
+        layer, name = key.split(".")
+        module = importlib.import_module(f"helmdual.{layer}")
+        fn = vars(module).get(name)
+        if (name.startswith("_") or not isinstance(fn, types.FunctionType)
+                or fn.__module__ != module.__name__):
+            missing.append(key)
+    return missing
+
+
+def test_detector_flags_tracer_misses():
+    source = ("METHODS = (('kernels', 'KernelSpec', ('evaluate', 'gone')),\n"
+              "           ('functional', 'Nowhere', ('q_root',)))\n"
+              "def wrapper_for():\n"
+              "    special = {'solver.solve_from_seed': 1, 'solver._ground_states': 2,\n"
+              "               'experiments.np': 3, 'grid.Field': 4, 'runio.gone': 5}\n")
+    assert tracer_misses(source) == ["kernels.KernelSpec.gone", "functional.Nowhere.q_root",
+                                     "solver._ground_states", "experiments.np", "grid.Field",
+                                     "runio.gone"]
+
+
+def test_tracer_hooks_name_what_they_wrap():
+    # a renamed method or function would break every --trace 1 run of the benchmark
+    assert tracer_misses((ROOT / "perfbench" / "tracer.py").read_text()) == []
+
+
 def package_names_read(source: str) -> set[str]:
     """Every name source reads from the package, as ``from helmdual import X`` or ``helmdual.X``."""
     names = set()
