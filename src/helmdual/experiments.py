@@ -217,7 +217,8 @@ def concentration_sweep(template: ProblemSpec, epsilon_list, grid: Grid,
     every maximum of Q.
 
     Inputs that no sweep can succeed on raise ValueError before any solve.  The
-    seeds of every point are solved together, two at a time; per-point failures
+    seeds of every point are solved together, two at a time (one transform pair for
+    both, each seed's bits as alone); per-point failures
     (a cutoff outgrowing the box at small epsilon, a seed that fails) are recorded
     as flagged rows.  The limit state is None when no point fits the box.
     """

@@ -171,12 +171,16 @@ def inner_product(f: Field, g: Field) -> float:
     return float(f.grid.cell_volume * np.sum(f.values * g.values))
 
 
-def _shift_modulation(grid: Grid) -> np.ndarray:
-    """exp(-2 pi i (1/2) j_d / n) per axis, the node-side phase carrying the lattice shift."""
+def _shift_modulation(grid: Grid, last: int | None = None) -> np.ndarray:
+    """exp(-2 pi i (1/2) j_d / n) per axis, the node-side phase carrying the lattice shift.
+
+    With ``last``, only the first ``last`` nodes of the last axis are built: the same bits
+    as ``_shift_modulation(grid)[..., :last]``, with no array of the whole grid.
+    """
     n = grid.points_per_axis
     j = np.arange(n)
     axis = np.exp(-2j * np.pi * 0.5 * j / n)
-    return functools.reduce(np.multiply, np.ix_(*(axis,) * grid.dim))
+    return functools.reduce(np.multiply, np.ix_(*(axis,) * (grid.dim - 1), axis[:last]))
 
 
 def _freq_phase(grid: Grid) -> np.ndarray:

@@ -6,7 +6,8 @@ Grid.singular).  The direct route (mode "direct_oracle") convolves with the
 free-space kernel by one zero-padded FFT: no periodic images and no delta.  Its
 inverse transforms only the lines the window keeps: 4n+2 1-D transforms per field
 in 2D and 8n^2+6n in 3D, forward and inverse together.
-R maps real fields to real fields, so one complex FFT pair serves two.  Each grid and
+R maps real fields to real fields, so the multiplier route transforms each field at half
+size: one complex FFT pair on n^(N-1) x n/2 points (see ``_multiply``).  Each grid and
 config has one route (``_route``), whose read-only arrays are built once.
 """
 
@@ -69,10 +70,14 @@ def _route(grid: Grid, cfg: ResolventConfig, max_nodes: int | None = None):
     return _build_route(grid, cfg.mode, cfg.delta if cfg.mode == "multiplier" else 0.0)
 
 
-# bounded at 4 entries (M and S, or one kernel spectrum): two grids under both routes
+# bounded at 4 entries (T and S, or one kernel spectrum): two grids under both routes
 @functools.lru_cache(maxsize=4)
 def _build_route(grid: Grid, mode: str, delta: float) -> functools.partial:
-    """The route's arrays, built once per grid, mode and delta and shared read-only after."""
+    """The route's arrays, built once per grid, mode and delta and shared read-only after.
+
+    The multiplier route keeps the half-size twiddle T and the symbol S at the even
+    last-axis indices (see ``_multiply``): 1.5 grid arrays in all.
+    """
     if mode == "direct_oracle":
         apply = _convolve
         arrays = (_kernel_spectrum(grid.dim, grid.points_per_axis, grid.spacing),)
@@ -82,35 +87,46 @@ def _build_route(grid: Grid, mode: str, delta: float) -> functools.partial:
         )
     else:
         apply = _multiply
-        arrays = (_shift_modulation(grid), multiplier_value(grid.xi_squared, delta))
+        # the half lattice copied, so the whole one is gone before the symbol's temporaries
+        symbol = multiplier_value(grid.xi_squared[..., ::2].copy(), delta)
+        arrays = (_shift_modulation(grid, grid.points_per_axis // 2), symbol)
     for arr in arrays:
         arr.flags.writeable = False
     return functools.partial(apply, grid, *arrays)
 
 
-def _multiply(grid: Grid, modulation, symbol, *fields: np.ndarray) -> list[np.ndarray]:
-    """R of one or two real arrays: R(a/alpha + i b/beta) = R a/alpha + i R b/beta.
+def _multiply(grid: Grid, twiddle, symbol, *fields: np.ndarray) -> list[np.ndarray]:
+    """R of each real array by one complex FFT pair on n^(N-1) x n/2 points.
 
     The frequency-side phase and the cell volume of dft_forward/dft_inverse cancel
     between the two transforms, so R f = conj(M) ifftn(S fftn(M f)) with the node-side
-    shift modulation M and the real symbol S.  The half shift pairs every xi with -xi,
-    so R f is real.  alpha, beta are the max-norms, so a field 1e8 times larger keeps its
-    round-off out of the smaller one: each part is scaled by 1/alpha on the way in and by
-    alpha on the way out.
+    shift modulation M and the real symbol S.  Along the last axis, with t_m the phase of
+    M, the half-shifted DFT of a real x at the even index 2r is
+
+        X(2r) = FFT_{n/2}[t_m (x_m - i x_{m+n/2})](r),  m < n/2,
+
+    since t_{m+n/2} = -i t_m.  The half shift pairs index k with n-1-k, and for real x
+    X(n-1-k) = conj X(k), while S is even: the even indices carry all of R x.  So each
+    field is packed as x[..., :n/2] - i x[..., n/2:] (an R-linear bijection), times the
+    twiddle T = M[..., :n/2], transformed, multiplied by S at the even indices and
+    transformed back; after conj(T) undoes the twiddle, the real part and the negated
+    imaginary part are the two halves of R x.  Two fields go as one stack, each in its
+    own slot, so a field's R does not depend on its partner, bit for bit.
     """
-    packed = np.zeros(grid.shape, np.complex128)
-    norms = [float(max(x.max(), -x.min())) or 1.0 for x in fields]  # max |x|, with no |x| copy
-    for part, x, norm in zip((packed.real, packed.imag), fields, norms):
-        np.multiply(x, 1.0 / norm, out=part)
-    packed *= modulation
-    np.fft.fftn(packed, out=packed)  # in place: out= needs numpy >= 2.0
-    packed *= symbol
-    np.fft.ifftn(packed, out=packed)
-    # conj(M) z as conj(conj(z) M), bit for bit; the outer conj is the sign -1 below
-    np.conjugate(packed, out=packed)
-    packed *= modulation
-    return [part * (sign * norm)
-            for part, sign, norm in zip((packed.real, packed.imag), (1.0, -1.0), norms)]
+    half = grid.points_per_axis // 2
+    axes = tuple(range(1, grid.dim + 1))
+    stack = np.empty((len(fields),) + twiddle.shape, np.complex128)
+    for slot, x in zip(stack, fields):
+        slot.real = x[..., :half]
+        np.negative(x[..., half:], out=slot.imag)
+    stack *= twiddle
+    np.fft.fftn(stack, axes=axes, out=stack)  # in place: out= needs numpy >= 2.0
+    stack *= symbol
+    np.fft.ifftn(stack, axes=axes, out=stack)
+    # conj(T) z as conj(conj(z) T), bit for bit; the outer conj negates the second half
+    np.conjugate(stack, out=stack)
+    stack *= twiddle
+    return [np.concatenate((slot.real, slot.imag), axis=-1) for slot in stack]
 
 
 def _kernel_spectrum(dim: int, n: int, h: float) -> np.ndarray:

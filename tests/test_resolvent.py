@@ -5,7 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helmdual.grid import Field, dft_forward, dft_inverse, inner_product, make_grid
+from helmdual.grid import (
+    Field,
+    _shift_modulation,
+    dft_forward,
+    dft_inverse,
+    inner_product,
+    make_grid,
+)
 from helmdual.kernels import KernelSpec
 from helmdual.resolvent import (
     DIRECT_GUARD,
@@ -52,6 +59,22 @@ def _literal_sum(f, spec):
         flat = (strides[:, None, None] * offsets).sum(axis=0)
         out[start:stop] = kernel[flat] @ src
     return (grid.cell_volume * out).reshape(grid.shape)
+
+
+def _grid_arrays_at_peak(grid, call):
+    """tracemalloc peak of call() above what was allocated before, in float64 grid arrays."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    unit = grid.num_nodes * 8
+    return (current - base) / unit, (peak - base) / unit
 
 
 def _unpruned_convolve(grid, *fields):
@@ -161,7 +184,10 @@ class TestApplyR:
 
 
 class TestPlan:
-    @pytest.mark.parametrize("dim, half_length, n", [(2, 9.0, 32), (3, 8.0, 16)])
+    # n/2 even and odd: the half-size transform's last axis has n/2 points
+    @pytest.mark.parametrize("dim, half_length, n", [
+        (2, 9.0, 32), (2, 9.0, 10), (2, 9.0, 18), (3, 8.0, 16), (3, 8.0, 10), (3, 8.0, 18),
+    ])
     @pytest.mark.parametrize("delta", [0.0, 1e-2])
     def test_matches_explicit_transform_composition(self, dim, half_length, n, delta):
         g = make_grid(dim, half_length, n)
@@ -198,11 +224,62 @@ class TestRoute:
             assert _route(make_grid(2, 9.0, 32), ResolventConfig(cfg.delta, cfg.mode)) is route
             assert all(not arr.flags.writeable for arr in route.args[1:])
         assert _build_route.cache_info().currsize == 2
-        # the multiplier route holds the shift modulation M and the real symbol S, not conj M
-        g = make_grid(2, 9.0, 32)
-        modulation, symbol = _route(g, ResolventConfig(delta=1e-3)).args[1:]
-        assert modulation.dtype == np.complex128 and symbol.dtype == np.float64
-        np.testing.assert_array_equal(symbol, multiplier_value(g.xi_squared, 1e-3))
+
+    @pytest.mark.parametrize("dim, half_length, n", [(2, 9.0, 32), (3, 8.0, 10)])
+    @pytest.mark.parametrize("delta", [0.0, 1e-3])
+    def test_multiplier_tables_are_half_lattice(self, dim, half_length, n, delta):
+        # the twiddle T is the shift modulation M on the first n/2 nodes of the last axis,
+        # and S the real symbol at the even last-axis indices, both bit for bit
+        g = make_grid(dim, half_length, n)
+        twiddle, symbol = _route(g, ResolventConfig(delta=delta)).args[1:]
+        half = g.shape[:-1] + (n // 2,)
+        assert twiddle.dtype == np.complex128 and twiddle.shape == half
+        assert symbol.dtype == np.float64 and symbol.shape == half
+        np.testing.assert_array_equal(twiddle, _shift_modulation(g)[..., : n // 2])
+        np.testing.assert_array_equal(symbol, multiplier_value(g.xi_squared, delta)[..., ::2])
+
+    @pytest.mark.parametrize("dim, half_length, n", [(2, 9.0, 32), (3, 8.0, 10)])
+    def test_one_half_size_transform_pair_per_application(self, dim, half_length, n,
+                                                          monkeypatch):
+        # one fftn and one ifftn per application, on n^(N-1) n/2 points; a pair as a 2-stack
+        g = make_grid(dim, half_length, n)
+        route = _route(g, ResolventConfig(delta=1e-2))
+        x = np.random.default_rng(3).standard_normal(g.shape)
+        calls = []
+
+        def counted(name):
+            transform = getattr(np.fft, name)
+
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, a.shape))
+                return transform(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, counted(name))
+        half = g.shape[:-1] + (n // 2,)
+        for fields in ((x,), (x, -x)):
+            calls.clear()
+            route(*fields)
+            assert calls == [("fftn", (len(fields),) + half), ("ifftn", (len(fields),) + half)]
+
+    @pytest.mark.parametrize("dim, half_length, n, build_peak", [
+        (2, 60.0, 256, 2.1),  # 2.02; 6.0 with the full M and S
+        (3, 16.0, 32, 2.65),  # 2.57: numpy's broadcast product of T takes 1.07
+    ])
+    @pytest.mark.parametrize("delta", [0.0, 1e-2])
+    def test_multiplier_route_memory(self, dim, half_length, n, build_peak, delta):
+        # the route keeps 1.5 grid arrays (3.0 with the full M and S); one application
+        # peaks at 2.0 (its half-size complex array and R x), a pair at 4.0
+        _route(make_grid(dim, half_length, 16), ResolventConfig(delta=delta))  # warm numpy up
+        g = make_grid(dim, half_length, n)
+        _build_route.cache_clear()
+        kept, peak = _grid_arrays_at_peak(g, lambda: _route(g, ResolventConfig(delta=delta)))
+        assert kept <= 1.55 and peak <= build_peak
+        route = _route(g, ResolventConfig(delta=delta))
+        x = np.random.default_rng(7).standard_normal(g.shape)
+        for fields, bound in (((x,), 2.05), ((x, x), 4.05)):
+            assert _grid_arrays_at_peak(g, lambda: route(*fields))[1] <= bound
 
     def test_direct_route_keyed_without_delta(self):
         # the free-space kernel reads no delta: every direct config on a grid shares one entry
@@ -251,10 +328,10 @@ class TestPairApplication:
     @pytest.mark.parametrize("dim, half_length, n", [(2, 9.0, 32), (3, 8.0, 16)])
     @pytest.mark.parametrize("delta", [0.0, 1e-2])
     @pytest.mark.parametrize("ratio", [1.0, 1e8])
-    def test_real_and_imaginary_parts_are_the_two_applications(self, dim, half_length, n,
-                                                                delta, ratio):
-        # R(a/alpha + i b/beta) = R a/alpha + i R b/beta; the scaling keeps a
-        # field 1e8 times larger from swamping the smaller one in round-off
+    def test_each_field_of_a_pair_is_its_application_alone(self, dim, half_length, n,
+                                                           delta, ratio):
+        # each field has its own slot of the stack: a field 1e8 times larger leaves the
+        # other's R unchanged, bit for bit
         g = make_grid(dim, half_length, n)
         assert not g.singular
         rng = np.random.default_rng(12)
@@ -262,8 +339,7 @@ class TestPairApplication:
         b = ratio * rng.standard_normal(g.shape)
         cfg = ResolventConfig(delta=delta)
         for got, field in zip(_route(g, cfg)(a, b), (a, b)):
-            alone = apply_R(Field(g, field), cfg).values
-            assert np.max(np.abs(got - alone)) <= 1e-13 * np.max(np.abs(alone))
+            np.testing.assert_array_equal(got, apply_R(Field(g, field), cfg).values)
 
     def test_direct_route_applies_each_field(self):
         g = make_grid(2, 15.0, 16)
@@ -348,17 +424,7 @@ class TestDirectOracle:
         g = make_grid(dim, half_length, n)
         route = _route(g, ResolventConfig(mode="direct_oracle"))  # its spectrum built before
         x = np.random.default_rng(7).standard_normal(g.shape)
-        started = not tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            route(x)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
-        assert peak / (g.num_nodes * 8) <= bound
+        assert _grid_arrays_at_peak(g, lambda: route(x))[1] <= bound
 
     def test_linearity(self):
         g = make_grid(2, 15.0, 16)
