@@ -22,7 +22,7 @@ from .grid import Field, Grid, _squared_distance, inner_product, lp_norm
 from .kernels import lambda_p
 from .functional import DualState, ProblemSpec
 from .resolvent import ResolventConfig, apply_R
-from .solver import SolverConfig, _ground_state, _ground_states, cutoff, solve_limit
+from .solver import SolverConfig, _ground_state, _ground_states, cutoff
 
 #: a sweep point is trusted when at most this share of ||v||_p'^p' lies in the box's outer shell
 EDGE_TRUST = 0.5
@@ -304,9 +304,6 @@ def interaction_decay(p: float, grid: Grid, r_list,
     for r in rl:
         center = (r + 2.0 * BUMP_RADIUS,) + (0.0,) * (dim - 1)
         v = compact_bump(grid, center, BUMP_RADIUS)
-        overlap = np.abs(u.values * v.values).max()
-        if overlap > 0.0:
-            raise ValueError(f"supports overlap at r = {r}")
         val = abs(inner_product(ru, v)) / (u_norm * lp_norm(v, pp))
         records.append(DecayRecord(r=r, interaction=val))
     logs = np.log(rl[-fitted:])
@@ -349,24 +346,24 @@ class EnergyComparison:
 
 
 def energy_comparison(spec: ProblemSpec, grid: Grid, solver_cfg: SolverConfig) -> EnergyComparison:
-    """Compute c_0 (at sup Q), c_inf (at the tail level of Q, if positive), c_eps."""
+    """c_0 (the limit at sup Q), c_eps and, when limsup Q > 0, c_inf (the limit there).
+
+    The limit is solved once: c_inf is c_0 scaled by the exact law of homogeneity_ratio.
+    """
     coef = spec.coefficient
     if not coef.has_strict_maximum:  # the window c_0 <= c_eps < c_inf needs one
         raise ValueError("energy comparison needs sup Q above its limsup at infinity")
     limit_state, state = _ground_state(spec, grid, solver_cfg)
-    if coef.q_infinity > 0.0:
-        c_inf = solve_limit(coef.q_infinity, spec.p, grid, solver_cfg,
-                            resolvent=spec.resolvent).energy
-    else:
-        c_inf = None
-    return EnergyComparison(c_eps=state.energy, c_0=limit_state.energy, c_inf=c_inf)
+    c_0, q_ratio = limit_state.energy, coef.q_infinity / coef.q_sup
+    c_inf = c_0 * homogeneity_ratio(spec.p, q_ratio) if q_ratio > 0.0 else None
+    return EnergyComparison(c_eps=state.energy, c_0=c_0, c_inf=c_inf)
 
 
 def homogeneity_ratio(p: float, q_ratio: float) -> float:
-    """Predicted c_0(Q_0 * q_ratio) / c_0(Q_0) from the Q^(2/p) scaling.
+    """c_0(Q_0 * q_ratio) / c_0(Q_0) for constant coefficients, exact on the grid as on R^N.
 
-    The quadratic term scales by Q_0^(2/p), so Nehari levels scale by
-    q_ratio^(-(2/p) * p'/(2 - p')).
+    J_q(lambda v) = lambda^p' J_1(v) when q^(2/p) lambda^(2 - p') = 1, so Nehari levels
+    scale by q_ratio^(-(2/p) * p'/(2 - p')).
     """
     pp = p / (p - 1.0)
     return q_ratio ** (-(2.0 / p) * pp / (2.0 - pp))

@@ -31,7 +31,8 @@ UNIT_CIRCLE_TOL = 1e-12
 class Grid:
     """Uniform periodic grid on [-L, L)^N with the half-shifted frequency lattice.
 
-    Construction checks that dim is 2 or 3, 0 < L < inf, and n is even and at least 8.
+    Construction checks that dim is 2 or 3, 0 < L < inf, and n is even and at least 8;
+    a size that is not an integer raises TypeError.
     """
 
     dim: int
@@ -42,6 +43,8 @@ class Grid:
     spacing: float = field(init=False, compare=False, default=0.0)
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", operator.index(self.dim))
+        object.__setattr__(self, "points_per_axis", operator.index(self.points_per_axis))
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if not 0.0 < self.half_length < np.inf:
@@ -100,7 +103,7 @@ class Grid:
 
 def make_grid(dim: int, half_length: float, points_per_axis: int) -> Grid:
     """Build a periodic grid from integer-like sizes and a real half-length."""
-    return Grid(operator.index(dim), float(half_length), operator.index(points_per_axis))
+    return Grid(dim, float(half_length), points_per_axis)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ For unit wavenumber the free-space kernel is
     N = 3:  Re Phi(r) = cos(r) / (4 pi r)
     N = 2:  Re Phi(r) = -Y0(r) / 4
 
-Y0 is evaluated by the ascending series for moderate arguments and by the
-large-argument (Hankel) expansion beyond; the crossover at x = 13 keeps both
-branches below ~1e-11 absolute error in double precision.  The test suite
-validates it against scipy's Y0.
+Y0 is evaluated by the ascending series for moderate arguments and by the large-argument
+(Hankel) expansion beyond; the crossover at x = 13 keeps both branches below ~1e-11 absolute
+error in double precision.  The tests check it against scipy's Y0 and, needing no scipy,
+against an integral representation of Y0 and zeros tabulated by Abramowitz & Stegun.
 
 The kernel's moment against a Gaussian window, which fixes the center weight of
 KernelSpec, has a closed form through Ei (N = 2) and Dawson's integral (N = 3);

@@ -194,8 +194,9 @@ class TestShippedConfigs:
         ("decay", {("diagnostics", "slope"): -0.28504429199599546}),
         ("compare_energy", {("energies", "c_0"): 3.1510113831347706,
                             ("energies", "c_eps"): 3.154738490092152,
-                            ("energies", "c_inf"): 5.001918784351909}),
-    ], ids=["limit", "sweep", "decay", "compare_energy"])
+                            ("energies", "c_inf"): 5.001918784351906}),
+        ("solve", {("energies", "c_eps"): 3.1547384900921474}),
+    ], ids=["limit", "sweep", "decay", "compare_energy", "solve"])
     def test_same_numbers(self, tmp_path, capsys, experiment, pinned):
         out = tmp_path / "o"
         assert run(experiment.replace("_", "-"), str(CONFIGS / f"{experiment}.json"), out) == 0

@@ -614,20 +614,46 @@ class TestInteractionDecay:
 
 
 class TestEnergyComparison:
-    def test_bounds_and_homogeneity(self, grid):
+    @pytest.fixture(scope="class")
+    def problem(self):
         coef = CoefficientSpec(floor=0.25,
                                centers=((0.8, 0.4),), amplitudes=(0.75,),
                                widths=(1.5,))
         res = ResolventConfig(delta=1e-2)
         spec = ProblemSpec(p=8.0, epsilon=0.25, coefficient=coef, resolvent=res)
-        cfg = SolverConfig(max_iters=8000, grad_tol=5e-8)
+        return spec, SolverConfig(max_iters=8000, grad_tol=5e-8)
+
+    def test_bounds_and_homogeneity(self, grid, problem):
+        spec, cfg = problem
         rep = energy_comparison(spec, grid, cfg)
         assert rep.lower_bound_holds
         assert rep.upper_bound_holds
-        assert rep.c_inf / rep.c_0 == pytest.approx(homogeneity_ratio(8.0, 0.25),
-                                                    rel=1e-6)
+        # c_inf is c_0 scaled by the homogeneity law: a solve at limsup Q is its reference
+        reference = solve_limit(0.25, 8.0, grid, cfg, resolvent=spec.resolvent)
+        assert rep.c_inf == pytest.approx(reference.energy, rel=1e-12)
         assert to_csv(rep.levels) == (f"level,value\nc_0,{rep.c_0!r}\nc_eps,{rep.c_eps!r}\n"
                                       f"c_inf,{rep.c_inf!r}\n")
+
+    def test_limit_is_solved_once(self, grid, problem, monkeypatch):
+        # two seed batches, the limit at sup Q and then the eps point: none at limsup Q
+        spec, cfg = problem
+        batches, limits = [], []
+        solve_seeds, limit = solver._solve_seeds, solver.solve_limit
+
+        def counted_seeds(problems, solver_cfg):
+            batches.append(1)
+            return solve_seeds(problems, solver_cfg)
+
+        def counted_limit(q0, *args, **kwargs):
+            limits.append(q0)
+            return limit(q0, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_solve_seeds", counted_seeds)
+        monkeypatch.setattr(solver, "solve_limit", counted_limit)
+        rep = energy_comparison(spec, grid, cfg)
+        assert len(batches) == 2
+        assert limits == [spec.coefficient.q_sup]
+        assert rep.c_inf is not None
 
     def test_c_inf_omitted_for_vanishing_tail(self, grid):
         coef = CoefficientSpec(floor=0.0,

@@ -62,6 +62,14 @@ class TestMakeGrid:
             make_grid(2, 30.0, 64.5)
         with pytest.raises(TypeError):
             make_grid(2.5, 30.0, 64)
+        # a grid built directly checks too, whole-number floats included: such a grid would
+        # equal and hash as the integer one, so a cached route would decide whether R runs
+        for sizes in [(2, 30.0, 64.0), (2.0, 30.0, 64), (2, 30.0, 64.5), (2.5, 30.0, 64)]:
+            with pytest.raises(TypeError):
+                Grid(*sizes)
+        grid = Grid(np.int64(2), 30.0, np.int64(64))
+        assert type(grid.dim) is type(grid.points_per_axis) is int
+        assert grid == make_grid(2, 30.0, 64)
 
     @pytest.mark.parametrize("dim, half_length", [(2, np.pi / np.sqrt(2.0)),
                                                   (3, np.pi * np.sqrt(0.75))], ids=["2d", "3d"])

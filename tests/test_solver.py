@@ -249,6 +249,24 @@ class TestSeedFailures:
         with pytest.raises(AllSeedsLeftCone):
             solve_limit(1.0, 8.0, small, wide)
 
+    def test_small_box_periodic_limit_leaves_the_cone_at_once(self, monkeypatch):
+        # at L = 15 and delta = 1e-2 every default seed has a negative quadratic term at its
+        # first projection (L = 30 and 60 converge): this box needs the free-space route.
+        # The error names it, and R runs once per seed, a pair and then one: no iteration
+        quads, resolve = [], solver._resolve
+
+        def spy(grid, cfg, *gs):
+            answers = resolve(grid, cfg, *gs)
+            quads.append([quad for _, quad in answers])
+            return answers
+
+        monkeypatch.setattr(solver, "_resolve", spy)
+        with pytest.raises(AllSeedsLeftCone, match="every seed left the positive cone"):
+            solve_limit(1.0, 8.0, make_grid(2, 15.0, 64), SolverConfig(grad_tol=5e-8),
+                        resolvent=ResolventConfig(delta=1e-2))
+        assert [len(batch) for batch in quads] == [2, 1]
+        assert all(quad < 0.0 for batch in quads for quad in batch)
+
 
 class TestLockStep:
     """Two descents in flight share one transform pair per step, each bit for bit as alone."""

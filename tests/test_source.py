@@ -201,8 +201,6 @@ def test_detector_flags_unread_functions():
 TEST_REFERENCES = {
     "gradient": ["test_acceptance.py::test_3_gradient_matches_finite_differences"],
     "nehari_t": ["test_acceptance.py::test_4_nehari_contract"],
-    "homogeneity_ratio": ["test_acceptance.py::test_5_energy_ordering",
-                          "test_acceptance.py::test_9_constant_q_homogeneity"],
     "KernelSpec.singular_cell_value": [
         "test_kernels.py::TestKernelSpec::test_corrected_weight_matches_singular_scale"],
 }
