@@ -23,7 +23,7 @@ from .resolvent import ResolventConfig, _route
 
 
 class NotInPositiveCone(ValueError):
-    """The quadratic term of v is nonpositive: v has no Nehari projection."""
+    """The quadratic term of v is not positive (or not finite): v has no Nehari projection."""
 
 
 @dataclass(frozen=True)
@@ -166,22 +166,22 @@ def _q_root(spec: ProblemSpec, grid: Grid):
 def _resolve(grid: Grid, cfg: ResolventConfig, *gs: np.ndarray) -> list[tuple[np.ndarray, float]]:
     """R g and int g R g for one or two g = Q_eps^(1/p) v: where R meets the dual variable.
 
-    A non-finite g makes its pairing non-finite, which raises here for one or two g
-    alike, with the floating-point warnings of the way there silenced: no extra pass.
+    It decides nothing: a non-finite g gets a non-finite pairing, without a warning, and
+    each g's pair is its own bit for bit; the caller decides what a non-finite one means.
     """
     with np.errstate(all="ignore"):
         rgs = _route(grid, cfg)(*gs)
         # inner_product's expression
         quads = [float(grid.cell_volume * np.sum(g * rg)) for g, rg in zip(gs, rgs)]
-    if not np.isfinite(quads).all():
-        raise ValueError("field values must be finite")
     return list(zip(rgs, quads))
 
 
 def _paired(v: Field, spec: ProblemSpec):
-    """Q_eps^(1/p), R g and int g R g for g = Q_eps^(1/p) v."""
+    """Q_eps^(1/p), R g and int g R g for g = Q_eps^(1/p) v; a non-finite pairing raises."""
     q_root = _q_root(spec, v.grid)
     [(rg, quad)] = _resolve(v.grid, spec.resolvent, q_root * v.values)
+    if not np.isfinite(quad):
+        raise ValueError("field values must be finite")
     return q_root, rg, quad
 
 

@@ -44,6 +44,8 @@ class ResolventConfig:
             raise ValueError(f"delta must be nonnegative and finite, got {self.delta}")
         if self.mode not in ("multiplier", "direct_oracle"):
             raise ValueError(f"unknown resolvent mode {self.mode!r}")
+        if self.mode == "direct_oracle" and self.delta != 0.0:
+            raise ValueError(f"the free-space route reads no delta, got {self.delta}")
 
 
 def multiplier_value(xi_sq, delta: float):
@@ -66,8 +68,7 @@ def _route(grid: Grid, cfg: ResolventConfig, max_nodes: int | None = None):
     guard = max_nodes if max_nodes is not None else DIRECT_GUARD[grid.dim]
     if cfg.mode == "direct_oracle" and grid.num_nodes > guard:
         raise GridTooLargeError(f"{grid.num_nodes} nodes exceeds direct-oracle guard {guard}")
-    # the free-space kernel reads no delta: a direct route is keyed without it
-    return _build_route(grid, cfg.mode, cfg.delta if cfg.mode == "multiplier" else 0.0)
+    return _build_route(grid, cfg.mode, cfg.delta)
 
 
 # bounded at 4 entries (T and S, or one kernel spectrum): two grids under both routes

@@ -10,14 +10,14 @@ fate independent of the last bits of R; the step may exceed INITIAL_STEP only
 while that test can resolve the decrease above the floor.  Each iteration
 forms three grid sums and takes ||w||^2 and <w, pg> from the last iteration's,
 and for integer p the power |w|^(p-2) is a few multiplications, not np.power.
-Because the resolvent is indefinite, trial iterates can leave the positive
-cone; those trigger step shrinking, and a seed whose step collapses is
-abandoned.  Seeds descend two at a time, so both descents' resolvent
-applications go as one 2-stack through one half-size FFT pair (see
-resolvent._multiply).  Each seed keeps the bits it has alone; the pair makes
-half the numpy calls of two applications, which counts on small grids (one
-descent at a time made a 64^2 solve 6-10% slower).  The line search constants
-(INITIAL_STEP ... RESOLVABLE_ULPS) are the same for every run.
+Because the resolvent is indefinite, trial iterates can leave the positive cone; those,
+and trials whose power or pairing is not finite, shrink the step.  A seed whose step
+collapses is abandoned, and one whose first pairing is not positive and finite has left
+the cone.  Seeds descend two at a time: both descents' applications go as one 2-stack
+through one half-size FFT pair (see resolvent._multiply).  Each seed ends by its own
+trials and keeps its bits alone, in failure too.  The pair halves the numpy calls; at
+256^2 one slot measured as fast, and a descent calling R directly 7% slower.  The line
+search constants (INITIAL_STEP ... RESOLVABLE_ULPS) are the same for every run.
 """
 
 from __future__ import annotations
@@ -182,18 +182,17 @@ def _abs_power(w: np.ndarray, p: float, spare: np.ndarray) -> np.ndarray:
 
 def _power(w: np.ndarray, q_root, p: float, cell: float):
     """|w|^(p-2), g = Q^(1/p) v and ||w||_p^p = int v w from one power (v = |w|^(p-2) w)."""
-    g = np.empty_like(w)  # the power's scratch first
-    w_pow = _abs_power(w, p, g)
-    np.multiply(w_pow, w, out=g)
-    norm_p = cell * float(np.sum(g * w))
-    g *= q_root
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the descent's to reject
+        g = np.empty_like(w)  # the power's scratch first
+        w_pow = _abs_power(w, p, g)
+        np.multiply(w_pow, w, out=g)
+        norm_p = cell * float(np.sum(g * w))
+        g *= q_root
     return w_pow, g, norm_p
 
 
 def _nehari(norm_p: float, quad: float, p: float) -> tuple[float, float, float]:
-    """Scale s onto the Nehari manifold ||w||_p^p = quad(v(w)); both terms rescaled by it."""
-    if quad <= 0.0:
-        raise NotInPositiveCone(f"quadratic term {quad} <= 0")
+    """Scale s onto the Nehari manifold ||w||_p^p = quad(v(w)) > 0; both terms rescaled by it."""
     s = (norm_p / quad) ** (1.0 / (p - 2.0))
     return s, norm_p * s**p, quad * s ** (2.0 * (p - 1.0))
 
@@ -239,6 +238,9 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
     if norm_p == 0.0:
         raise ValueError("zero seed")
     rg, quad = yield g
+    if not (0.0 < quad < math.inf and norm_p < math.inf):  # NaN fails too
+        raise NotInPositiveCone(f"first quadratic term {quad} (||w||_p^p {norm_p}) "
+                                "is not positive and finite")
     s, norm_p, quad = _nehari(norm_p, quad, p)
     en = norm_p / pp - 0.5 * quad
     pg = None  # the previous gradient, for the two-point step
@@ -283,7 +285,7 @@ def _descend(seed: Field, spec: ProblemSpec, cfg: SolverConfig):
             np.subtract(w, trial, out=trial)
             t_pow, g, t_norm = _power(trial, q_root, p, cell)
             t_rg, t_quad = yield g
-            if t_quad > 0.0:
+            if 0.0 < t_quad < math.inf and t_norm < math.inf:  # else out of the cone or overflown
                 t_s, t_norm, t_quad = _nehari(t_norm, t_quad, p)
                 t_en = t_norm / pp - 0.5 * t_quad
                 if t_en <= en - SUFFICIENT_DECREASE * step * slope + floor:
@@ -322,6 +324,7 @@ def _solve_seeds(problems, cfg: SolverConfig):
     """Descend from every (seed, spec) on one grid and resolvent, two at a time, in seed order.
 
     A pair's applications share one call of the route: fewer numpy calls, the same bits.
+    Each seed ends by its own trials alone; an error of the route itself ends the batch.
     """
     pending, opened = iter(problems), itertools.count()  # no enumerate: it keeps its last item
     running: dict[int, list] = {}  # seed index -> [descent, next g]
@@ -330,9 +333,8 @@ def _solve_seeds(problems, cfg: SolverConfig):
 
     def advance(i: int, answer) -> None:
         running[i][1] = None  # the resolved g is spent: its descent reuses or drops it
-        send = running[i][0].throw if isinstance(answer, Exception) else running[i][0].send
         try:
-            running[i][1] = send(answer)
+            running[i][1] = running[i][0].send(answer)
             return
         except StopIteration as stop:
             finished[i] = stop.value
@@ -354,13 +356,9 @@ def _solve_seeds(problems, cfg: SolverConfig):
                 if index in finished:  # the seeds just opened ended before any application
                     break
                 return
-            batch = list(running)
-            try:
-                answers = _resolve(*key, *(running[i][1] for i in batch))
-            except ValueError as err:  # a non-finite pairing ends every seed in it
-                answers = [err] * len(batch)
-            while batch:  # each R g is dropped here once sent: its descent decides its life
-                advance(batch.pop(0), answers.pop(0))
+            answers = _resolve(*key, *(g for _, g in running.values()))
+            for i in list(running):  # each R g is dropped once sent: its descent decides its life
+                advance(i, answers.pop(0))
         yield finished.pop(index)
 
 
@@ -374,7 +372,8 @@ def _raised(outcome):
 def _converged(outcomes) -> list[DualState]:
     """Converged states of a point's seed outcomes, in seed order: the one seed-failure rule.
 
-    A cone exit (a collapsed step too) or a spent budget is its seed's; other errors are raised.
+    A cone exit (a collapsed step or a non-finite first pairing too) or a spent budget is
+    its seed's; other errors are raised.
     No state raises AllSeedsLeftCone if every seed truly left the cone, else NoConvergence.
     """
     states, failures = [], []

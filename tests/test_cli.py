@@ -169,6 +169,18 @@ class TestLimitCommand:
         assert f"{'.'.join(parents)}: unknown keys ['{key}']" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_large_admissible_exponent_solves(self, tmp_path, capsys):
+        # every p > 6 is admissible in 2D; at p = 1000 early trials overflow |w|^(p-2), which
+        # their line searches reject, so each default seed converges and nothing is printed
+        # to stderr (the suite turns a RuntimeWarning into an error)
+        problem = {"p": 1000.0, "epsilon": 1.0, "delta": 0.01, "coefficient": {"floor": 1.0}}
+        cfg = write_config(tmp_path, problem=problem,
+                           solver={"max_iters": 2000, "grad_tol": 1e-6})
+        assert run("limit", cfg, tmp_path / "o") == 0
+        assert capsys.readouterr().err == ""
+        record = json.loads((tmp_path / "o" / "run.json").read_text())
+        assert record["energies"]["c_0"] == pytest.approx(1.7339244424579283, rel=1e-12)
+
     def test_singular_lattice_is_numeric_failure(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

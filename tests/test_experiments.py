@@ -9,7 +9,13 @@ import pytest
 
 from helmdual import solver
 from helmdual.grid import Field, make_grid
-from helmdual.functional import CoefficientSpec, DualState, ProblemSpec, constant_coefficient
+from helmdual.functional import (
+    CoefficientSpec,
+    DualState,
+    NotInPositiveCone,
+    ProblemSpec,
+    constant_coefficient,
+)
 from helmdual.resolvent import ResolventConfig
 from helmdual.runio import load_config
 from helmdual.solver import InitialGuess, SolverConfig, cutoff, solve_ground_state, solve_limit
@@ -456,9 +462,9 @@ class TestConcentrationSweep:
         assert together[2].failure == alone[2].failure
         assert "cutoff support exceeds the box" in together[2].failure
 
-    def test_non_finite_pairing_flags_each_point_that_shared_it(self, grid, monkeypatch):
-        # the two points' seeds share every transform pair; a pair whose
-        # result is not finite ends both seeds with their own error
+    def test_non_finite_pairing_flags_each_point_by_its_own_seed(self, grid, monkeypatch):
+        # the two points' seeds share every transform pair; each seed's first pairing is
+        # NaN, so each leaves the cone by its own outcome and flags its own point
         coef = CoefficientSpec(floor=0.25,
                                centers=((0.8, 0.4),), amplitudes=(0.75,),
                                widths=(1.5,))
@@ -470,10 +476,21 @@ class TestConcentrationSweep:
         def non_finite_route(g, resolvent_cfg):
             return lambda *fields: [np.full(g.shape, np.nan) for _ in fields]
 
+        points, converged = [], solver._converged
+
+        def spy(outcomes):
+            points.append(list(outcomes))
+            return converged(points[-1])
+
         monkeypatch.setattr("helmdual.functional._route", non_finite_route)
+        monkeypatch.setattr(solver, "_converged", spy)
         _, records = concentration_sweep(template, [0.5, 0.25], grid, cfg, limit_state=limit)
         assert [r.converged for r in records] == [False, False]
-        assert [r.failure for r in records] == ["field values must be finite"] * 2
+        assert [r.failure for r in records] == ["every seed left the positive cone"] * 2
+        assert len(points) == 2
+        for [seed] in points:  # one maximum: one seed per point
+            assert type(seed) is NotInPositiveCone
+            assert str(seed).startswith("first quadratic term nan ")
 
 
 class TestSweepMemory:

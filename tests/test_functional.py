@@ -306,12 +306,13 @@ class TestOneQRootSite:
 
 
 class TestNonFiniteG:
-    """A non-finite g ends in one ValueError, alone or in a pair, under either route."""
+    """_resolve decides nothing: a non-finite g gets a non-finite pairing, and its partner's
+    pair is that field's alone, under either route; the reference path refuses it."""
 
     @pytest.mark.parametrize("mode", ["multiplier", "direct_oracle"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     @pytest.mark.parametrize("position", ["alone", "first", "second"])
-    def test_raises_without_a_warning(self, mode, bad, position):
+    def test_partner_is_the_field_alone_without_a_warning(self, mode, bad, position):
         # the suite turns a RuntimeWarning into an error, so a warning on the way fails here
         g = make_grid(2, 15.0, 32)
         cfg = ResolventConfig(delta=1e-2 if mode == "multiplier" else 0.0, mode=mode)
@@ -319,8 +320,22 @@ class TestNonFiniteG:
         x = ok.copy()
         x[3, 4] = bad
         gs = {"alone": (x,), "first": (x, ok), "second": (ok, x)}[position]
+        answers = functional._resolve(g, cfg, *gs)
+        [(_, bad_quad)] = [answer for field, answer in zip(gs, answers) if field is x]
+        assert not np.isfinite(bad_quad)
+        [(alone, alone_quad)] = functional._resolve(g, cfg, ok)
+        for rg, quad in (answer for field, answer in zip(gs, answers) if field is ok):
+            np.testing.assert_array_equal(rg, alone)
+            assert quad == alone_quad
+
+    @pytest.mark.parametrize("reference", [energy, gradient, quadratic_term, nehari_t,
+                                           DualState.from_field])
+    def test_reference_path_raises_without_a_warning(self, grid, spec, monkeypatch, reference):
+        v = cone_field(grid, np.random.default_rng(26))
+        monkeypatch.setattr(functional, "_route", lambda g, cfg: lambda *fields: [
+            np.full(g.shape, np.nan) for _ in fields])
         with pytest.raises(ValueError, match="field values must be finite"):
-            functional._resolve(g, cfg, *gs)
+            reference(v, spec)
 
     @pytest.mark.parametrize("mode", ["multiplier", "direct_oracle"])
     def test_one_g_is_the_route_applied_once(self, grid, mode):

@@ -211,6 +211,11 @@ class TestParseConfig:
         obj["grid"]["points_per_axis"] = 63
         with pytest.raises(ConfigError):
             parse_config(json.dumps(obj).encode())
+        # the free-space kernel reads no delta: a config that sets one is refused at load
+        obj = json.loads(base_config())
+        obj["problem"].update(delta=0.01, resolvent_mode="direct_oracle")
+        with pytest.raises(ConfigError, match="problem: the free-space route reads no delta"):
+            parse_config(json.dumps(obj).encode())
 
 
 #: params of a config per experiment that sets every optional key

@@ -281,10 +281,13 @@ class TestRoute:
         for fields, bound in (((x,), 2.05), ((x, x), 4.05)):
             assert _grid_arrays_at_peak(g, lambda: route(*fields))[1] <= bound
 
-    def test_direct_route_keyed_without_delta(self):
-        # the free-space kernel reads no delta: every direct config on a grid shares one entry
+    def test_direct_route_refuses_delta(self):
+        # the free-space kernel reads no delta: a config with one is refused, so every direct
+        # config on a grid is the one config and shares one entry
+        with pytest.raises(ValueError, match="free-space route reads no delta"):
+            ResolventConfig(delta=0.01, mode="direct_oracle")
         _build_route.cache_clear()
-        route = _route(make_grid(2, 15.0, 64), ResolventConfig(delta=0.01, mode="direct_oracle"))
+        route = _route(make_grid(2, 15.0, 64), ResolventConfig(mode="direct_oracle"))
         assert _route(make_grid(2, 15.0, 64), ResolventConfig(mode="direct_oracle")) is route
         apply_R_direct(gaussian_bump(make_grid(2, 15.0, 64)), KernelSpec(2))
         info = _build_route.cache_info()

@@ -7,7 +7,7 @@ import pytest
 
 from helmdual import resolvent, solver
 from helmdual.experiments import homogeneity_ratio
-from helmdual.grid import lp_norm, make_grid
+from helmdual.grid import Field, lp_norm, make_grid
 from helmdual.functional import (
     CoefficientSpec,
     DualState,
@@ -316,6 +316,44 @@ class TestLockStep:
         state, _ = outcomes[1]
         assert state.energy == alone.energy
         assert _best_state(iter(outcomes)) is state
+
+    def test_overflowing_first_pairing_leaves_the_cone_alone(self, small, spec, loose):
+        # one node of 1e300 overflows the seed's ||w||_p^p and its pairing: the seed fails at
+        # once as outside the cone, and its partner converges as it does alone
+        good = InitialGuess(width=0.8).build(small)
+        huge = good.values.copy()
+        huge[3, 4] = 1e300
+        [(alone, _)] = _solve_seeds([(good, spec)], loose)
+        outcomes = list(_solve_seeds([(Field(small, huge), spec), (good, spec)], loose))
+        assert type(outcomes[0]) is NotInPositiveCone
+        assert str(outcomes[0]).startswith("first quadratic term inf ")
+        assert outcomes[1][0].energy == alone.energy
+
+    def test_overflowing_trials_leave_each_seed_as_alone(self, monkeypatch):
+        # at p = 1000 two default seeds' early trials overflow |w|^(p-2), so their pairings
+        # are inf or NaN: each such trial is rejected by its own line search and the step
+        # halves.  Every seed in the batch then ends as it does alone, bit for bit, and (the
+        # suite turns a RuntimeWarning into an error) no overflow warning leaks
+        grid = make_grid(2, 30.0, 64)
+        spec = ProblemSpec(p=1000.0, epsilon=1.0, coefficient=constant_coefficient(1.0),
+                           resolvent=ResolventConfig(delta=1e-2))
+        cfg = SolverConfig(max_iters=2000, grad_tol=1e-6)
+        seeds = [guess.build(grid) for guess in cfg.restart_seeds]
+        quads, resolve = [], solver._resolve
+
+        def spy(*args):
+            answers = resolve(*args)
+            quads.extend(quad for _, quad in answers)
+            return answers
+
+        monkeypatch.setattr(solver, "_resolve", spy)
+        batch = list(_solve_seeds([(seed, spec) for seed in seeds], cfg))
+        assert not np.isfinite(quads).all()  # the batch did meet non-finite pairings
+        for seed, (state, iterations) in zip(seeds, batch, strict=True):
+            [(alone, alone_iterations)] = _solve_seeds([(seed, spec)], cfg)
+            assert (state.energy, iterations) == (alone.energy, alone_iterations)
+            np.testing.assert_array_equal(state.v.values, alone.v.values)
+            np.testing.assert_array_equal(state.u_rescaled.values, alone.u_rescaled.values)
 
     def test_seed_error_is_its_outcome_and_raised_by_the_solve(self, small, spec, loose):
         # a zero seed ends with ValueError; its partner still converges

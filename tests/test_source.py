@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name or takes a parameter it never
-uses or calls a BLAS reduction, every public function has a reader, the README and demos
-import only names the package has, the quick demos run, the package namespace holds only
-names that programs read from it, and the README's config key tables list exactly the keys
-the schema accepts and its sweep.csv table the columns the sweep writes."""
+uses, calls a BLAS reduction or yields inside np.errstate, every public function has a
+reader, the README and demos import only names the package has, the quick demos run, the
+package namespace holds only names that programs read from it, and the README's config key
+tables list exactly the keys the schema accepts and its sweep.csv table the columns the
+sweep writes."""
 
 import ast
 import importlib
@@ -115,6 +116,51 @@ def test_every_reduction_is_a_pairwise_sum(path):
     # np.sum sums pairwise with the same bits on any thread count; the 64^2 delta = 0
     # seeds once collapsed under np.dot's
     assert blas_reductions(path.read_text()) == []
+
+
+def yields_under_errstate(source: str) -> list[str]:
+    """'line N: yield' (or 'yield from') for every yield inside a ``with np.errstate(...)``.
+
+    numpy's errstate is a context variable: a generator paused inside one leaves it set for
+    whoever runs next, so their warnings are silenced too.  A function defined in the block
+    runs in its own frame and is not searched.
+    """
+    found = set()
+
+    def search(node):
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            found.add((node.lineno, "yield" if isinstance(node, ast.Yield) else "yield from"))
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for child in ast.iter_child_nodes(node):
+                search(child)
+
+    for node in ast.walk(ast.parse(source)):
+        funcs = [getattr(item.context_expr, "func", None) for item in getattr(node, "items", ())]
+        if isinstance(node, ast.With) and any(
+                getattr(f, "attr", getattr(f, "id", None)) == "errstate" for f in funcs):
+            for stmt in node.body:
+                search(stmt)
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_detector_flags_yields_under_errstate():
+    source = ("import numpy as np\nfrom numpy import errstate\n"
+              "def gen(x):\n"
+              "    with np.errstate(over='ignore'):\n        yield x\n"
+              "    with open(x), errstate(all='ignore'):\n        y = yield from x\n"
+              "    with np.errstate(all='ignore'):\n"
+              "        def inner():\n            yield x\n"
+              "        f = lambda: (yield)\n        z = x * 2\n"
+              "    with open(x):\n        yield z\n"
+              "    yield y\n")
+    assert yields_under_errstate(source) == ["line 5: yield", "line 7: yield from"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_yield_under_errstate(path):
+    # the descent yields once per resolvent application: an errstate around its loop would
+    # silence warnings for the scheduler, the partner seed and the caller
+    assert yields_under_errstate(path.read_text()) == []
 
 
 def readme_python() -> str:
